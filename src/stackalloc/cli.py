@@ -3,7 +3,7 @@
 Subcommands: ``solve`` (JSON report on stdout), ``generate`` (write an
 instance file), ``bench`` (CSV on stdout, optional JSON mirror) and
 ``validate``.  Exit codes: 0 success, 2 input error, 3 enumeration or
-pivot cap exceeded.
+pivot cap exceeded, 4 an answer failed its numerical re-check.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import sys
 import time
 
 from . import bench, exact, follower, heuristic, mwu
-from .lp import PivotLimitError
+from .lp import LpNumericsError, PivotLimitError
 from .model import (BipartiteInfluenceGame, CapExceededError, InstanceFormatError,
                     MixedStrategy, allocation_of, dump_instance, generate_instance,
                     load_instance, validate)
@@ -22,6 +22,7 @@ from .model import (BipartiteInfluenceGame, CapExceededError, InstanceFormatErro
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_CAP = 3
+EXIT_NUMERICS = 4
 
 
 def _strategy_json(game: BipartiteInfluenceGame, x: MixedStrategy) -> dict:
@@ -178,6 +179,9 @@ def main(argv: list[str] | None = None) -> int:
     except (CapExceededError, PivotLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except LpNumericsError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICS
 
 
 if __name__ == "__main__":

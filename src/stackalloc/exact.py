@@ -21,12 +21,13 @@ follower modules; LP bookkeeping is never trusted for the final value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from . import follower as follower_mod
 from . import payoff
-from .lp import LinearProgram, solve_lp
+from .lp import LinearProgram, LpNumericsError, solve_lp
 from .model import (BipartiteInfluenceGame, CapExceededError, FractionalAllocation,
                     MixedStrategy, PureStrategy, allocation_of, count_subsets,
                     iter_subsets)
@@ -67,12 +68,12 @@ def _finish(game: BipartiteInfluenceGame, x: MixedStrategy, y_star: PureStrategy
     f_all, g_all = f_all[0], g_all[0]
     yi = oracle.strategies.index(y_star)
     if g_all[yi] < g_all.max() - REVERIFY_TOL:
-        raise RuntimeError(
+        raise LpNumericsError(
             f"recovered strategy does not induce {y_star} as a best response "
             f"(g={g_all[yi]}, max={g_all.max()})")
     value = float(f_all[yi])
     if abs(value - lp_value) > REVERIFY_TOL:
-        raise RuntimeError(
+        raise LpNumericsError(
             f"re-evaluated value {value} disagrees with LP value {lp_value}")
     return EquilibriumResult(leader=x, follower=y_star, value=value, per_y_values=per_y)
 
@@ -94,18 +95,23 @@ def solve_multi_lp(game: BipartiteInfluenceGame,
     F = pv @ (1.0 - oracle.recapture).T                      # f(z, y)
     G = pv @ oracle.recapture.T + (1.0 - pv) @ oracle.activation.T
 
+    Gt = G.T
+    simplex_row = (np.ones(len(leaders)), "=", 1.0)
     per_y: dict[PureStrategy, tuple[str, float | None]] = {}
     best: tuple[float, int, np.ndarray] | None = None
     for yi, y_star in enumerate(oracle.strategies):
-        rows = [(G[:, yi] - G[:, yj], ">=", 0.0) for yj in range(len(oracle))]
-        rows.append((np.ones(len(leaders)), "=", 1.0))
+        # Row y': g(., y*) - g(., y') >= 0.
+        rows = list(zip(Gt[yi] - Gt, repeat(">="), repeat(0.0)))
+        rows.append(simplex_row)
         out = solve_lp(LinearProgram(objective=F[:, yi], rows=rows))
         per_y[y_star] = (out.status, out.value)
         if out.status != "optimal":
             continue
         if best is None or out.value > best[0] + VALUE_TIE_TOL:
             best = (out.value, yi, out.x)
-    assert best is not None, "some follower response is always inducible"
+    if best is None:
+        raise LpNumericsError(
+            "no candidate LP was feasible, but some response is always inducible")
 
     lp_value, yi, weights = best
     kept = {leaders[i]: float(w) for i, w in enumerate(weights) if w > PRUNE_TOL}
@@ -184,7 +190,8 @@ def decompose_allocation(r, k_L: int, tol: float = 1e-9) -> MixedStrategy:
             term = (k_L - float(rho.sum())) / (k_L - z_size)
             if term < lam:
                 lam, comp = term, 1.0 - term
-        assert 0.0 < lam < 1.0, f"degenerate peel step lam={lam}"
+        if not 0.0 < lam < 1.0:
+            raise LpNumericsError(f"degenerate peel step lam={lam}")
 
         z = PureStrategy(tuple(int(u) for u in np.nonzero(zmask)[0]))
         atoms[z] = atoms.get(z, 0.0) + mass * lam
@@ -195,7 +202,7 @@ def decompose_allocation(r, k_L: int, tol: float = 1e-9) -> MixedStrategy:
         rho = new_rho
         mass *= comp
     else:  # pragma: no cover - the peel argument bounds the loop
-        raise RuntimeError("decomposition failed to terminate in n+1 steps")
+        raise LpNumericsError("decomposition failed to terminate in n+1 steps")
     return MixedStrategy(atoms)
 
 
@@ -229,11 +236,9 @@ def solve_disjoint_lp(game: BipartiteInfluenceGame,
     for yi, y_star in enumerate(oracle.strategies):
         ys = ymat[yi]
         objective = a - ys * d
-        rows = []
-        for yj in range(len(oracle)):
-            diff = ys - ymat[yj]
-            # g(r, y*) - g(r, y) = sum_u diff_u * (a_u - bq_u r_u) >= 0
-            rows.append((-diff * bq, ">=", float(-(diff @ a))))
+        # Row y: g(r, y*) - g(r, y) = sum_u diff_u * (a_u - bq_u r_u) >= 0.
+        diff = ys - ymat
+        rows = list(zip(-diff * bq, repeat(">="), (-diff @ a).tolist()))
         rows.append(budget_row)
         out = solve_lp(LinearProgram(objective=objective, rows=rows, bounds=bounds))
         per_y[y_star] = (out.status, out.value)
@@ -241,7 +246,9 @@ def solve_disjoint_lp(game: BipartiteInfluenceGame,
             continue
         if best is None or out.value > best[0] + VALUE_TIE_TOL:
             best = (out.value, yi, out.x)
-    assert best is not None, "some follower response is always inducible"
+    if best is None:
+        raise LpNumericsError(
+            "no candidate LP was feasible, but some response is always inducible")
 
     lp_value, yi, r = best
     x = decompose_allocation(r, game.k_L)

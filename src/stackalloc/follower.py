@@ -54,7 +54,6 @@ class FollowerOracle:
     """
 
     def __init__(self, game: BipartiteInfluenceGame, cap: int = DEFAULT_FOLLOWER_CAP):
-        self.game = game
         self.strategies = enumerate_follower(game, cap)
         self.activation = np.array([payoff.activation_vector(game, y) for y in self.strategies])
         self.recapture = np.array([payoff.recapture_vector(game, y) for y in self.strategies])

@@ -2,15 +2,23 @@
 
 Problems are stated as: maximize c.x subject to rows a.x {<=,=,>=} b and
 per-variable bounds [l, u] with l finite (default 0) and u possibly
-infinite.  The solver certifies its answer: primal feasibility of the
-returned point is re-checked from the original data, the objective is
-recomputed from scratch, and a dual vector is rebuilt from the final
-basis so callers can verify strong duality.
+infinite.  The rows are stacked once into a matrix, and the standard
+form is built from it with whole-array operations: x is shifted to
+x - l, finite upper bounds become extra <= rows, and every row with a
+negative rhs, or a >= row with rhs 0, is negated so that it starts on a
+slack.  Only = rows and >= rows with a positive rhs need an artificial
+variable in phase 1.
+
+The solver certifies its answer: primal feasibility of the returned
+point is re-checked from the original data, the objective is recomputed
+from scratch, and a dual vector is rebuilt from the final basis so
+callers can verify strong duality.
 
 Pivoting is Dantzig's rule with a deterministic ratio test; after a run
 of degenerate pivots the solver switches to Bland's rule, which cannot
-cycle.  There is a hard pivot cap so a wrong answer is never returned
-silently.
+cycle.  Every pivot, including those that drive artificials out of the
+basis after phase 1, counts against a hard cap, so a wrong answer is
+never returned silently.
 """
 
 from __future__ import annotations
@@ -32,44 +40,65 @@ class PivotLimitError(RuntimeError):
 
 
 class LpNumericsError(RuntimeError):
-    """The final tableau failed its independent feasibility re-check."""
+    """An answer failed an independent numerical re-check."""
+
+
+_SENSE = {LESS: 1, EQUAL: 0, GREATER: -1}
 
 
 @dataclass
 class LinearProgram:
-    """maximize objective.x subject to rows and bounds."""
+    """maximize objective.x subject to rows and bounds.
+
+    ``rows`` is the only input form.  On construction the rows are also
+    stacked into ``A``, ``sense`` (+1 for <=, 0 for =, -1 for >=) and
+    ``rhs``, and the bounds into ``lower`` and ``upper``.
+    """
 
     objective: np.ndarray
     rows: list[tuple[np.ndarray, str, float]] = field(default_factory=list)
     bounds: list[tuple[float, float]] | None = None  # (lower, upper); default (0, inf)
+    A: np.ndarray = field(init=False, repr=False, compare=False)
+    sense: np.ndarray = field(init=False, repr=False, compare=False)
+    rhs: np.ndarray = field(init=False, repr=False, compare=False)
+    lower: np.ndarray = field(init=False, repr=False, compare=False)
+    upper: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=float)
         if not np.all(np.isfinite(self.objective)):
             raise ValueError("objective has non-finite coefficients")
         n = self.objective.size
-        rows = []
-        for a, rel, b in self.rows:
-            a = np.asarray(a, dtype=float)
-            if a.size != n:
-                raise ValueError("row width does not match objective")
-            if not (np.all(np.isfinite(a)) and np.isfinite(b)):
-                raise ValueError("row has non-finite coefficients")
-            if rel == "==":
-                rel = EQUAL
-            if rel not in (LESS, EQUAL, GREATER):
-                raise ValueError(f"unknown relation {rel!r}")
-            rows.append((a, rel, float(b)))
-        self.rows = rows
+        R = len(self.rows)
+        try:
+            A = np.array([a for a, _, _ in self.rows], dtype=float)
+        except ValueError:
+            raise ValueError("row width does not match objective") from None
+        if A.size != R * n:
+            raise ValueError("row width does not match objective")
+        self.A = A.reshape(R, n)
+        self.rhs = np.array([b for _, _, b in self.rows], dtype=float)
+        if not (np.all(np.isfinite(self.A)) and np.all(np.isfinite(self.rhs))):
+            raise ValueError("row has non-finite coefficients")
+        rels = [EQUAL if rel == "==" else rel for _, rel, _ in self.rows]
+        unknown = [rel for rel in rels if rel not in _SENSE]
+        if unknown:
+            raise ValueError(f"unknown relation {unknown[0]!r}")
+        self.sense = np.array([_SENSE[rel] for rel in rels], dtype=int)
+        self.rows = list(zip(self.A, rels, self.rhs.tolist()))
+
         if self.bounds is None:
             self.bounds = [(0.0, np.inf)] * n
         if len(self.bounds) != n:
             raise ValueError("bounds length does not match objective")
-        for lo, up in self.bounds:
-            if not np.isfinite(lo):
-                raise ValueError("lower bounds must be finite")
-            if lo > up:
-                raise ValueError(f"inconsistent bound [{lo}, {up}]")
+        box = np.array(self.bounds, dtype=float).reshape(n, 2)
+        self.lower, self.upper = box[:, 0].copy(), box[:, 1].copy()
+        if not np.all(np.isfinite(self.lower)):
+            raise ValueError("lower bounds must be finite")
+        crossed = np.flatnonzero(self.lower > self.upper)
+        if crossed.size:
+            j = crossed[0]
+            raise ValueError(f"inconsistent bound [{self.lower[j]}, {self.upper[j]}]")
 
 
 @dataclass(frozen=True)
@@ -88,6 +117,13 @@ def _pivot(T: np.ndarray, i: int, j: int) -> None:
     T -= np.outer(col, T[i])
     T[:, j] = 0.0
     T[i, j] = 1.0
+
+
+def _spend(budget: list[int]) -> None:
+    """Count one pivot against the cap."""
+    if budget[0] <= 0:
+        raise PivotLimitError("pivot cap exceeded")
+    budget[0] -= 1
 
 
 def _simplex(T: np.ndarray, basis: list[int], pivot_tol: float,
@@ -118,9 +154,7 @@ def _simplex(T: np.ndarray, basis: list[int], pivot_tol: float,
         # the minimum ratios (also mildly anti-degenerate).
         tied = np.nonzero(ratios <= best + pivot_tol * max(1.0, abs(best)))[0]
         i = int(min(tied, key=lambda r: basis[r]))
-        if budget[0] <= 0:
-            raise PivotLimitError(f"pivot cap exceeded ({MAX_PIVOTS})")
-        budget[0] -= 1
+        _spend(budget)
         before = T[-1, -1]
         _pivot(T, i, j)
         basis[i] = j
@@ -143,69 +177,52 @@ def solve_lp(lp: LinearProgram, pivot_tol: float = PIVOT_TOL,
              max_pivots: int = MAX_PIVOTS) -> LpOutcome:
     """Solve to a certified status; see module docstring."""
     n = lp.objective.size
-    lower = np.array([b[0] for b in lp.bounds])
-    upper = np.array([b[1] for b in lp.bounds])
+    lower = lp.lower
+    boxed = np.flatnonzero(np.isfinite(lp.upper))
 
-    # Shift to x = lower + x'; finite upper bounds become extra rows.
-    rows: list[tuple[np.ndarray, str, float]] = []
-    sign = []       # +1/-1 per std row, -1 when negated to make rhs >= 0
-    is_input = []   # std row index -> originating input row, or -1 for bounds
-    for idx, (a, rel, b) in enumerate(lp.rows):
-        rows.append((a, rel, b - float(a @ lower)))
-        is_input.append(idx)
-    for j in range(n):
-        if np.isfinite(upper[j]):
-            e = np.zeros(n)
-            e[j] = 1.0
-            rows.append((e, LESS, upper[j] - lower[j]))
-            is_input.append(-1)
+    # Shift to x = lower + x'; finite upper bounds become extra <= rows
+    # after the input rows.
+    unit = np.zeros((boxed.size, n))
+    unit[np.arange(boxed.size), boxed] = 1.0
+    A = np.vstack([lp.A, unit])
+    b = np.concatenate([lp.rhs - lp.A @ lower, lp.upper[boxed] - lower[boxed]])
+    sense = np.concatenate([lp.sense, np.ones(boxed.size, dtype=int)])
 
-    canon = []
-    for a, rel, b in rows:
-        if b < 0:
-            a, b = -a, -b
-            rel = {LESS: GREATER, GREATER: LESS, EQUAL: EQUAL}[rel]
-            sign.append(-1.0)
-        else:
-            sign.append(1.0)
-        canon.append((a, rel, b))
+    # Negate rows with a negative rhs, and >= rows with rhs 0, so that the
+    # rhs is nonnegative and as many rows as possible start on a slack.
+    flip = (b < 0) | ((b == 0) & (sense < 0))
+    sign = np.where(flip, -1.0, 1.0)
+    A *= sign[:, None]
+    b = np.abs(b)
+    sense = np.where(flip, -sense, sense)
 
-    R = len(canon)
-    n_slack = sum(1 for _, rel, _ in canon if rel == LESS)
-    n_surp = sum(1 for _, rel, _ in canon if rel == GREATER)
-    n_art = sum(1 for _, rel, _ in canon if rel != LESS)
-    C = n + n_slack + n_surp + n_art
+    # Columns: structural, slacks (<= rows), surpluses (>= rows), then
+    # artificials (= and >= rows), each group in row order.
+    R = b.size
+    slack_rows = np.flatnonzero(sense > 0)
+    surp_rows = np.flatnonzero(sense < 0)
+    art_rows = np.flatnonzero(sense <= 0)
+    C2 = n + slack_rows.size + surp_rows.size
+    slack_cols = n + np.arange(slack_rows.size)
+    art_cols = C2 + np.arange(art_rows.size)
+    A_std = np.zeros((R, C2))
+    A_std[:, :n] = A
+    A_std[slack_rows, slack_cols] = 1.0
+    A_std[surp_rows, n + slack_rows.size + np.arange(surp_rows.size)] = -1.0
 
-    A = np.zeros((R, C))
-    b_vec = np.zeros(R)
-    basis: list[int] = []
-    art_cols: list[int] = []
-    s_at, t_at, a_at = n, n + n_slack, n + n_slack + n_surp
-    for i, (a, rel, b) in enumerate(canon):
-        A[i, :n] = a
-        b_vec[i] = b
-        if rel == LESS:
-            A[i, s_at] = 1.0
-            basis.append(s_at)
-            s_at += 1
-        else:
-            if rel == GREATER:
-                A[i, t_at] = -1.0
-                t_at += 1
-            A[i, a_at] = 1.0
-            art_cols.append(a_at)
-            basis.append(a_at)
-            a_at += 1
-
-    T = np.zeros((R + 1, C + 1))
-    T[:R, :C] = A
-    T[:R, -1] = b_vec
-    kept_rows = list(range(R))
+    T = np.zeros((R + 1, C2 + art_rows.size + 1))
+    T[:R, :C2] = A_std
+    T[art_rows, art_cols] = 1.0
+    T[:R, -1] = b
+    basis_arr = np.empty(R, dtype=int)
+    basis_arr[slack_rows] = slack_cols
+    basis_arr[art_rows] = art_cols
+    basis = basis_arr.tolist()
     budget = [max_pivots]
 
-    if art_cols:
-        costs1 = np.zeros(C)
-        costs1[art_cols] = -1.0
+    if art_rows.size:
+        costs1 = np.zeros(T.shape[1] - 1)
+        costs1[C2:] = -1.0
         _cost_row(T, basis, costs1)
         status = _simplex(T, basis, pivot_tol, budget)
         if status != "optimal":  # pragma: no cover - phase 1 is always bounded
@@ -214,31 +231,25 @@ def solve_lp(lp: LinearProgram, pivot_tol: float = PIVOT_TOL,
             return LpOutcome(status="infeasible")
         # Remove artificials still in the basis: pivot them out, or drop the
         # row entirely when it has become redundant.
-        art_set = set(art_cols)
         drop_rows = []
-        for i in range(len(basis)):
-            if basis[i] in art_set:
-                row = T[i, :C]
-                pivot_col = -1
-                for j in range(C):
-                    if j not in art_set and abs(row[j]) > pivot_tol:
-                        pivot_col = j
-                        break
-                if pivot_col >= 0:
-                    budget[0] -= 1
-                    _pivot(T, i, pivot_col)
-                    basis[i] = pivot_col
-                else:
-                    drop_rows.append(i)
-        for i in sorted(drop_rows, reverse=True):
-            T = np.delete(T, i, axis=0)
-            del basis[i]
-            del kept_rows[i]
+        for i, j in enumerate(basis):
+            if j < C2:
+                continue
+            candidates = np.flatnonzero(np.abs(T[i, :C2]) > pivot_tol)
+            if candidates.size:
+                _spend(budget)
+                _pivot(T, i, int(candidates[0]))
+                basis[i] = int(candidates[0])
+            else:
+                drop_rows.append(i)
+        if drop_rows:
+            T = np.delete(T, drop_rows, axis=0)
+            basis = np.delete(basis, drop_rows).tolist()
 
     # Artificial columns sit at the end; drop them (basis indices unchanged).
-    C2 = n + n_slack + n_surp
     T = np.hstack([T[:, :C2], T[:, -1:]])
-    assert all(j < C2 for j in basis)
+    if any(j >= C2 for j in basis):
+        raise LpNumericsError("an artificial variable is still basic after phase 1")
 
     costs2 = np.zeros(C2)
     costs2[:n] = lp.objective
@@ -248,38 +259,42 @@ def solve_lp(lp: LinearProgram, pivot_tol: float = PIVOT_TOL,
         return LpOutcome(status="unbounded")
 
     x_std = np.zeros(C2)
-    nrows = T.shape[0] - 1
-    for i in range(nrows):
-        x_std[basis[i]] = T[i, -1]
+    x_std[basis] = T[:-1, -1]
     x = lower + x_std[:n]
     value = float(lp.objective @ x)
 
     _check_feasible(lp, x)
 
     # Dual reconstruction from the final basis against the unpivoted data.
+    # Once phase 1 has dropped redundant rows, the basis has fewer columns
+    # than the data has rows; the system is still consistent, and any
+    # solution prices every column the same, so least squares is used.
     y_std = np.zeros(R)
-    if kept_rows:
-        B = A[np.ix_(kept_rows, basis)]
-        y_std[kept_rows] = np.linalg.solve(B.T, costs2[basis])
-    dual_value = float(y_std @ b_vec + lp.objective @ lower)
-    dual = np.zeros(len(lp.rows))
-    for i_std, i_in in enumerate(is_input):
-        if i_in >= 0:
-            dual[i_in] = sign[i_std] * y_std[i_std]
+    if basis:
+        B = A_std[:, basis]
+        try:
+            if len(basis) == R:
+                y_std = np.linalg.solve(B.T, costs2[basis])
+            else:
+                y_std = np.linalg.lstsq(B.T, costs2[basis], rcond=None)[0]
+        except np.linalg.LinAlgError as exc:
+            raise LpNumericsError(f"final basis is singular: {exc}") from None
+    dual_value = float(y_std @ b + lp.objective @ lower)
+    dual = (sign * y_std)[:len(lp.rows)]
     return LpOutcome(status="optimal", x=x, value=value,
                      dual=dual, dual_value=dual_value)
 
 
 def _check_feasible(lp: LinearProgram, x: np.ndarray) -> None:
-    for j, (lo, up) in enumerate(lp.bounds):
-        if x[j] < lo - FEAS_TOL or x[j] > up + FEAS_TOL:
-            raise LpNumericsError(f"variable {j} outside its bounds: {x[j]}")
-    for a, rel, b in lp.rows:
-        lhs = float(a @ x)
-        tol = FEAS_TOL * max(1.0, abs(b))
-        if rel == LESS and lhs > b + tol:
-            raise LpNumericsError(f"row violated: {lhs} <= {b}")
-        if rel == GREATER and lhs < b - tol:
-            raise LpNumericsError(f"row violated: {lhs} >= {b}")
-        if rel == EQUAL and abs(lhs - b) > tol:
-            raise LpNumericsError(f"row violated: {lhs} = {b}")
+    outside = np.flatnonzero((x < lp.lower - FEAS_TOL) | (x > lp.upper + FEAS_TOL))
+    if outside.size:
+        j = outside[0]
+        raise LpNumericsError(f"variable {j} outside its bounds: {x[j]}")
+    lhs = lp.A @ x
+    b = lp.rhs
+    tol = FEAS_TOL * np.maximum(1.0, np.abs(b))
+    violated = np.where(lp.sense > 0, lhs > b + tol,
+                        np.where(lp.sense < 0, lhs < b - tol, np.abs(lhs - b) > tol))
+    if violated.any():
+        i = np.flatnonzero(violated)[0]
+        raise LpNumericsError(f"row violated: {lhs[i]} {lp.rows[i][1]} {b[i]}")

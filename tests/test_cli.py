@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from stackalloc import MixedStrategy, PureStrategy, best_response, load_instance
+from stackalloc import MixedStrategy, PureStrategy, best_response, exact, load_instance
 from stackalloc.cli import main
+from stackalloc.lp import LpNumericsError
 
 from conftest import make_no_pure_optimum, make_overfunding_trap
 from stackalloc.model import dump_instance
@@ -94,6 +95,18 @@ def test_solve_cap_error_exit_code(capsys, tmp_path):
                            "--algorithm", "exact")
     assert code == 3
     assert "cap" in err
+
+
+def test_solve_numerics_error_exit_code(capsys, monkeypatch, no_pure_optimum_path):
+    def failing(game):
+        raise LpNumericsError("re-evaluated value disagrees with LP value")
+
+    monkeypatch.setattr(exact, "solve_multi_lp", failing)
+    code, out, err = run_cli(capsys, "solve", "--instance", no_pure_optimum_path,
+                             "--algorithm", "exact")
+    assert code == 4
+    assert out == ""
+    assert "disagrees" in err
 
 
 def test_solve_missing_file(capsys):

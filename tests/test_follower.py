@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -127,3 +129,15 @@ def test_oracle_evaluation_count(no_pure_optimum):
 
 def test_oracle_is_shared_per_instance(no_pure_optimum):
     assert follower_oracle(no_pure_optimum) is follower_oracle(no_pure_optimum)
+
+
+def test_oracle_cache_frees_solved_games():
+    rng = np.random.default_rng(12)
+    refs = []
+    for _ in range(10):
+        game = random_game(rng)
+        best_response(game, point([]))
+        refs.append(weakref.ref(game))
+    del game
+    gc.collect()
+    assert all(ref() is None for ref in refs)

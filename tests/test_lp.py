@@ -66,7 +66,42 @@ def test_pivot_cap_raises():
         solve_lp(lp, max_pivots=1)
 
 
-def _random_feasible_lp(rng, box=False):
+def test_pivot_cap_holds_while_driving_out_artificials():
+    # Phase 1 takes one pivot and leaves the second row's artificial basic
+    # at level 0; removing it takes one more, after which the basis is
+    # already optimal for phase 2.
+    lp = LinearProgram(objective=[1.0, 0.0, 0.0],
+                       rows=[([1.0, 1.0, 0.0], EQUAL, 1.0),
+                             ([2.0, 2.0, -1.0], EQUAL, 2.0)])
+    with pytest.raises(PivotLimitError):
+        solve_lp(lp, max_pivots=1)
+    out = solve_lp(lp, max_pivots=2)
+    assert out.status == "optimal"
+    assert out.x == pytest.approx([1.0, 0.0, 0.0], abs=1e-12)
+
+
+def test_incentive_rows_start_on_slacks():
+    # The multi-LP shape: rows g(., y*) - g(., y') >= 0 for every y' plus
+    # sum x = 1.  Only the simplex row needs an artificial, so every
+    # candidate solves in well under 30 pivots; with one artificial per
+    # >= row, each of these took 36-80.
+    rng = np.random.default_rng(1)
+    G = rng.uniform(size=(12, 30))
+    F = rng.uniform(size=(12, 30))
+    statuses = []
+    for yi in range(30):
+        rows = [(G[:, yi] - G[:, yj], GREATER, 0.0) for yj in range(30)]
+        rows.append((np.ones(12), EQUAL, 1.0))
+        lp = LinearProgram(objective=F[:, yi], rows=rows)
+        out = solve_lp(lp, max_pivots=30)
+        statuses.append(out.status)
+        if out.status == "optimal":
+            _check_dual_certificate(lp, out)
+            assert out.value == pytest.approx(_scipy_value(lp), abs=1e-9)
+    assert "optimal" in statuses and "infeasible" in statuses
+
+
+def _random_feasible_lp(rng, box=False, zero_rhs=False):
     n = int(rng.integers(2, 8))
     m = int(rng.integers(1, 7))
     A = rng.normal(size=(m, n))
@@ -84,6 +119,13 @@ def _random_feasible_lp(rng, box=False):
         else:
             rows.append((A[j], sense, base))
     rows.append((np.ones(n), LESS, float(x0.sum() + abs(rng.normal()) + 1.0)))
+    if zero_rhs:
+        # Rows through the origin that x0 satisfies: a.x >= 0 and a.x = 0.
+        for _ in range(int(rng.integers(1, 4))):
+            a = rng.normal(size=n)
+            rows.append((a if a @ x0 >= 0 else -a, GREATER, 0.0))
+        a = rng.normal(size=n)
+        rows.append((a - (a @ x0) / (x0 @ x0) * x0, EQUAL, 0.0))
     bounds = [(0.0, 1.0)] * n if box else None
     return LinearProgram(objective=rng.normal(size=n), rows=rows, bounds=bounds)
 
@@ -110,7 +152,11 @@ def _scipy_value(lp):
 
 
 def _check_dual_certificate(lp, out):
-    """Independent verification: dual feasibility, signs, and zero gap."""
+    """Independent verification: dual feasibility, signs, and zero gap.
+
+    Bound multipliers are not reported: on a variable with a finite upper
+    bound, the positive part of c - A^T y is its multiplier.
+    """
     y = out.dual
     resid = lp.objective.copy()
     for (a, rel, b), yi in zip(lp.rows, y):
@@ -119,17 +165,23 @@ def _check_dual_certificate(lp, out):
         elif rel == GREATER:
             assert yi <= 1e-7
         resid = resid - yi * a
-    # A^T y >= c on default-bounded problems
-    assert np.all(resid <= 1e-7)
+    lower = np.array([lo for lo, _ in lp.bounds])
+    upper = np.array([up for _, up in lp.bounds])
+    boxed = np.isfinite(upper)
+    # A^T y >= c wherever no upper-bound multiplier can make up the difference
+    assert np.all(resid[~boxed] <= 1e-7)
+    w = np.maximum(resid[boxed], 0.0)
+    shifted_b = [b - float(np.dot(a, lower)) for a, _, b in lp.rows]
     assert abs(out.value - out.dual_value) <= 1e-6
     assert out.dual_value == pytest.approx(
-        float(np.dot(y, [b for _, _, b in lp.rows])), abs=1e-9)
+        float(np.dot(y, shifted_b) + w @ (upper - lower)[boxed] + lp.objective @ lower),
+        abs=1e-9)
 
 
 def test_duality_gap_on_random_feasible_lps():
     rng = np.random.default_rng(5)
-    for _ in range(200):
-        lp = _random_feasible_lp(rng)
+    for zero_rhs in [False] * 200 + [True] * 200:
+        lp = _random_feasible_lp(rng, zero_rhs=zero_rhs)
         out = solve_lp(lp)
         assert out.status == "optimal"
         # every row re-checked from the raw data
@@ -147,12 +199,26 @@ def test_duality_gap_on_random_feasible_lps():
 
 def test_box_bounded_lps_match_scipy():
     rng = np.random.default_rng(6)
-    for _ in range(60):
-        lp = _random_feasible_lp(rng, box=True)
+    for zero_rhs in [False] * 60 + [True] * 60:
+        lp = _random_feasible_lp(rng, box=True, zero_rhs=zero_rhs)
         out = solve_lp(lp)
         assert out.status == "optimal"
         assert abs(out.value - out.dual_value) <= 1e-6
+        _check_dual_certificate(lp, out)
         assert out.value == pytest.approx(_scipy_value(lp), abs=1e-6)
+
+
+def test_redundant_rows_through_a_boxed_vertex():
+    # Three equalities meet at the box corner (1, 1), so phase 1 drops a
+    # redundant tableau row; the dual must still be rebuilt.
+    lp = LinearProgram(objective=[-1.0, 3.0],
+                       rows=[([0.0, 1.0], EQUAL, 1.0), ([-3.0, 1.0], EQUAL, -2.0),
+                             ([3.0, 2.0], EQUAL, 5.0)],
+                       bounds=[(0.0, 1.0), (0.0, 1.0)])
+    out = solve_lp(lp)
+    assert out.status == "optimal"
+    assert out.x == pytest.approx([1.0, 1.0], abs=1e-9)
+    _check_dual_certificate(lp, out)
 
 
 def test_deterministic_resolve():
