@@ -23,7 +23,7 @@ from typing import Any, TextIO
 import numpy as np
 
 from . import exact, follower, heuristic, mwu
-from .lp import PivotLimitError
+from .lp import LpNumericsError, PivotLimitError
 from .model import BipartiteInfluenceGame, CapExceededError, MixedStrategy, generate_instance
 
 ALGORITHMS = ("greedy", "mwu", "heuristic", "exact-multi-lp", "exact-disjoint-lp")
@@ -150,7 +150,7 @@ def _run_trial(payload: tuple[ExperimentSpec, int, int, int]
     for alg in spec.algorithms:
         try:
             out[alg] = _solve_one(game, alg, spec)
-        except (CapExceededError, PivotLimitError, ValueError):
+        except (CapExceededError, PivotLimitError, LpNumericsError, ValueError):
             out[alg] = None  # recorded as a skipped cell, never fatal
     return out
 

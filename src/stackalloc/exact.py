@@ -91,7 +91,7 @@ def solve_multi_lp(game: BipartiteInfluenceGame,
     """
     leaders = enumerate_leader(game, leader_cap)
     oracle = follower_mod.follower_oracle(game, follower_cap)
-    pv = np.array([payoff.activation_vector(game, z) for z in leaders])
+    pv = payoff.activation_rows(game, leaders)
     F = pv @ (1.0 - oracle.recapture).T                      # f(z, y)
     G = pv @ oracle.recapture.T + (1.0 - pv) @ oracle.activation.T
 

@@ -49,14 +49,18 @@ class FollowerOracle:
 
     Rows of ``activation`` and ``recapture`` hold P_v(y) and P_{F,v}(y)
     for each enumerated y, so utilities against any leader activation
-    vector reduce to matrix-vector products.  Built once per instance and
-    shared by every solver.
+    vector reduce to matrix-vector products; ``gain`` holds their
+    difference P_v(y) - P_{F,v}(y), the per-customer coefficient of the
+    MWU surrogate, so its losses take one product instead of two.  Built
+    once per instance (by prefix products, see ``payoff.activation_rows``)
+    and shared by every solver.
     """
 
     def __init__(self, game: BipartiteInfluenceGame, cap: int = DEFAULT_FOLLOWER_CAP):
         self.strategies = enumerate_follower(game, cap)
-        self.activation = np.array([payoff.activation_vector(game, y) for y in self.strategies])
-        self.recapture = np.array([payoff.recapture_vector(game, y) for y in self.strategies])
+        self.activation = payoff.activation_rows(game, self.strategies)
+        self.recapture = payoff.activation_rows(game, self.strategies, game.edge_pf)
+        self.gain = self.activation - self.recapture
         self.activation_sums = self.activation.sum(axis=1)
         self.evaluations = 0  # instrumentation: leader points scored so far
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import follower as follower_mod
+from . import payoff
 from .follower import BestResponseResult, FollowerOracle, follower_oracle
 from .model import BipartiteInfluenceGame, MixedStrategy, PureStrategy
 
@@ -26,12 +27,12 @@ def _candidate_rows(game: BipartiteInfluenceGame, base_pv: np.ndarray,
                     survival: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     """Activation vectors of S + u for each candidate u, as stacked rows."""
     rows = np.tile(base_pv, (candidates.size, 1))
-    row_of = {int(u): i for i, u in enumerate(candidates)}
-    sel = np.isin(game.edge_media, candidates)
-    eu = game.edge_media[sel]
+    row_of = np.full(game.n, -1, dtype=np.intp)
+    row_of[candidates] = np.arange(candidates.size)
+    edge_rows = row_of[game.edge_media]
+    sel = edge_rows >= 0
     ev = game.edge_customers[sel]
-    ep = game.edge_p[sel]
-    rows[[row_of[int(u)] for u in eu], ev] += survival[ev] * ep
+    rows[edge_rows[sel], ev] += survival[ev] * game.edge_p[sel]
     return rows
 
 
@@ -65,8 +66,7 @@ def solve_heuristic(game: BipartiteInfluenceGame, ell: int,
                 break
             u = int(candidates[r])
             selected.append(u)
-            for v in game.media_neighbors[u]:
-                survival[v] *= 1.0 - game.p[(u, v)]
+            payoff.fund(game, survival, u)
         chosen = PureStrategy.of(selected)
         weights = {s: w * keep for s, w in weights.items() if w * keep > 0.0}
         weights[chosen] = weights.get(chosen, 0.0) + 1.0 / i
@@ -96,7 +96,6 @@ def greedy_baseline(game: BipartiteInfluenceGame,
         u = int(np.argmax(gains))  # the objective is monotone: never stop early
         selected.append(u)
         blocked[u] = True
-        for v in game.media_neighbors[u]:
-            survival[v] *= 1.0 - game.p[(u, v)]
+        payoff.fund(game, survival, u)
     z = PureStrategy.of(selected)
     return z, follower_mod.best_response(game, MixedStrategy.point_mass(z), oracle=oracle)

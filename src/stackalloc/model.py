@@ -183,12 +183,12 @@ class BipartiteInfluenceGame:
         return tuple(tuple(a) for a in adj)
 
     @cached_property
-    def media_neighbors(self) -> tuple[tuple[int, ...], ...]:
-        """N_u: customers adjacent to each medium."""
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-        return tuple(tuple(a) for a in adj)
+    def media_ptr(self) -> np.ndarray:
+        """CSR row pointer: medium u's edges are ``media_ptr[u]:media_ptr[u+1]``
+        (edges are sorted by medium)."""
+        ptr = np.zeros(self.n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(self.edge_media, minlength=self.n), out=ptr[1:])
+        return ptr
 
 
 def validate(game: BipartiteInfluenceGame) -> str | None:
@@ -336,8 +336,13 @@ def generate_instance(n: int, m: int, mean_degree: float,
     Every customer gets the same number of neighbors, the rounded mean
     degree (at least 1), drawn uniformly without replacement; edge
     probabilities are drawn from the given uniform ranges.  The output is
-    a pure function of the arguments.  Budgets default to k_L=1, k_F=2
-    (the benchmark defaults), clamped to the media count.
+    a pure function of the arguments.  Each customer's media come from
+    one ``rng.choice`` and its ``2 * degree`` probabilities from one
+    ``rng.random`` call, read pairwise (p, p_F) per sorted medium: the
+    same doubles, in the same order, as one scalar ``rng.uniform`` per
+    probability, mapped as ``lo + (hi - lo) * d`` like ``uniform`` does.
+    Budgets default to k_L=1, k_F=2 (the benchmark defaults), clamped to
+    the media count.
     """
     for name, (a, b) in (("p", p_dist), ("pf", pf_dist)):
         if not (0.0 <= a <= b <= 1.0):
@@ -351,13 +356,17 @@ def generate_instance(n: int, m: int, mean_degree: float,
     degree = max(1, int(round(mean_degree))) if m > 0 else 0
     degree = min(degree, n)
     rng = np.random.default_rng(seed)
-    rows = []
+    media = np.empty((m, degree), dtype=np.intp)
+    draws = np.empty((m, 2 * degree))
     for v in range(m):
-        media = rng.choice(n, size=degree, replace=False)
-        for u in sorted(int(u) for u in media):
-            pv = rng.uniform(p_dist[0], p_dist[1])
-            pfv = rng.uniform(pf_dist[0], pf_dist[1])
-            rows.append((u, v, pv, pfv))
+        media[v] = rng.choice(n, size=degree, replace=False)
+        rng.random(out=draws[v])
+    media.sort(axis=1)
+    (p_lo, p_hi), (pf_lo, pf_hi) = map(float, p_dist), map(float, pf_dist)
+    pv = p_lo + (p_hi - p_lo) * draws[:, 0::2]
+    pfv = pf_lo + (pf_hi - pf_lo) * draws[:, 1::2]
+    rows = zip(media.ravel().tolist(), np.repeat(np.arange(m), degree).tolist(),
+               pv.ravel().tolist(), pfv.ravel().tolist())
     game = BipartiteInfluenceGame.build(n, m, rows, k_L, k_F)
     problem = validate(game)
     if problem is not None:  # pragma: no cover - generator keeps invariants

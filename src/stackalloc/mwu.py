@@ -20,6 +20,7 @@ import numpy as np
 from . import follower as follower_mod
 from . import payoff
 from .follower import TIE_TOL, BestResponseResult, FollowerOracle, follower_oracle
+from .lp import LpNumericsError
 from .model import BipartiteInfluenceGame, MixedStrategy, PureStrategy
 
 
@@ -61,9 +62,7 @@ class ApproxCertificate:
 
 def _surrogate_losses(oracle: FollowerOracle, pvz: np.ndarray, C: float) -> np.ndarray:
     """h_y(z) = phi(z, y) + C for every follower strategy y."""
-    total = pvz.sum()
-    return (total - oracle.recapture @ pvz + oracle.activation @ pvz
-            - oracle.activation_sums + C)
+    return pvz.sum() + oracle.gain @ pvz - oracle.activation_sums + C
 
 
 def greedy_weighted_submodular(game: BipartiteInfluenceGame, weights, budget: int,
@@ -81,22 +80,24 @@ def greedy_weighted_submodular(game: BipartiteInfluenceGame, weights, budget: in
     if w.size != len(oracle) or np.any(w < 0) or not w.sum() > 0:
         raise ValueError("weights must be nonnegative over the follower set, not all zero")
     w = w / w.sum()
-    c = w.sum() - oracle.recapture.T @ w + oracle.activation.T @ w
+    c = w.sum() + w @ oracle.gain
+    edge_c = c[game.edge_customers]
     survival = np.ones(game.m)
     chosen: list[int] = []
     blocked = np.zeros(game.n, dtype=bool)
     for _ in range(min(budget, game.n)):
-        contrib = c[game.edge_customers] * survival[game.edge_customers] * game.edge_p
+        contrib = edge_c * survival[game.edge_customers] * game.edge_p
         gains = np.bincount(game.edge_media, weights=contrib, minlength=game.n)
-        assert gains.min() >= -1e-12, "monotone objective produced a negative marginal"
+        if gains.min() < -1e-12:
+            raise LpNumericsError(
+                f"monotone objective produced a negative marginal gain {gains.min()}")
         gains[blocked] = -np.inf
         u = int(np.argmax(gains))
         if gains[u] <= 0.0:
             break
         chosen.append(u)
         blocked[u] = True
-        for v in game.media_neighbors[u]:
-            survival[v] *= 1.0 - game.p[(u, v)]
+        payoff.fund(game, survival, u)
     return PureStrategy.of(chosen)
 
 
@@ -116,18 +117,27 @@ def solve_mwu(game: BipartiteInfluenceGame, config: MwuConfig = MwuConfig(),
 
     w = np.full(len(oracle), 1.0 / len(oracle))
     counts: dict[PureStrategy, int] = {}
+    losses: dict[PureStrategy, np.ndarray] = {}  # h per distinct played z
     cum_losses = np.zeros(len(oracle))
     played = 0.0
     for _ in range(T):
         z = greedy_weighted_submodular(game, w, game.k_L, oracle)
         counts[z] = counts.get(z, 0) + 1
-        h = _surrogate_losses(oracle, payoff.activation_vector(game, z), C)
+        h = losses.get(z)
+        if h is None:
+            h = losses[z] = _surrogate_losses(oracle, payoff.activation_vector(game, z), C)
         cum_losses += h
         played += float(w @ h)
         if H > 0 and eta > 0:
             w = w * np.exp(-eta * h / H)
-        w = w / w.sum()
-        assert np.all(w > 0) and abs(w.sum() - 1.0) <= 1e-12
+        # Weights that underflow to 0 are fine (the greedy takes w >= 0);
+        # losing all of them, or overflowing, is not.
+        total = w.sum()
+        if not (np.isfinite(total) and total > 0.0):
+            raise ValueError(
+                f"MWU weights vanished or overflowed at learning rate {eta}; "
+                f"use a smaller learning rate")
+        w = w / total
 
     x_prime = MixedStrategy({z: k / T for z, k in counts.items()})
     br = follower_mod.best_response(game, x_prime, oracle=oracle)

@@ -14,6 +14,15 @@ and extend linearly to leader mixed strategies through
 P_v(x) = sum_z x_z P_v(z).  The zero-sum surrogate used by the
 approximation solver is phi(x, y) = -g(x, y) + sum_v P_v(x), bounded
 below by -C where C = max_y sum_v P_v(y).
+
+Survival products are built on the game's CSR edge layout (edges are
+sorted by medium): ``fund`` multiplies one medium's factors into a
+survival vector in place, and ``activation_rows`` fills the rows of a
+whole prefix-closed strategy list by prefix products,
+row(y) = row(y[:-1]) * (1 - p[y[-1], .]), one dense multiply per
+strategy and no scatter.  Both multiply each customer's factors in
+increasing medium order, so they agree bit for bit with each other and
+with ``activation_vector``.
 """
 
 from __future__ import annotations
@@ -44,14 +53,50 @@ def _as_mask(game: BipartiteInfluenceGame, media) -> np.ndarray:
     return mask
 
 
+def fund(game: BipartiteInfluenceGame, survival: np.ndarray, u: int,
+         probs: np.ndarray | None = None) -> None:
+    """Multiply (1 - prob) over medium u's edges into ``survival``, in place.
+
+    ``probs`` is an edge-aligned table and defaults to ``game.edge_p``.
+    """
+    probs = game.edge_p if probs is None else probs
+    lo, hi = game.media_ptr[u], game.media_ptr[u + 1]
+    survival[game.edge_customers[lo:hi]] *= 1.0 - probs[lo:hi]
+
+
 def _survival(game: BipartiteInfluenceGame, media, probs: np.ndarray) -> np.ndarray:
     """Per-customer product of (1 - prob) over the selected media's edges."""
-    mask = _as_mask(game, media)
     s = np.ones(game.m)
-    sel = mask[game.edge_media]
-    if sel.any():
-        np.multiply.at(s, game.edge_customers[sel], 1.0 - probs[sel])
+    for u in np.flatnonzero(_as_mask(game, media)):
+        fund(game, s, u, probs)
     return s
+
+
+def activation_rows(game: BipartiteInfluenceGame, strategies: list[PureStrategy],
+                    probs: np.ndarray | None = None) -> np.ndarray:
+    """Rows 1 - prod_{u in y} (1 - probs_uv), one per strategy y.
+
+    ``strategies`` must list every y[:-1] before y, as the lexicographic
+    enumerations of ``iter_subsets`` do.  With the default ``game.edge_p``
+    the rows are P_v(y); with ``game.edge_pf`` they are P_{F,v}(y).  Equal,
+    bit for bit, to stacking ``activation_vector``.
+    """
+    probs = game.edge_p if probs is None else probs
+    survival = np.ones((len(strategies), game.m))
+    factors = None  # dense (n, m) table of 1 - probs, built on first use
+    row_of: dict[tuple[int, ...], int] = {}
+    for i, y in enumerate(strategies):
+        row_of[y.media] = i
+        if not y.media:
+            continue
+        if factors is None:
+            factors = np.ones((game.n, game.m))
+            factors[game.edge_media, game.edge_customers] = 1.0 - probs
+        parent = row_of.get(y.media[:-1])
+        if parent is None:
+            raise ValueError(f"strategy {y} is listed before its prefix {y.media[:-1]}")
+        np.multiply(survival[parent], factors[y.media[-1]], out=survival[i])
+    return np.subtract(1.0, survival, out=survival)
 
 
 def activation_vector(game: BipartiteInfluenceGame, media) -> np.ndarray:

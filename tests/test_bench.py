@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from stackalloc import ExperimentSpec, parse_spec, run_experiment
+from stackalloc import exact
 from stackalloc.bench import rows_as_json, write_csv
+from stackalloc.lp import LpNumericsError
 
 
 def tiny_spec(**overrides):
@@ -73,6 +75,22 @@ def test_gated_exact_solver_records_skipped_cells():
     lines = out.getvalue().strip().splitlines()
     assert lines[0] == "dist,kL,kF,algorithm,mean,std,mean_ms,trials"
     assert any(",exact-multi-lp,skipped,,,0" in line for line in lines)
+
+
+def test_numerics_failure_skips_only_its_cell(monkeypatch):
+    spec = tiny_spec(algorithms=("greedy", "exact-multi-lp"), trials=2)
+    clean = run_experiment(spec)
+
+    def broken(game):
+        raise LpNumericsError("re-evaluated value disagrees with LP value")
+
+    monkeypatch.setattr(exact, "solve_multi_lp", broken)
+    rows = run_experiment(spec)
+    assert rows[0].cells["exact-multi-lp"].skipped
+    assert rows[0].cells["exact-multi-lp"].values == (None, None)
+    greedy = rows[0].cells["greedy"]
+    assert (greedy.mean, greedy.values) == (clean[0].cells["greedy"].mean,
+                                            clean[0].cells["greedy"].values)
 
 
 def test_disjoint_solver_skips_overlapping_instances():

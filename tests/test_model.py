@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 
@@ -192,3 +193,38 @@ def test_subset_enumeration_order_and_count():
     assert subs == sorted(subs)
     assert count_subsets(20, 2) == 1 + 20 + math.comb(20, 2)
     assert count_subsets(3, 5) == 8  # max_size clamps at n
+
+
+# SHA-256 of dump_instance, recorded before generation batched its uniform
+# draws; any change to the random stream or its use breaks these.
+GOLDEN_SHAPES = (
+    dict(n=20, m=844, mean_degree=3506 / 844, p_dist=(0.0, 1.0), pf_dist=(0.1, 0.9),
+         k_L=2, k_F=2),
+    dict(n=7, m=40, mean_degree=2.6, p_dist=(0.2, 0.5), pf_dist=(0.0, 0.2),
+         k_L=1, k_F=3),
+)
+GOLDEN_DIGESTS = {
+    (0, 0): "3c27031089289c6af50ce529820753bfa750f9472aee259d9fc653e4b7547cbd",
+    (0, 1): "9b0f00aba02a694d86befaf04b89875cf1aa5e4d3f7e98258846419a9911cb6f",
+    (0, 29): "b44371bc451a4d5a63231b3b1bb3754040129898e66c423974be9d331130d831",
+    (1, 0): "6ba46db607c08f9cf1281e8df1633e43d52e62b219d53cd181ab1f7a843ca534",
+    (1, 1): "df9ab6fe549995e3153bee64bd9849f1841f8cb658b9f2f081d75f813cc614b8",
+    (1, 29): "95a3eafa3805fd527a2bc0e8e5f2c0ebe2ce9f7fda77abb37248d58f9b251b15",
+}
+
+
+@pytest.mark.parametrize("shape,seed", sorted(GOLDEN_DIGESTS))
+def test_generate_instance_random_stream_is_pinned(shape, seed):
+    out = io.StringIO()
+    dump_instance(generate_instance(seed=seed, **GOLDEN_SHAPES[shape]), out)
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == GOLDEN_DIGESTS[shape, seed]
+
+
+def test_media_ptr_slices_edges_by_medium(no_pure_optimum):
+    game = no_pure_optimum
+    assert game.media_ptr.tolist() == [0, 2, 4, 5]
+    for u in range(game.n):
+        lo, hi = game.media_ptr[u], game.media_ptr[u + 1]
+        assert set(game.edge_media[lo:hi].tolist()) <= {u}
+    empty = BipartiteInfluenceGame.build(3, 2, [], 1, 1)
+    assert empty.media_ptr.tolist() == [0, 0, 0, 0]

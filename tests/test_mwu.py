@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from stackalloc import (BipartiteInfluenceGame, MixedStrategy, MwuConfig,
-                        PureStrategy, best_response, certify, enumerate_follower,
-                        follower_oracle, greedy_weighted_submodular, phi,
+from stackalloc import (BipartiteInfluenceGame, FollowerOracle, MixedStrategy,
+                        MwuConfig, PureStrategy, activation_vector, best_response,
+                        certify, enumerate_follower, follower_oracle,
+                        generate_instance, greedy_weighted_submodular, phi,
                         phi_constant, solve_multi_lp, solve_mwu, utilities_mixed)
+from stackalloc import mwu as mwu_mod
+from stackalloc.lp import LpNumericsError
 
 import oracles
 from conftest import random_game
@@ -39,7 +42,7 @@ def test_greedy_concentrated_on_empty_response(no_pure_optimum):
     weights = np.array([1.0, 0.0, 0.0, 0.0])  # all mass on the empty strategy
     z = greedy_weighted_submodular(no_pure_optimum, weights, budget=1)
     # h_empty(z) = sum_v P_v(z) + C: plain budget allocation greedy
-    sums = {u: sum(no_pure_optimum.p[(u, v)] for v in no_pure_optimum.media_neighbors[u]) for u in range(3)}
+    sums = {u: sum(no_pure_optimum.p[(a, v)] for a, v in no_pure_optimum.edges if a == u) for u in range(3)}
     assert z == PureStrategy.of([max(sums, key=lambda u: (sums[u], -u))])
 
 
@@ -80,6 +83,21 @@ def test_surrogate_losses_bounded():
                 h = phi(game, MixedStrategy.point_mass(PureStrategy.of(z)),
                         PureStrategy.of(y)) + C
                 assert -1e-9 <= h <= bound + 1e-9
+
+
+def test_surrogate_losses_match_phi():
+    # The losses use the oracle's gain table (one product); phi evaluates
+    # g from the activation and recapture vectors directly.
+    rng = np.random.default_rng(709)
+    for _ in range(30):
+        game = random_game(rng, n_max=6, m_max=8, kf_max=3)
+        oracle = follower_oracle(game)
+        C = phi_constant(game)
+        for z in oracles.subsets_up_to(game.n, game.k_L):
+            z = PureStrategy.of(z)
+            h = mwu_mod._surrogate_losses(oracle, activation_vector(game, z), C)
+            expected = [phi(game, z, y) + C for y in oracle.strategies]
+            np.testing.assert_allclose(h, expected, rtol=0.0, atol=1e-12)
 
 
 def test_surrogate_losses_monotone_submodular():
@@ -175,3 +193,33 @@ def test_mwu_config_validation():
         MwuConfig(epsilon=1.0)
     with pytest.raises(ValueError):
         MwuConfig(learning_rate=-0.1)
+
+
+def test_solve_mwu_tolerates_weights_that_underflow_to_zero(private_customers):
+    # At this rate some follower weights underflow to exactly 0 mid-run;
+    # the greedy accepts nonnegative weights, so the run completes.
+    x, br, _ = solve_mwu(private_customers, MwuConfig(iterations=10, learning_rate=1e3))
+    assert x.max_support_size() <= private_customers.k_L
+    assert br.chosen in enumerate_follower(private_customers)
+
+
+def test_solve_mwu_rejects_a_learning_rate_that_kills_every_weight():
+    game = generate_instance(20, 844, 3506 / 844, (0.0, 1.0), (0.1, 0.9), seed=0,
+                             k_L=2, k_F=2)
+    with pytest.raises(ValueError, match="learning rate 10000"):
+        solve_mwu(game, MwuConfig(iterations=20, learning_rate=1e4))
+
+
+def test_solve_mwu_rejects_non_finite_weights(no_pure_optimum, monkeypatch):
+    monkeypatch.setattr(mwu_mod, "_surrogate_losses",
+                        lambda oracle, pvz, C: np.full(len(oracle), -np.inf))
+    with pytest.raises(ValueError, match="vanished or overflowed"):
+        solve_mwu(no_pure_optimum, MwuConfig(iterations=3))
+
+
+def test_greedy_negative_marginal_is_a_numerics_error(no_pure_optimum):
+    oracle = FollowerOracle(no_pure_optimum)
+    oracle.gain = np.full_like(oracle.gain, -2.0)  # c_v = 1 - 2 < 0: not monotone
+    with pytest.raises(LpNumericsError, match="negative marginal"):
+        greedy_weighted_submodular(no_pure_optimum, np.full(4, 0.25), budget=1,
+                                   oracle=oracle)

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from stackalloc import (BipartiteInfluenceGame, MixedStrategy, PureStrategy,
-                        activation_prob, activation_vector, follower_utility_pure,
-                        leader_utility_pure, mixed_activation_vector, phi,
-                        phi_constant, recapture_prob, utilities_mixed)
+                        activation_prob, activation_vector, enumerate_follower,
+                        follower_utility_pure, leader_utility_pure,
+                        mixed_activation_vector, phi, phi_constant, recapture_prob,
+                        recapture_vector, utilities_mixed)
+from stackalloc.payoff import activation_rows, fund
 
 import oracles
 from conftest import random_game
@@ -201,3 +203,65 @@ def test_activation_is_monotone_submodular():
                         - activation_prob(game, v, PureStrategy.of(big)))
             assert gain_small >= gain_big - 1e-12
             assert gain_big >= -1e-12
+
+
+def sparse_game(rng, k):
+    """Random game with isolated customers and at least one medium without edges."""
+    n = int(rng.integers(1, 8))
+    m = int(rng.integers(0, 13))
+    bare = int(rng.integers(n))  # this medium gets no edges
+    rows = []
+    for v in range(m):
+        deg = int(rng.integers(0, n))  # degree 0 leaves v isolated
+        for u in sorted(int(u) for u in rng.choice(n, size=deg, replace=False)):
+            if u != bare:
+                rows.append((u, v, rng.uniform(), rng.uniform()))
+    return BipartiteInfluenceGame.build(n, m, rows, k_L=min(k, n), k_F=min(k, n))
+
+
+def scatter_survival(game, y, probs):
+    """The per-strategy scatter the prefix products replace."""
+    s = np.ones(game.m)
+    sel = y.mask(game.n)[game.edge_media]
+    np.multiply.at(s, game.edge_customers[sel], 1.0 - probs[sel])
+    return s
+
+
+def test_activation_rows_equal_per_strategy_vectors():
+    rng = np.random.default_rng(4242)
+    games = [sparse_game(rng, k) for k in range(5) for _ in range(12)]
+    games.append(BipartiteInfluenceGame.build(4, 0, [], k_L=2, k_F=2))  # m = 0
+    for game in games:
+        strategies = enumerate_follower(game)
+        act = activation_rows(game, strategies)
+        rec = activation_rows(game, strategies, game.edge_pf)
+        assert act.shape == rec.shape == (len(strategies), game.m)
+        assert np.array_equal(act, [activation_vector(game, y) for y in strategies])
+        assert np.array_equal(rec, [recapture_vector(game, y) for y in strategies])
+        assert np.array_equal(act, [1.0 - scatter_survival(game, y, game.edge_p)
+                                    for y in strategies])
+        assert np.array_equal(rec, [1.0 - scatter_survival(game, y, game.edge_pf)
+                                    for y in strategies])
+
+
+def test_activation_rows_zero_budget_and_prefix_check(uniform_overlap):
+    assert np.array_equal(activation_rows(uniform_overlap, [PureStrategy.empty()]),
+                          np.zeros((1, uniform_overlap.m)))
+    with pytest.raises(ValueError, match="before its prefix"):
+        activation_rows(uniform_overlap, [PureStrategy.empty(), PureStrategy.of([0, 1])])
+
+
+def test_fund_equals_the_per_edge_loop():
+    rng = np.random.default_rng(77)
+    for _ in range(30):
+        game = sparse_game(rng, 2)
+        for probs, table in ((game.edge_p, game.p), (game.edge_pf, game.p_F)):
+            for u in range(game.n):
+                start = rng.uniform(size=game.m)
+                fast = start.copy()
+                fund(game, fast, u, probs)
+                slow = start.copy()
+                for a, v in game.edges:
+                    if a == u:
+                        slow[v] *= 1.0 - table[(a, v)]
+                assert np.array_equal(fast, slow)
