@@ -140,8 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=100, help="MWU iterations")
     p.add_argument("--epsilon", type=float, default=0.5, help="MWU epsilon")
     p.add_argument("--ell", type=int, default=10, help="heuristic rounds")
-    p.add_argument("--seed", type=int, default=0,
-                   help="accepted for interface stability; all solvers are deterministic")
     p.add_argument("--tie-tolerance", type=float, default=follower.TIE_TOL)
     p.set_defaults(func=cmd_solve)
 

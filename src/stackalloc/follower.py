@@ -22,15 +22,19 @@ DEFAULT_FOLLOWER_CAP = 10 ** 6
 TIE_TOL = 1e-9
 
 
+def _cap_exceeded(total: int, cap: int) -> CapExceededError:
+    return CapExceededError(
+        f"follower strategy set has {total} elements (cap {cap}); "
+        f"evaluating best responses is intractable for large k_F, "
+        f"reduce k_F or raise the cap")
+
+
 def enumerate_follower(game: BipartiteInfluenceGame,
                        cap: int = DEFAULT_FOLLOWER_CAP) -> list[PureStrategy]:
     """All follower pure strategies, lexicographically ordered."""
     total = count_subsets(game.n, game.k_F)
     if total > cap:
-        raise CapExceededError(
-            f"follower strategy set has {total} elements (cap {cap}); "
-            f"evaluating best responses is intractable for large k_F, "
-            f"reduce k_F or raise the cap")
+        raise _cap_exceeded(total, cap)
     return [PureStrategy(s) for s in iter_subsets(game.n, game.k_F)]
 
 
@@ -112,11 +116,16 @@ _ORACLES: "weakref.WeakKeyDictionary[BipartiteInfluenceGame, FollowerOracle]" = 
 
 def follower_oracle(game: BipartiteInfluenceGame,
                     cap: int = DEFAULT_FOLLOWER_CAP) -> FollowerOracle:
-    """The shared per-instance oracle; materialized on first request."""
+    """The shared per-instance oracle; materialized on first request.
+
+    ``cap`` holds on every call, cached or not.
+    """
     oracle = _ORACLES.get(game)
     if oracle is None:
         oracle = FollowerOracle(game, cap)
         _ORACLES[game] = oracle
+    elif len(oracle) > cap:
+        raise _cap_exceeded(len(oracle), cap)
     return oracle
 
 

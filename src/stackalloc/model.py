@@ -13,13 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, TextIO
 
 import numpy as np
 
-# Default comparison tolerances used across the package.
+# Default comparison tolerance used across the package.
 FEASIBILITY_TOL = 1e-9
-EQUALITY_TOL = 1e-6
 
 Edge = tuple[int, int]
 
@@ -91,10 +91,6 @@ class MixedStrategy:
     def point_mass(strategy: PureStrategy) -> "MixedStrategy":
         return MixedStrategy({strategy: 1.0})
 
-    @property
-    def support(self) -> list[PureStrategy]:
-        return sorted(self.weights)
-
     def max_support_size(self) -> int:
         return max((len(s) for s in self.weights), default=0)
 
@@ -121,62 +117,77 @@ class FractionalAllocation:
         return float(self.r.sum())
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class BipartiteInfluenceGame:
     """One game instance; immutable after construction.
 
-    Fields mirror the text format: sizes, edge set, probability maps, and
-    budgets.  Derived adjacency views and flat numpy arrays are cached on
-    first use and shared by every solver.
+    Edges live only in four aligned arrays sorted by (medium, customer),
+    i.e. CSR order by medium; they are read-only because games are shared
+    through the follower-oracle cache.  ``edges``, ``p``, ``p_F`` and
+    ``customer_neighbors`` are read-only views built on first access.
     """
 
     n: int
     m: int
-    edges: tuple[Edge, ...]
-    p: Mapping[Edge, float]
-    p_F: Mapping[Edge, float]
     k_L: int
     k_F: int
+    edge_media: np.ndarray
+    edge_customers: np.ndarray
+    edge_p: np.ndarray
+    edge_pf: np.ndarray
 
-    def __post_init__(self):
-        edges = tuple(sorted((int(u), int(v)) for u, v in self.edges))
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "p", dict(self.p))
-        object.__setattr__(self, "p_F", dict(self.p_F))
+    def __init__(self, n: int, m: int, edges: Iterable[Edge], p: Mapping[Edge, float],
+                 p_F: Mapping[Edge, float], k_L: int, k_F: int):
+        """Construct from edge tuples and ``p``/``p_F`` maps keyed by exactly those edges."""
+        edges = [(int(u), int(v)) for u, v in edges]
+        for name, table in (("p", p), ("p_F", p_F)):
+            if missing := set(edges).difference(table):
+                raise ValueError(f"missing {name} value on edge {min(missing)}")
+            if unknown := set(table).difference(edges):
+                raise ValueError(f"{name} value on unknown edge {min(unknown)}")
+        self._store(n, m, [u for u, _ in edges], [v for _, v in edges],
+                    [p[e] for e in edges], [p_F[e] for e in edges], k_L, k_F)
 
-    @staticmethod
-    def build(n: int, m: int, edge_rows: Iterable[tuple[int, int, float, float]],
+    @classmethod
+    def from_arrays(cls, n: int, m: int, edge_media, edge_customers, edge_p, edge_pf,
+                    k_L: int, k_F: int) -> "BipartiteInfluenceGame":
+        """Construct from the four edge columns, in any edge order."""
+        game = cls.__new__(cls)
+        game._store(n, m, edge_media, edge_customers, edge_p, edge_pf, k_L, k_F)
+        return game
+
+    @classmethod
+    def build(cls, n: int, m: int, edge_rows: Iterable[tuple[int, int, float, float]],
               k_L: int, k_F: int) -> "BipartiteInfluenceGame":
         """Construct from ``(u, v, p, p_F)`` rows."""
-        edges, p, p_F = [], {}, {}
-        for u, v, pv, pfv in edge_rows:
-            e = (int(u), int(v))
-            edges.append(e)
-            p[e] = float(pv)
-            p_F[e] = float(pfv)
-        return BipartiteInfluenceGame(n=int(n), m=int(m), edges=tuple(edges),
-                                      p=p, p_F=p_F, k_L=int(k_L), k_F=int(k_F))
+        return cls.from_arrays(n, m, *(tuple(zip(*edge_rows)) or ((),) * 4), k_L, k_F)
 
-    # Flat edge arrays, aligned with self.edges order.
-    @cached_property
-    def edge_media(self) -> np.ndarray:
-        return np.array([u for u, _ in self.edges], dtype=np.intp)
-
-    @cached_property
-    def edge_customers(self) -> np.ndarray:
-        return np.array([v for _, v in self.edges], dtype=np.intp)
+    def _store(self, n, m, media, customers, p, pf, k_L, k_F) -> None:
+        columns = (np.asarray(media, dtype=np.intp), np.asarray(customers, dtype=np.intp),
+                   np.asarray(p, dtype=float), np.asarray(pf, dtype=float))
+        order = np.lexsort(columns[1::-1])
+        for name, value in zip(("n", "m", "k_L", "k_F"), (n, m, k_L, k_F)):
+            object.__setattr__(self, name, int(value))
+        for name, column in zip(("edge_media", "edge_customers", "edge_p", "edge_pf"), columns):
+            column = column[order]
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
 
     @cached_property
-    def edge_p(self) -> np.ndarray:
-        return np.array([self.p[e] for e in self.edges], dtype=float)
+    def edges(self) -> tuple[Edge, ...]:
+        return tuple(zip(self.edge_media.tolist(), self.edge_customers.tolist()))
 
     @cached_property
-    def edge_pf(self) -> np.ndarray:
-        return np.array([self.p_F[e] for e in self.edges], dtype=float)
+    def p(self) -> Mapping[Edge, float]:
+        return MappingProxyType(dict(zip(self.edges, self.edge_p.tolist())))
+
+    @cached_property
+    def p_F(self) -> Mapping[Edge, float]:
+        return MappingProxyType(dict(zip(self.edges, self.edge_pf.tolist())))
 
     @cached_property
     def customer_neighbors(self) -> tuple[tuple[int, ...], ...]:
-        """N_v: media adjacent to each customer."""
+        """N_v: media adjacent to each customer, in increasing order."""
         adj: list[list[int]] = [[] for _ in range(self.m)]
         for u, v in self.edges:
             adj[v].append(u)
@@ -191,35 +202,32 @@ class BipartiteInfluenceGame:
         return ptr
 
 
+def _first(mask: np.ndarray) -> int | None:
+    """Index of the first True entry, or None."""
+    return next(iter(np.flatnonzero(mask).tolist()), None)
+
+
 def validate(game: BipartiteInfluenceGame) -> str | None:
     """Return None when every instance invariant holds, else a description
-    of the first violated one.  Violations are values, not exceptions."""
+    of the first violated one: sizes, budgets, then edges in (u, v) order
+    for index range and duplicates, then for p and p_F.  Violations are
+    values, not exceptions."""
     if game.n < 0 or game.m < 0:
         return "negative media or customer count"
-    if not 0 <= game.k_L <= game.n:
-        return f"leader budget exceeds media count (k_L={game.k_L}, n={game.n})" \
-            if game.k_L > game.n else f"negative leader budget k_L={game.k_L}"
-    if not 0 <= game.k_F <= game.n:
-        return f"follower budget exceeds media count (k_F={game.k_F}, n={game.n})" \
-            if game.k_F > game.n else f"negative follower budget k_F={game.k_F}"
-    seen: set[Edge] = set()
-    for u, v in game.edges:
-        if not (0 <= u < game.n and 0 <= v < game.m):
-            return f"edge index out of range ({u}, {v})"
-        if (u, v) in seen:
-            return f"duplicate edge ({u}, {v})"
-        seen.add((u, v))
-    for e in game.edges:
-        for name, table in (("p", game.p), ("p_F", game.p_F)):
-            if e not in table:
-                return f"missing {name} value on edge {e}"
-            q = table[e]
-            if not (0.0 <= q <= 1.0) or not math.isfinite(q):
-                return f"probability out of range: {name}{e} = {q}"
-    for name, table in (("p", game.p), ("p_F", game.p_F)):
-        for e in table:
-            if e not in seen:
-                return f"{name} value on unknown edge {e}"
+    for who, name, k in (("leader", "k_L", game.k_L), ("follower", "k_F", game.k_F)):
+        if not 0 <= k <= game.n:
+            return f"{who} budget exceeds media count ({name}={k}, n={game.n})" \
+                if k > game.n else f"negative {who} budget {name}={k}"
+    u, v = game.edge_media, game.edge_customers
+    out_of_range = (u < 0) | (u >= game.n) | (v < 0) | (v >= game.m)
+    repeated = np.r_[False, (u[1:] == u[:-1]) & (v[1:] == v[:-1])]
+    if (i := _first(out_of_range | repeated)) is not None:
+        kind = "edge index out of range" if out_of_range[i] else "duplicate edge"
+        return f"{kind} ({u[i]}, {v[i]})"
+    p_ok, pf_ok = ((0.0 <= q) & (q <= 1.0) for q in (game.edge_p, game.edge_pf))  # NaN fails
+    if (i := _first(~(p_ok & pf_ok))) is not None:
+        name, q = ("p", game.edge_p) if not p_ok[i] else ("p_F", game.edge_pf)
+        return f"probability out of range: {name}({u[i]}, {v[i]}) = {float(q[i])}"
     return None
 
 
@@ -229,7 +237,7 @@ def is_disjoint(game: BipartiteInfluenceGame) -> bool:
     Isolated customers count as disjoint; they contribute nothing to any
     utility and do not break the bilinear structure.
     """
-    return all(len(nv) <= 1 for nv in game.customer_neighbors)
+    return len(set(game.edge_customers.tolist())) == game.edge_customers.size
 
 
 def allocation_of(x: MixedStrategy, n: int) -> FractionalAllocation:
@@ -268,52 +276,46 @@ def load_instance(stream: TextIO | Iterable[str]) -> BipartiteInfluenceGame:
     Lines starting with ``#`` are comments and blank lines are skipped.
     The first data line is ``n m k_L k_F``; every further data line is
     ``u v p pF``.  Probabilities are read as the decimal literals in the
-    file, so a save/load round trip is exact.
+    file, so a save/load round trip is exact.  A bad file raises on its
+    first bad line, with that line's first failing check in the order:
+    token count, number, index range, duplicate edge, probability range.
     """
-    header = None
-    edges: list[tuple[int, int, float, float]] = []
-    seen: set[Edge] = set()
+    header, rows, seen = None, [], set()
     for line_no, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
             continue
-        tokens = line.split()
         if header is None:
             if len(tokens) != 4:
                 raise InstanceFormatError(line_no, "header must be 'n m k_L k_F'")
             try:
-                n, m, k_L, k_F = (int(t) for t in tokens)
+                n, m, k_L, k_F = header = tuple(int(t) for t in tokens)
             except ValueError:
                 raise InstanceFormatError(line_no, f"bad integer in header {tokens!r}") from None
             if n < 0 or m < 0:
                 raise InstanceFormatError(line_no, "negative size in header")
+            if max(n, m) > np.iinfo(np.intp).max:
+                raise InstanceFormatError(line_no, "size too large in header")
             if not (0 <= k_L <= n and 0 <= k_F <= n):
                 raise InstanceFormatError(line_no, "budget outside [0, n]")
-            header = (n, m, k_L, k_F)
             continue
         if len(tokens) != 4:
             raise InstanceFormatError(line_no, "edge line must be 'u v p pF'")
         try:
-            u, v = int(tokens[0]), int(tokens[1])
-            pv, pfv = float(tokens[2]), float(tokens[3])
+            u, v, p, pf = int(tokens[0]), int(tokens[1]), float(tokens[2]), float(tokens[3])
         except ValueError:
             raise InstanceFormatError(line_no, f"bad number in edge line {tokens!r}") from None
-        n, m, _, _ = header
         if not (0 <= u < n and 0 <= v < m):
             raise InstanceFormatError(line_no, f"edge index out of range ({u}, {v})")
         if (u, v) in seen:
             raise InstanceFormatError(line_no, f"duplicate edge ({u}, {v})")
-        if not (0.0 <= pv <= 1.0 and 0.0 <= pfv <= 1.0):
+        if not (0.0 <= p <= 1.0 and 0.0 <= pf <= 1.0):
             raise InstanceFormatError(line_no, "probability out of range")
         seen.add((u, v))
-        edges.append((u, v, pv, pfv))
+        rows.append((u, v, p, pf))
     if header is None:
         raise InstanceFormatError(0, "empty instance file")
-    game = BipartiteInfluenceGame.build(header[0], header[1], edges, header[2], header[3])
-    problem = validate(game)
-    if problem is not None:
-        raise InstanceFormatError(0, problem)
-    return game
+    return BipartiteInfluenceGame.build(n, m, rows, k_L, k_F)
 
 
 def dump_instance(game: BipartiteInfluenceGame, stream: TextIO,
@@ -323,8 +325,9 @@ def dump_instance(game: BipartiteInfluenceGame, stream: TextIO,
         for line in comment.splitlines():
             stream.write(f"# {line}\n")
     stream.write(f"{game.n} {game.m} {game.k_L} {game.k_F}\n")
-    for e in game.edges:
-        stream.write(f"{e[0]} {e[1]} {game.p[e]!r} {game.p_F[e]!r}\n")
+    stream.writelines(f"{u} {v} {p!r} {pf!r}\n" for u, v, p, pf in zip(
+        game.edge_media.tolist(), game.edge_customers.tolist(),
+        game.edge_p.tolist(), game.edge_pf.tolist()))
 
 
 def generate_instance(n: int, m: int, mean_degree: float,
@@ -353,6 +356,8 @@ def generate_instance(n: int, m: int, mean_degree: float,
         raise ValueError("cannot attach customers to an empty media set")
     k_L = min(1, n) if k_L is None else k_L
     k_F = min(2, n) if k_F is None else k_F
+    if m < 0 or not (0 <= k_L <= n and 0 <= k_F <= n):
+        raise ValueError(f"need m >= 0 and budgets in [0, n], got n={n}, m={m}, k_L={k_L}, k_F={k_F}")
     degree = max(1, int(round(mean_degree))) if m > 0 else 0
     degree = min(degree, n)
     rng = np.random.default_rng(seed)
@@ -365,10 +370,5 @@ def generate_instance(n: int, m: int, mean_degree: float,
     (p_lo, p_hi), (pf_lo, pf_hi) = map(float, p_dist), map(float, pf_dist)
     pv = p_lo + (p_hi - p_lo) * draws[:, 0::2]
     pfv = pf_lo + (pf_hi - pf_lo) * draws[:, 1::2]
-    rows = zip(media.ravel().tolist(), np.repeat(np.arange(m), degree).tolist(),
-               pv.ravel().tolist(), pfv.ravel().tolist())
-    game = BipartiteInfluenceGame.build(n, m, rows, k_L, k_F)
-    problem = validate(game)
-    if problem is not None:  # pragma: no cover - generator keeps invariants
-        raise AssertionError(f"generated instance invalid: {problem}")
-    return game
+    return BipartiteInfluenceGame.from_arrays(n, m, media.ravel(), np.repeat(np.arange(m), degree),
+                                              pv.ravel(), pfv.ravel(), k_L, k_F)

@@ -27,6 +27,7 @@ with ``activation_vector``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,28 +124,22 @@ def _activation_of(game: BipartiteInfluenceGame, x) -> np.ndarray:
     return activation_vector(game, x)
 
 
-def activation_prob(game: BipartiteInfluenceGame, v: int, z) -> float:
-    """P_v(z); the empty selection never activates anyone."""
+def _customer_hit(game: BipartiteInfluenceGame, v: int, media, probs: np.ndarray) -> float:
+    """1 - prod (1 - probs_uv) over the selected media adjacent to v."""
     if not 0 <= v < game.m:
         raise IndexError(f"invalid customer index {v}")
-    mask = _as_mask(game, z)
-    prod = 1.0
-    for u in game.customer_neighbors[v]:
-        if mask[u]:
-            prod *= 1.0 - game.p[(u, v)]
-    return 1.0 - prod
+    on = (game.edge_customers == v) & _as_mask(game, media)[game.edge_media]
+    return 1.0 - math.prod(1.0 - q for q in probs[on].tolist())
+
+
+def activation_prob(game: BipartiteInfluenceGame, v: int, z) -> float:
+    """P_v(z); the empty selection never activates anyone."""
+    return _customer_hit(game, v, z, game.edge_p)
 
 
 def recapture_prob(game: BipartiteInfluenceGame, v: int, y) -> float:
     """P_{F,v}(y)."""
-    if not 0 <= v < game.m:
-        raise IndexError(f"invalid customer index {v}")
-    mask = _as_mask(game, y)
-    prod = 1.0
-    for u in game.customer_neighbors[v]:
-        if mask[u]:
-            prod *= 1.0 - game.p_F[(u, v)]
-    return 1.0 - prod
+    return _customer_hit(game, v, y, game.edge_pf)
 
 
 def leader_utility_pure(game: BipartiteInfluenceGame, z, y) -> float:

@@ -109,6 +109,14 @@ def test_solve_numerics_error_exit_code(capsys, monkeypatch, no_pure_optimum_pat
     assert "disagrees" in err
 
 
+def test_solve_has_no_seed_option(capsys, no_pure_optimum_path):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["solve", "--instance", no_pure_optimum_path, "--algorithm", "greedy",
+              "--seed", "1"])
+    assert exit_info.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_solve_missing_file(capsys):
     code, _, err = run_cli(capsys, "solve", "--instance", "/nope.txt",
                            "--algorithm", "greedy")
@@ -147,6 +155,17 @@ def test_generate_rejects_inverted_range(capsys, tmp_path):
                            "--out", str(tmp_path / "x.txt"))
     assert code == 2
     assert "range" in err
+
+
+@pytest.mark.parametrize("budget", [["--kl", "5"], ["--kf", "-1"]])
+def test_generate_rejects_a_budget_outside_the_media_count(capsys, tmp_path, budget):
+    out = tmp_path / "x.txt"
+    code, _, err = run_cli(capsys, "generate", "--n", "3", "--m", "5",
+                           "--mean-degree", "2", "--p", "0,0.2", "--pf", "0.1,0.9",
+                           "--seed", "0", "--out", str(out), *budget)
+    assert code == 2
+    assert "budgets in [0, n]" in err
+    assert not out.exists()
 
 
 def test_bench_command_csv_and_mirror(capsys, tmp_path):

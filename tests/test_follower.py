@@ -36,6 +36,17 @@ def test_enumerate_follower_cap():
         enumerate_follower(game, cap=1000)
 
 
+def test_cached_oracle_still_honours_the_cap():
+    game = BipartiteInfluenceGame.build(10, 1, [(0, 0, 0.5, 0.5)], 1, 3)
+    assert len(follower_oracle(game)) == 176
+    with pytest.raises(CapExceededError) as direct:
+        enumerate_follower(game, cap=10)
+    with pytest.raises(CapExceededError) as cached:
+        follower_oracle(game, cap=10)
+    assert str(cached.value) == str(direct.value)
+    assert len(follower_oracle(game, cap=176)) == 176
+
+
 def test_best_response_no_pure_optimum_mixture(no_pure_optimum):
     x = MixedStrategy({PureStrategy.of([0]): 0.5, PureStrategy.of([1]): 0.5})
     res = best_response(no_pure_optimum, x)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import math
@@ -39,6 +40,82 @@ def test_validate_duplicate_edge_and_bad_index():
     assert "duplicate edge" in validate(dup)
     oob = BipartiteInfluenceGame.build(2, 2, [(0, 5, 0.5, 0.5)], 1, 1)
     assert "out of range" in validate(oob)
+
+
+@pytest.mark.parametrize("n,m,rows,k_L,k_F,message", [
+    (-1, 2, [], 0, 0, "negative media or customer count"),
+    (2, -1, [], 0, 0, "negative media or customer count"),
+    (2, 2, [], 3, 1, "leader budget exceeds media count (k_L=3, n=2)"),
+    (2, 2, [], -1, 1, "negative leader budget k_L=-1"),
+    (2, 2, [], 1, 3, "follower budget exceeds media count (k_F=3, n=2)"),
+    (2, 2, [], 1, -2, "negative follower budget k_F=-2"),
+    (2, 2, [(0, 0, 0.5, 0.5), (-1, 1, 0.5, 0.5)], 1, 1, "edge index out of range (-1, 1)"),
+    (2, 2, [(1, -3, 0.5, 0.5)], 1, 1, "edge index out of range (1, -3)"),
+    (2, 2, [(2, 0, 0.5, 0.5)], 1, 1, "edge index out of range (2, 0)"),
+    # Index and duplicate checks come before any probability check.
+    (2, 2, [(0, 0, 1.5, 0.5), (1, 2, 0.5, 0.5)], 1, 1, "edge index out of range (1, 2)"),
+    # Duplicates that are not adjacent in input order.
+    (2, 2, [(1, 1, 0.5, 0.5), (0, 0, 0.5, 0.5), (0, 1, 0.5, 0.5), (1, 1, 0.25, 0.5)], 1, 1,
+     "duplicate edge (1, 1)"),
+    (2, 2, [(1, 0, 0.5, 0.5), (0, 0, 1.5, 0.5)], 1, 1, "probability out of range: p(0, 0) = 1.5"),
+    (2, 2, [(0, 0, 0.5, -0.25), (1, 0, 2.0, 0.5)], 1, 1,
+     "probability out of range: p_F(0, 0) = -0.25"),
+    (2, 2, [(0, 0, 0.5, 0.5), (1, 0, 0.5, float("nan"))], 1, 1,
+     "probability out of range: p_F(1, 0) = nan"),
+    (2, 2, [(0, 1, 0.5, float("inf"))], 1, 1, "probability out of range: p_F(0, 1) = inf"),
+])
+def test_validate_messages(n, m, rows, k_L, k_F, message):
+    assert validate(BipartiteInfluenceGame.build(n, m, rows, k_L, k_F)) == message
+
+
+def test_edges_are_sorted_arrays_whatever_the_input_order(no_pure_optimum):
+    game = no_pure_optimum
+    rows = list(zip(game.edges, game.p.values(), game.p_F.values()))
+    shuffled = BipartiteInfluenceGame.build(
+        3, 4, [(u, v, p, pf) for (u, v), p, pf in rows[::-1]], 1, 1)
+    keyword = BipartiteInfluenceGame(n=3, m=4, edges=game.edges[::-1], p=dict(game.p),
+                                     p_F=dict(game.p_F), k_L=1, k_F=1)
+    for other in (shuffled, keyword):
+        for name in ("edge_media", "edge_customers", "edge_p", "edge_pf"):
+            assert np.array_equal(getattr(other, name), getattr(game, name))
+    assert game.edges == ((0, 0), (0, 1), (1, 1), (1, 2), (2, 3))
+    assert game.customer_neighbors == ((0,), (0, 1), (1,), (2,))
+    assert game.p[(2, 3)] == 0.599 and game.p_F[(0, 1)] == 0.5
+
+
+def test_game_arrays_and_views_are_read_only(no_pure_optimum):
+    game = no_pure_optimum
+    with pytest.raises(ValueError, match="read-only"):
+        game.edge_p[0] = 0.5
+    for name in ("edge_media", "edge_customers", "edge_pf"):
+        assert not getattr(game, name).flags.writeable
+    with pytest.raises(TypeError):
+        game.p[(0, 0)] = 0.5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        game.edge_p = np.zeros(5)
+
+
+@pytest.mark.parametrize("p,p_F,message", [
+    ({(0, 0): 0.5}, {(0, 0): 0.5, (1, 1): 0.5}, r"missing p value on edge \(1, 1\)"),
+    ({(0, 0): 0.5, (1, 1): 0.5}, {(1, 1): 0.5}, r"missing p_F value on edge \(0, 0\)"),
+    ({(0, 0): 0.5, (1, 1): 0.5, (1, 0): 0.5}, {(0, 0): 0.5, (1, 1): 0.5},
+     r"p value on unknown edge \(1, 0\)"),
+    ({(0, 0): 0.5, (1, 1): 0.5}, {(0, 0): 0.5, (1, 1): 0.5, (0, 1): 0.5},
+     r"p_F value on unknown edge \(0, 1\)"),
+])
+def test_keyword_constructor_rejects_maps_that_do_not_match_the_edges(p, p_F, message):
+    with pytest.raises(ValueError, match=message):
+        BipartiteInfluenceGame(n=2, m=2, edges=((0, 0), (1, 1)), p=p, p_F=p_F, k_L=1, k_F=1)
+
+
+def test_is_disjoint_matches_the_neighbor_rule():
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        n, m = int(rng.integers(1, 5)), int(rng.integers(0, 6))
+        pairs = [(u, v) for u in range(n) for v in range(m) if rng.uniform() < 0.3]
+        game = BipartiteInfluenceGame.build(n, m, [(u, v, 0.5, 0.5) for u, v in pairs], 0, 0)
+        neighbors = [[u for u, w in pairs if w == v] for v in range(m)]
+        assert is_disjoint(game) == all(len(nv) <= 1 for nv in neighbors)
 
 
 NO_PURE_OPTIMUM_TEXT = """\
@@ -127,12 +204,25 @@ def test_generate_instance_rejects_bad_arguments():
         generate_instance(3, 5, 1.0, (0.5, 0.1), (0.0, 0.5), seed=0)
 
 
+@pytest.mark.parametrize("n,m,k_L,k_F", [
+    (3, 5, 5, None), (3, 5, None, 4), (3, 5, -1, None), (3, 5, None, -2),
+    (-1, 0, None, None), (-1, 0, 0, 0), (3, -1, None, None),
+])
+def test_generate_instance_rejects_sizes_and_budgets_outside_the_invariants(n, m, k_L, k_F):
+    with pytest.raises(ValueError):
+        generate_instance(n, m, 0, (0.0, 0.2), (0.1, 0.9), seed=0, k_L=k_L, k_F=k_F)
+
+
 def test_is_disjoint():
     assert not is_disjoint(make_overfunding_trap())
     assert is_disjoint(make_private_customers())
     empty = BipartiteInfluenceGame.build(3, 2, [], 1, 1)
     assert is_disjoint(empty)
     assert not is_disjoint(make_no_pure_optimum())
+    # Needs no memory of m's size, and no valid index to answer.
+    huge = BipartiteInfluenceGame.build(2, 10**12, [(0, 10**12 - 1, .5, .5), (1, 5, .5, .5)], 1, 1)
+    assert is_disjoint(huge)
+    assert not is_disjoint(BipartiteInfluenceGame.build(2, 1, [(0, -1, .5, .5), (1, -1, .5, .5)], 1, 1))
 
 
 def test_allocation_of_half_half():
