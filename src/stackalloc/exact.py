@@ -14,6 +14,20 @@ Two routes to the same object:
   Q = {0 <= r <= 1, sum r <= k_L}, and a mixed strategy with support at
   most n+1 is recovered from the optimal r afterwards.
 
+Most candidates cannot be induced, and most of those are decided before
+any LP is built.  y* is not inducible when some row of its LP cannot hold
+anywhere in the leader's domain, and for these rows the largest value
+over the domain has a closed form: over the simplex, the largest entry
+of g(., y*) - g(., y'); over Q, the sum of the k_L largest positive
+coefficients.  A candidate with a row whose largest value falls short of
+its rhs by more than the LP's feasibility tolerance ``FEAS_TOL`` (scaled
+by max(1, |rhs|), as in ``lp``'s feasibility check) is recorded as
+infeasible without solving.  In exact arithmetic its phase 1 would end
+with a residual above ``FEAS_TOL``, which is how ``solve_lp`` reports
+infeasibility, and no point it could return would pass its feasibility
+check.  Rows that only tie (largest value exactly at the rhs) still go
+to the LP.
+
 Every reported equilibrium is re-verified through the payoff and
 follower modules; LP bookkeeping is never trusted for the final value.
 """
@@ -27,7 +41,7 @@ import numpy as np
 
 from . import follower as follower_mod
 from . import payoff
-from .lp import LinearProgram, LpNumericsError, solve_lp
+from .lp import FEAS_TOL, LinearProgram, LpNumericsError, solve_lp
 from .model import (BipartiteInfluenceGame, CapExceededError, FractionalAllocation,
                     MixedStrategy, PureStrategy, allocation_of, count_subsets,
                     iter_subsets)
@@ -100,8 +114,13 @@ def solve_multi_lp(game: BipartiteInfluenceGame,
     per_y: dict[PureStrategy, tuple[str, float | None]] = {}
     best: tuple[float, int, np.ndarray] | None = None
     for yi, y_star in enumerate(oracle.strategies):
-        # Row y': g(., y*) - g(., y') >= 0.
-        rows = list(zip(Gt[yi] - Gt, repeat(">="), repeat(0.0)))
+        # Row y': g(., y*) - g(., y') >= 0; over the simplex its left side
+        # is at most the row's largest entry.
+        diff = Gt[yi] - Gt
+        if (diff.max(axis=1) < -FEAS_TOL).any():
+            per_y[y_star] = ("infeasible", None)
+            continue
+        rows = list(zip(diff, repeat(">="), repeat(0.0)))
         rows.append(simplex_row)
         out = solve_lp(LinearProgram(objective=F[:, yi], rows=rows))
         per_y[y_star] = (out.status, out.value)
@@ -233,12 +252,20 @@ def solve_disjoint_lp(game: BipartiteInfluenceGame,
     best: tuple[float, int, np.ndarray] | None = None
     budget_row = (np.ones(n), "<=", float(game.k_L))
     bounds = [(0.0, 1.0)] * n
+    top = min(game.k_L, n)
     for yi, y_star in enumerate(oracle.strategies):
         ys = ymat[yi]
         objective = a - ys * d
         # Row y: g(r, y*) - g(r, y) = sum_u diff_u * (a_u - bq_u r_u) >= 0.
         diff = ys - ymat
-        rows = list(zip(-diff * bq, repeat(">="), (-diff @ a).tolist()))
+        coef, rhs = -diff * bq, -diff @ a
+        # Over Q, coef.r is at most the sum of the k_L largest positive
+        # coefficients.
+        reach = np.sort(np.maximum(coef, 0.0), axis=1)[:, n - top:].sum(axis=1)
+        if (reach < rhs - FEAS_TOL * np.maximum(1.0, np.abs(rhs))).any():
+            per_y[y_star] = ("infeasible", None)
+            continue
+        rows = list(zip(coef, repeat(">="), rhs.tolist()))
         rows.append(budget_row)
         out = solve_lp(LinearProgram(objective=objective, rows=rows, bounds=bounds))
         per_y[y_star] = (out.status, out.value)

@@ -91,7 +91,9 @@ def greedy_baseline(game: BipartiteInfluenceGame,
     selected: list[int] = []
     for _ in range(min(game.k_L, game.n)):
         contrib = survival[game.edge_customers] * game.edge_p
-        gains = np.bincount(game.edge_media, weights=contrib, minlength=game.n)
+        # bincount returns int64 when there are no edges.
+        gains = np.bincount(game.edge_media, weights=contrib,
+                            minlength=game.n).astype(float, copy=False)
         gains[blocked] = -np.inf
         u = int(np.argmax(gains))  # the objective is monotone: never stop early
         selected.append(u)

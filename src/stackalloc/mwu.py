@@ -87,7 +87,9 @@ def greedy_weighted_submodular(game: BipartiteInfluenceGame, weights, budget: in
     blocked = np.zeros(game.n, dtype=bool)
     for _ in range(min(budget, game.n)):
         contrib = edge_c * survival[game.edge_customers] * game.edge_p
-        gains = np.bincount(game.edge_media, weights=contrib, minlength=game.n)
+        # bincount returns int64 when there are no edges.
+        gains = np.bincount(game.edge_media, weights=contrib,
+                            minlength=game.n).astype(float, copy=False)
         if gains.min() < -1e-12:
             raise LpNumericsError(
                 f"monotone objective produced a negative marginal gain {gains.min()}")

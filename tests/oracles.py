@@ -3,8 +3,15 @@
 Everything here is deliberately independent of the package's vectorized
 paths: plain dict/loop arithmetic, activation expectations computed by
 enumerating the underlying success/failure events, and best responses by
-exhaustive subset enumeration; and the per-line instance loader that
-``load_instance`` replaced, as the reference for its differential tests.
+exhaustive subset enumeration; a strong equilibrium by one scipy LP per
+follower response on those brute-force tables; and the per-line instance
+loader that ``load_instance`` replaced, as the reference for its
+differential tests.
+
+The one exception is the reference for the exact solvers' infeasibility
+screen: every candidate LP built as the solvers build it and solved with
+no screen.  It reuses the package's oracle tables and ``solve_lp`` on
+purpose, so that its outcomes can be compared bit for bit.
 """
 
 from __future__ import annotations
@@ -14,6 +21,10 @@ import itertools
 import numpy as np
 
 from stackalloc import BipartiteInfluenceGame, InstanceFormatError, validate
+from stackalloc import payoff
+from stackalloc.exact import enumerate_leader
+from stackalloc.follower import follower_oracle
+from stackalloc.lp import LinearProgram, solve_lp
 
 
 def subsets_up_to(n, k):
@@ -83,6 +94,71 @@ def best_pure_leader_value(game):
     """max over leader pure strategies of f_BR, by double enumeration."""
     return max(best_response_value(game, {z: 1.0})
                for z in subsets_up_to(game.n, game.k_L))
+
+
+def strong_equilibrium_value(game):
+    """Leader value of a strong Stackelberg equilibrium, by brute force.
+
+    For each follower response y, scipy's HiGHS maximizes f(x, y) over
+    mixes x of the leader's pure strategies subject to g(x, y) >= g(x, y')
+    for every y'; the answer is the best feasible value.
+    """
+    from scipy.optimize import linprog
+
+    leaders = subsets_up_to(game.n, game.k_L)
+    followers = subsets_up_to(game.n, game.k_F)
+    F = np.array([[f_pure(game, z, y) for y in followers] for z in leaders])
+    G = np.array([[g_pure(game, z, y) for y in followers] for z in leaders])
+    best = None
+    for yi in range(len(followers)):
+        out = linprog(-F[:, yi], A_ub=(G - G[:, [yi]]).T, b_ub=np.zeros(len(followers)),
+                      A_eq=np.ones((1, len(leaders))), b_eq=[1.0], method="highs")
+        if out.status == 0 and (best is None or -out.fun > best):
+            best = -out.fun
+    return best
+
+
+def candidate_lps(game, disjoint=False):
+    """Every candidate response's LP, built as the exact solvers build it.
+
+    Returns {y*: LinearProgram} in the follower oracle's order: the
+    multi-LP over leader pure strategies, or with ``disjoint`` the
+    n-variable LP over Q.  Nothing is screened.
+    """
+    oracle = follower_oracle(game)
+    lps = {}
+    if not disjoint:
+        leaders = enumerate_leader(game)
+        pv = payoff.activation_rows(game, leaders)
+        F = pv @ (1.0 - oracle.recapture).T
+        Gt = (pv @ oracle.recapture.T + (1.0 - pv) @ oracle.activation.T).T
+        for yi, y_star in enumerate(oracle.strategies):
+            rows = list(zip(Gt[yi] - Gt, itertools.repeat(">="), itertools.repeat(0.0)))
+            rows.append((np.ones(len(leaders)), "=", 1.0))
+            lps[y_star] = LinearProgram(objective=F[:, yi], rows=rows)
+        return lps
+    n = game.n
+    a = np.bincount(game.edge_media, weights=game.edge_p, minlength=n)
+    d = np.bincount(game.edge_media, weights=game.edge_p * game.edge_pf, minlength=n)
+    bq = np.bincount(game.edge_media,
+                     weights=game.edge_p * (game.edge_p - game.edge_pf), minlength=n)
+    ymat = np.array([y.mask(n) for y in oracle.strategies], dtype=float)
+    for yi, y_star in enumerate(oracle.strategies):
+        diff = ymat[yi] - ymat
+        rows = list(zip(-diff * bq, itertools.repeat(">="), (-diff @ a).tolist()))
+        rows.append((np.ones(n), "<=", float(game.k_L)))
+        lps[y_star] = LinearProgram(objective=a - ymat[yi] * d, rows=rows,
+                                    bounds=[(0.0, 1.0)] * n)
+    return lps
+
+
+def unscreened_outcomes(game, disjoint=False):
+    """{y*: (status, value)} from ``solve_lp`` on every candidate LP."""
+    outcomes = {}
+    for y_star, lp in candidate_lps(game, disjoint).items():
+        out = solve_lp(lp)
+        outcomes[y_star] = (out.status, out.value)
+    return outcomes
 
 
 def weights_of(x):

@@ -1,9 +1,11 @@
+import io
 import json
 
 import numpy as np
 import pytest
 
-from stackalloc import MixedStrategy, PureStrategy, best_response, exact, load_instance
+from stackalloc import (MixedStrategy, PureStrategy, best_response, exact, heuristic,
+                        load_instance, mwu)
 from stackalloc.cli import main
 from stackalloc.lp import LpNumericsError
 
@@ -56,6 +58,33 @@ def test_solve_heuristic_on_instance_without_edges(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "solve", "--instance", str(path),
                            "--algorithm", "heuristic", "--ell", "3")
     assert code == 0
+    assert json.loads(out)["value"] == 0.0
+
+
+# No customers at all, and customers with no media: every gain is zero.
+EDGELESS = ("3 0 1 1\n", "3 5 1 1\n")
+
+
+@pytest.mark.parametrize("text", EDGELESS, ids=["no-customers", "no-edges"])
+def test_every_engine_solves_an_instance_without_edges(text):
+    game = load_instance(io.StringIO(text))
+    z, br = heuristic.greedy_baseline(game)
+    assert len(z) == game.k_L and br.leader_value == 0.0
+    _, br, _ = mwu.solve_mwu(game)
+    assert br.leader_value == 0.0
+    _, br = heuristic.solve_heuristic(game, 3)
+    assert br.leader_value == 0.0
+    assert exact.solve_multi_lp(game).value == 0.0
+    assert exact.solve_disjoint_lp(game).value == 0.0
+
+
+@pytest.mark.parametrize("text", EDGELESS, ids=["no-customers", "no-edges"])
+@pytest.mark.parametrize("algorithm", ["greedy", "mwu", "heuristic", "exact", "exact-disjoint"])
+def test_solve_every_engine_on_an_instance_without_edges(capsys, tmp_path, text, algorithm):
+    path = tmp_path / "edgeless.txt"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "solve", "--instance", str(path), "--algorithm", algorithm)
+    assert code == 0, err
     assert json.loads(out)["value"] == 0.0
 
 

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from stackalloc import (BipartiteInfluenceGame, CapExceededError, MixedStrategy,
                         PureStrategy, allocation_of, best_response_value,
-                        decompose_allocation, enumerate_leader, membership_Q,
-                        solve_disjoint_lp, solve_multi_lp, utilities_mixed)
+                        decompose_allocation, enumerate_leader, exact,
+                        generate_instance, membership_Q, solve_disjoint_lp,
+                        solve_multi_lp, utilities_mixed)
+from stackalloc import lp as lp_mod
 
 import oracles
 from conftest import random_allocation, random_game
@@ -151,3 +154,120 @@ def test_equilibrium_values_are_reverified(no_pure_optimum):
     pair = utilities_mixed(no_pure_optimum, res.leader, res.follower)
     assert pair.leader == pytest.approx(res.value, abs=1e-9)
     assert best_response_value(no_pure_optimum, res.leader) >= res.value - 1e-9
+
+
+def _lp_key(lp):
+    return lp.objective.tobytes(), lp.A.tobytes(), lp.rhs.tobytes()
+
+
+def _solve_recording(monkeypatch, solver, game):
+    """Solve; also return the keys of the candidate LPs that reached solve_lp."""
+    reached = set()
+
+    def recording(lp, **kwargs):
+        reached.add(_lp_key(lp))
+        return lp_mod.solve_lp(lp, **kwargs)
+
+    monkeypatch.setattr(exact, "solve_lp", recording)
+    return solver(game), reached
+
+
+def _scipy_status(lp):
+    """HiGHS's status for an LP: 0 optimal, 2 infeasible."""
+    le, ge, eq = lp.sense > 0, lp.sense < 0, lp.sense == 0
+    A_ub = np.vstack([lp.A[le], -lp.A[ge]])
+    b_ub = np.concatenate([lp.rhs[le], -lp.rhs[ge]])
+    bounds = [(lo, None if np.isinf(up) else up) for lo, up in zip(lp.lower, lp.upper)]
+    out = linprog(-lp.objective, A_ub=A_ub if b_ub.size else None,
+                  b_ub=b_ub if b_ub.size else None,
+                  A_eq=lp.A[eq] if eq.any() else None, b_eq=lp.rhs[eq] if eq.any() else None,
+                  bounds=bounds, method="highs")
+    return out.status
+
+
+def _check_against_unscreened(monkeypatch, game, disjoint):
+    """The audit trail equals the screen-free one; returns the screened count."""
+    solver = solve_disjoint_lp if disjoint else solve_multi_lp
+    res, reached = _solve_recording(monkeypatch, solver, game)
+    assert res.per_y_values == oracles.unscreened_outcomes(game, disjoint)
+    screened = [lp for lp in oracles.candidate_lps(game, disjoint).values()
+                if _lp_key(lp) not in reached]
+    for lp in screened:
+        assert _scipy_status(lp) == 2
+    return len(screened)
+
+
+@pytest.mark.parametrize("disjoint", [False, True], ids=["multi", "disjoint"])
+@pytest.mark.parametrize("k_F", [0, 1, 2, 3])
+@pytest.mark.parametrize("regime", ["pF-above-p", "pF-below-p"])
+def test_screen_matches_unscreened_candidate_lps(monkeypatch, disjoint, k_F, regime):
+    p, p_F = ((0.0, 0.3), (0.3, 0.9)) if regime == "pF-above-p" else ((0.3, 0.9), (0.0, 0.3))
+    screened = 0
+    for seed in range(3):
+        game = generate_instance(6, 14, 1.0 if disjoint else 2.0, p, p_F, seed=seed,
+                                 k_L=1 + seed % 2, k_F=k_F)
+        screened += _check_against_unscreened(monkeypatch, game, disjoint)
+    assert (screened > 0) == (k_F > 0)
+
+
+@pytest.mark.parametrize("disjoint", [False, True], ids=["multi", "disjoint"])
+def test_screen_matches_unscreened_candidate_lps_on_random_games(monkeypatch, disjoint):
+    rng = np.random.default_rng(606)
+    for _ in range(25):
+        game = random_game(rng, n_max=6, m_max=10, kl_max=3, kf_max=3, disjoint=disjoint)
+        _check_against_unscreened(monkeypatch, game, disjoint)
+
+
+def _with_idle_medium(game):
+    """The same edges plus one medium that reaches no customer.
+
+    The follower may fund every medium, so funding every real one, with
+    or without the idle one, is a best response to any leader strategy.
+    """
+    rows = list(zip(game.edge_media.tolist(), game.edge_customers.tolist(),
+                    game.edge_p.tolist(), game.edge_pf.tolist()))
+    return BipartiteInfluenceGame.build(game.n + 1, game.m, rows, game.k_L, game.n + 1)
+
+
+@pytest.mark.parametrize("disjoint", [False, True], ids=["multi", "disjoint"])
+def test_screen_keeps_responses_that_only_tie(monkeypatch, no_pure_optimum,
+                                              private_customers, disjoint):
+    # Adding the idle medium never changes g, so the row of y* against
+    # y* + {idle} is zero at every leader strategy: a row max of exactly 0
+    # must go to the LP, not be screened.
+    game = _with_idle_medium(private_customers if disjoint else no_pure_optimum)
+    idle = game.n - 1
+    solver = solve_disjoint_lp if disjoint else solve_multi_lp
+    res, reached = _solve_recording(monkeypatch, solver, game)
+    assert res.per_y_values == oracles.unscreened_outcomes(game, disjoint)
+    lps = oracles.candidate_lps(game, disjoint)
+    twins = [(y, PureStrategy.of(y.media + (idle,))) for y in lps
+             if idle not in y.media and len(y) < game.k_F]
+    inducible = [(y, t) for y, t in twins if res.per_y_values[y][0] == "optimal"]
+    assert inducible
+    for y, twin in inducible:
+        assert _lp_key(lps[y]) in reached and _lp_key(lps[twin]) in reached
+        assert res.per_y_values[twin][0] == "optimal"
+        assert res.per_y_values[twin][1] == pytest.approx(res.per_y_values[y][1], abs=1e-9)
+    assert res.value == pytest.approx(oracles.strong_equilibrium_value(game), abs=1e-7)
+
+
+PAPER_P = (0.0, 0.2)
+
+
+def test_paper_scale_multi_lp():
+    game = generate_instance(20, 844, 3506 / 844, PAPER_P, PAPER_P, seed=0, k_L=1, k_F=2)
+    res = solve_multi_lp(game)
+    assert res.value == pytest.approx(18.95490503217018, abs=1e-9)
+    assert res.follower == PureStrategy.of([9, 19])
+    statuses = [status for status, _ in res.per_y_values.values()]
+    assert len(statuses) == 211 and statuses.count("optimal") == 3
+
+
+def test_paper_scale_disjoint_lp():
+    game = generate_instance(20, 844, 1.0, PAPER_P, PAPER_P, seed=0, k_L=2, k_F=2)
+    res = solve_disjoint_lp(game)
+    assert res.value == pytest.approx(10.79004734447238, abs=1e-9)
+    assert res.follower == PureStrategy.of([0, 11])
+    statuses = [status for status, _ in res.per_y_values.values()]
+    assert len(statuses) == 211 and statuses.count("optimal") == 2
