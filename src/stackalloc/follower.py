@@ -87,7 +87,17 @@ class FollowerOracle:
     def best_response_values(self, pvx: np.ndarray,
                              tie_tol: float = TIE_TOL) -> np.ndarray:
         """Optimistic leader value f_BR for each row of leader activations."""
-        f, g = self.utilities(pvx)
+        return self.optimistic_values(*self.utilities(pvx), tie_tol)
+
+    @staticmethod
+    def optimistic_values(f: np.ndarray, g: np.ndarray,
+                          tie_tol: float = TIE_TOL) -> np.ndarray:
+        """Per row of (f, g) tables: the largest f among the g-maximizers.
+
+        Rows are utilities over the follower set as ``utilities`` returns
+        them; f and g are linear and affine in the leader's activations,
+        so callers may blend rows of tables instead of activation rows.
+        """
         gmax = g.max(axis=1, keepdims=True)
         tied = g >= gmax - tie_tol
         return np.where(tied, f, -np.inf).max(axis=1)

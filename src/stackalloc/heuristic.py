@@ -7,6 +7,13 @@ candidate only while that value stays at least the previous round's; it
 then blends S into x and remembers the best mix seen so far.  With
 ell = 1 the blend collapses to the pure strategy itself.
 
+The scoring splits along the blend.  f is linear and g affine in the
+leader's activations and (i-1)/i + 1/i = 1, so the utility tables of
+the blended rows are (i-1)/i * u(x) + u(S + u)/i: u(x) is scored once
+per round (and doubles as the round-end score), and the tables u(S + u)
+of every candidate depend only on the ordered prefix S, so one run
+scores each prefix's candidate rows once, however many rounds replay it.
+
 The baseline ignores the follower entirely: it greedily fills the whole
 budget to maximize the expected number of activated customers.
 """
@@ -46,7 +53,9 @@ def solve_heuristic(game: BipartiteInfluenceGame, ell: int,
         oracle = follower_oracle(game)
     weights: dict[PureStrategy, float] = {PureStrategy.empty(): 1.0}
     pvx = np.zeros(game.m)
+    fx, gx = oracle.utilities(pvx)
     fbr_x = 0.0  # the empty mix never activates anyone
+    scored: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     best_weights = dict(weights)
     best_value = fbr_x
@@ -54,13 +63,16 @@ def solve_heuristic(game: BipartiteInfluenceGame, ell: int,
         keep = (i - 1) / i
         selected: list[int] = []
         survival = np.ones(game.m)
-        for _ in range(game.k_L):
-            candidates = np.array([u for u in range(game.n) if u not in selected],
-                                  dtype=np.intp)
-            if candidates.size == 0:
-                break
-            rows = _candidate_rows(game, 1.0 - survival, survival, candidates)
-            values = oracle.best_response_values(keep * pvx + rows / i)
+        for _ in range(min(game.k_L, game.n)):
+            prefix = tuple(selected)
+            entry = scored.get(prefix)
+            if entry is None:
+                candidates = np.array([u for u in range(game.n) if u not in selected],
+                                      dtype=np.intp)
+                rows = _candidate_rows(game, 1.0 - survival, survival, candidates)
+                entry = scored[prefix] = (candidates, *oracle.utilities(rows))
+            candidates, f_rows, g_rows = entry
+            values = oracle.optimistic_values(keep * fx + f_rows / i, keep * gx + g_rows / i)
             r = int(np.argmax(values))  # ties fall to the smallest index
             if values[r] < fbr_x - ACCEPT_TOL:
                 break
@@ -71,7 +83,8 @@ def solve_heuristic(game: BipartiteInfluenceGame, ell: int,
         weights = {s: w * keep for s, w in weights.items() if w * keep > 0.0}
         weights[chosen] = weights.get(chosen, 0.0) + 1.0 / i
         pvx = keep * pvx + (1.0 - survival) / i
-        fbr_x = float(oracle.best_response_values(pvx)[0])
+        fx, gx = oracle.utilities(pvx)
+        fbr_x = float(oracle.optimistic_values(fx, gx)[0])
         if best_value < fbr_x:
             best_value = fbr_x
             best_weights = dict(weights)

@@ -8,11 +8,18 @@ leader answers each weight vector with a greedy (1 - 1/e) maximizer of
 the weighted h; the uniform average of the leader's iterates is the
 output mix.  The accompanying certificate bounds the loss of translating
 the surrogate guarantee back to the original game.
+
+The greedy's tables depend on the media it has funded so far and not on
+the weights, so one run memoizes them by that ordered prefix
+(``PrefixTables``): at the default learning rate the rounds replay
+one or two strategies, and each step then costs one n x |D_F|
+matrix-vector product.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -31,12 +38,16 @@ class MwuConfig:
     learning_rate: float | str = "auto"  # "auto" = sqrt(ln|D_F| / T)
 
     def __post_init__(self):
+        if isinstance(self.iterations, bool) or not isinstance(self.iterations, numbers.Integral):
+            raise ValueError(f"iterations must be an integer, not {self.iterations!r}")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
-        if self.learning_rate != "auto" and not self.learning_rate > 0:
-            raise ValueError("learning rate must be positive or 'auto'")
+        if self.learning_rate != "auto" and not (
+                isinstance(self.learning_rate, numbers.Real)
+                and 0.0 < self.learning_rate < math.inf):
+            raise ValueError("learning rate must be positive and finite, or 'auto'")
 
 
 @dataclass(frozen=True)
@@ -65,31 +76,69 @@ def _surrogate_losses(oracle: FollowerOracle, pvz: np.ndarray, C: float) -> np.n
     return pvz.sum() + oracle.gain @ pvz - oracle.activation_sums + C
 
 
+class PrefixTables:
+    """The greedy's per-step tables, memoized by the ordered prefix S.
+
+    With s_S the survival vector after funding S, in its order, and P
+    the dense n x m table of p_uv: r(S) = (P * s_S).sum(1) and the
+    n x |D_F| table PG(S) = (P * s_S) @ gain.T.  Neither depends on the
+    weights, so a cached entry is exactly what recomputing it would
+    give.  One instance serves one game and oracle; after c greedy calls
+    it holds at most 1 + c * (budget - 1) entries of n * (|D_F| + 1) + m
+    floats.
+    """
+
+    def __init__(self, game: BipartiteInfluenceGame, oracle: FollowerOracle):
+        self._game = game
+        self._p = np.zeros((game.n, game.m))
+        self._p[game.edge_media, game.edge_customers] = game.edge_p
+        self._gain_t = oracle.gain.T
+        self._tables: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+    def get(self, prefix: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """(r(S), PG(S)) for S = ``prefix``."""
+        tables = self._tables.get(prefix)
+        if tables is None:
+            if prefix:
+                self.get(prefix[:-1])
+                survival = self._tables[prefix[:-1]][2].copy()
+                payoff.fund(self._game, survival, prefix[-1])
+            else:
+                survival = np.ones(self._game.m)
+            ps = self._p * survival
+            tables = self._tables[prefix] = (ps.sum(axis=1), ps @ self._gain_t, survival)
+        return tables[0], tables[1]
+
+
 def greedy_weighted_submodular(game: BipartiteInfluenceGame, weights, budget: int,
-                               oracle: FollowerOracle | None = None) -> PureStrategy:
+                               oracle: FollowerOracle | None = None,
+                               tables: PrefixTables | None = None) -> PureStrategy:
     """Greedy maximizer of sum_y w_y h_y(z) under |z| <= budget.
 
     The weighted objective collapses to sum_v c_v P_v(z) + const with
-    c_v = sum_y w_y (1 - P_{F,v}(y) + P_v(y)) >= 0, so marginal gains are
-    cheap: adding u contributes c_v * (survival of v) * p_uv over N_u.
-    Ties go to the smallest medium index.
+    c_v = sum_y w_y (1 - P_{F,v}(y) + P_v(y)) >= 0, so adding u to S
+    gains sum_v c_v s_S(v) p_uv = w.sum() * r(S)[u] + (PG(S) @ w)[u]
+    (see ``PrefixTables``).  ``tables`` carries those tables between the
+    calls of one MWU run; without it the call builds its own.  Weights
+    are scaled to sum 1 first.  Ties go to the smallest medium index.
     """
     if oracle is None:
         oracle = follower_oracle(game)
     w = np.asarray(weights, dtype=float)
-    if w.size != len(oracle) or np.any(w < 0) or not w.sum() > 0:
-        raise ValueError("weights must be nonnegative over the follower set, not all zero")
+    if (w.size != len(oracle) or not np.isfinite(w).all() or np.any(w < 0)
+            or not w.max() > 0):
+        raise ValueError("weights must be finite and nonnegative over the follower set, "
+                         "not all zero")
+    w = w / w.max()  # the sum below cannot overflow
     w = w / w.sum()
-    c = w.sum() + w @ oracle.gain
-    edge_c = c[game.edge_customers]
-    survival = np.ones(game.m)
+    total = w.sum()
+    if tables is None:
+        tables = PrefixTables(game, oracle)
     chosen: list[int] = []
     blocked = np.zeros(game.n, dtype=bool)
     for _ in range(min(budget, game.n)):
-        contrib = edge_c * survival[game.edge_customers] * game.edge_p
-        # bincount returns int64 when there are no edges.
-        gains = np.bincount(game.edge_media, weights=contrib,
-                            minlength=game.n).astype(float, copy=False)
+        r, pg = tables.get(tuple(chosen))
+        gains = total * r + pg @ w
         if gains.min() < -1e-12:
             raise LpNumericsError(
                 f"monotone objective produced a negative marginal gain {gains.min()}")
@@ -99,7 +148,6 @@ def greedy_weighted_submodular(game: BipartiteInfluenceGame, weights, budget: in
             break
         chosen.append(u)
         blocked[u] = True
-        payoff.fund(game, survival, u)
     return PureStrategy.of(chosen)
 
 
@@ -122,8 +170,9 @@ def solve_mwu(game: BipartiteInfluenceGame, config: MwuConfig = MwuConfig(),
     losses: dict[PureStrategy, np.ndarray] = {}  # h per distinct played z
     cum_losses = np.zeros(len(oracle))
     played = 0.0
+    tables = PrefixTables(game, oracle)
     for _ in range(T):
-        z = greedy_weighted_submodular(game, w, game.k_L, oracle)
+        z = greedy_weighted_submodular(game, w, game.k_L, oracle, tables)
         counts[z] = counts.get(z, 0) + 1
         h = losses.get(z)
         if h is None:

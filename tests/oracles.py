@@ -8,10 +8,13 @@ follower response on those brute-force tables; and the per-line instance
 loader that ``load_instance`` replaced, as the reference for its
 differential tests.
 
-The one exception is the reference for the exact solvers' infeasibility
-screen: every candidate LP built as the solvers build it and solved with
-no screen.  It reuses the package's oracle tables and ``solve_lp`` on
-purpose, so that its outcomes can be compared bit for bit.
+The exceptions reuse package pieces on purpose, so that outcomes can be
+compared bit for bit: the reference for the exact solvers' infeasibility
+screen (every candidate LP built as the solvers build it and solved with
+``solve_lp`` and no screen), and the MWU greedy and heuristic kernels as
+they scored each step before their per-prefix memoization (an edge
+gather plus ``bincount`` per greedy step; ``best_response_values`` on
+every blended candidate row).
 """
 
 from __future__ import annotations
@@ -20,10 +23,12 @@ import itertools
 
 import numpy as np
 
-from stackalloc import BipartiteInfluenceGame, InstanceFormatError, validate
+from stackalloc import (BipartiteInfluenceGame, InstanceFormatError, MixedStrategy,
+                        PureStrategy, validate)
 from stackalloc import payoff
 from stackalloc.exact import enumerate_leader
-from stackalloc.follower import follower_oracle
+from stackalloc.follower import best_response, follower_oracle
+from stackalloc.heuristic import ACCEPT_TOL, _candidate_rows
 from stackalloc.lp import LinearProgram, solve_lp
 
 
@@ -159,6 +164,64 @@ def unscreened_outcomes(game, disjoint=False):
         out = solve_lp(lp)
         outcomes[y_star] = (out.status, out.value)
     return outcomes
+
+
+def greedy_weighted_edges(game, weights, budget, oracle):
+    """The MWU greedy scored from the edge list: c = w @ gain once per
+    call, then per step an edge gather of c_v * s(v) * p_uv summed per
+    medium by ``bincount``.  Ties go to the smallest medium index."""
+    w = np.asarray(weights, dtype=float)
+    w = w / w.sum()
+    c = w.sum() + w @ oracle.gain
+    edge_c = c[game.edge_customers]
+    survival = np.ones(game.m)
+    chosen = []
+    blocked = np.zeros(game.n, dtype=bool)
+    for _ in range(min(budget, game.n)):
+        contrib = edge_c * survival[game.edge_customers] * game.edge_p
+        gains = np.bincount(game.edge_media, weights=contrib,
+                            minlength=game.n).astype(float, copy=False)
+        gains[blocked] = -np.inf
+        u = int(np.argmax(gains))
+        if gains[u] <= 0.0:
+            break
+        chosen.append(u)
+        blocked[u] = True
+        payoff.fund(game, survival, u)
+    return PureStrategy.of(chosen)
+
+
+def solve_heuristic_blended(game, ell, oracle):
+    """The fictitious-play heuristic scoring every candidate by
+    ``best_response_values`` of its blended activation row
+    keep * P(x) + P(S + u) / i, with no memoization."""
+    weights = {PureStrategy.empty(): 1.0}
+    pvx = np.zeros(game.m)
+    fbr_x = 0.0
+    best_weights, best_value = dict(weights), fbr_x
+    for i in range(1, ell + 1):
+        keep = (i - 1) / i
+        selected = []
+        survival = np.ones(game.m)
+        for _ in range(min(game.k_L, game.n)):
+            candidates = np.array([u for u in range(game.n) if u not in selected],
+                                  dtype=np.intp)
+            rows = _candidate_rows(game, 1.0 - survival, survival, candidates)
+            values = oracle.best_response_values(keep * pvx + rows / i)
+            r = int(np.argmax(values))
+            if values[r] < fbr_x - ACCEPT_TOL:
+                break
+            selected.append(int(candidates[r]))
+            payoff.fund(game, survival, selected[-1])
+        chosen = PureStrategy.of(selected)
+        weights = {s: w * keep for s, w in weights.items() if w * keep > 0.0}
+        weights[chosen] = weights.get(chosen, 0.0) + 1.0 / i
+        pvx = keep * pvx + (1.0 - survival) / i
+        fbr_x = float(oracle.best_response_values(pvx)[0])
+        if best_value < fbr_x:
+            best_weights, best_value = dict(weights), fbr_x
+    x_star = MixedStrategy(best_weights)
+    return x_star, best_response(game, x_star, oracle=oracle)
 
 
 def weights_of(x):

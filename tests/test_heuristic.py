@@ -4,6 +4,7 @@ import pytest
 from stackalloc import (BipartiteInfluenceGame, MixedStrategy, PureStrategy,
                         best_response_value, follower_oracle, greedy_baseline,
                         solve_heuristic)
+from stackalloc import heuristic as heuristic_mod
 
 import oracles
 from conftest import random_game
@@ -94,6 +95,59 @@ def test_evaluation_count_scales_with_budget_and_rounds():
     # n candidates per greedy step, k_L steps, ell rounds, plus one
     # round-end score each round and the final re-verification
     assert used <= game.n * game.k_L * ell + 2 * ell + 2
+
+
+def _with_round_picks(monkeypatch, module, run):
+    """Call ``run`` and also return every round's media in the order the
+    greedy accepted them, read where ``module`` builds the round's pure
+    strategy."""
+    picks = []
+
+    class Recorder:
+        empty = staticmethod(PureStrategy.empty)
+
+        @staticmethod
+        def of(media):
+            picks.append(tuple(media))
+            return PureStrategy.of(media)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "PureStrategy", Recorder)
+        return run(), picks
+
+
+def test_heuristic_matches_blended_reference(monkeypatch):
+    # The split scores sum in another order than the blended rows, so
+    # values agree to rounding; ties exact in decimal arithmetic (the
+    # one-decimal games) may then fall to another candidate of equal value.
+    rng = np.random.default_rng(446)
+    for i in range(120):
+        continuous = i % 2 == 1
+        game = random_game(rng, n_max=7, m_max=10, kl_max=3, kf_max=3,
+                           decimals=None if continuous else 1)
+        oracle = follower_oracle(game)
+        ell = int(rng.integers(1, 12))
+        (x, br), picks = _with_round_picks(
+            monkeypatch, heuristic_mod, lambda: solve_heuristic(game, ell, oracle))
+        (ref_x, ref_br), ref_picks = _with_round_picks(
+            monkeypatch, oracles, lambda: oracles.solve_heuristic_blended(game, ell, oracle))
+        assert br.leader_value == pytest.approx(ref_br.leader_value, abs=1e-12)
+        if continuous:
+            assert picks == ref_picks  # every accept and reject decision
+            assert x.weights == ref_x.weights
+            assert br.responses == ref_br.responses and br.chosen == ref_br.chosen
+
+
+def test_heuristic_scores_each_prefix_once(no_pure_optimum):
+    # With k_L = 1 every round's greedy starts from, and stops after, the
+    # empty prefix: its n candidate rows are scored once, not once per
+    # round.  Add the initial mix, one round-end mix per round and the
+    # final re-verification.
+    oracle = follower_oracle(no_pure_optimum)
+    ell = 10
+    before = oracle.evaluations
+    solve_heuristic(no_pure_optimum, ell, oracle=oracle)
+    assert oracle.evaluations - before == no_pure_optimum.n + 1 + ell + 1
 
 
 def test_heuristic_rejects_bad_ell(no_pure_optimum):

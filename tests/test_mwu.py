@@ -56,6 +56,72 @@ def test_greedy_rejects_bad_weights(no_pure_optimum):
         greedy_weighted_submodular(no_pure_optimum, np.zeros(4), budget=1)
     with pytest.raises(ValueError):
         greedy_weighted_submodular(no_pure_optimum, np.array([1.0, -0.5, 0.0, 0.0]), budget=1)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            greedy_weighted_submodular(no_pure_optimum, np.array([bad, 0.0, 0.0, 0.0]),
+                                       budget=1)
+
+
+def test_greedy_huge_weights_act_like_uniform_weights():
+    # Seven weights of 1e308 overflowed a plain sum to inf, and the kernel
+    # returned the empty strategy.
+    game = generate_instance(6, 30, 3.0, (0.0, 0.5), (0.0, 0.5), seed=4, k_L=2, k_F=1)
+    oracle = follower_oracle(game)
+    assert len(oracle) == 7
+    uniform = greedy_weighted_submodular(game, np.full(7, 1.0 / 7), game.k_L, oracle)
+    assert len(uniform) == 2
+    assert greedy_weighted_submodular(game, np.full(7, 1e308), game.k_L, oracle) == uniform
+
+
+def _differential_games(seed, count):
+    """Random games with continuous and with one-decimal probabilities."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        yield rng, random_game(rng, n_max=7, m_max=10, kl_max=3, kf_max=3,
+                               decimals=None if i % 2 else 1)
+
+
+def test_greedy_matches_edge_list_reference():
+    for rng, game in _differential_games(612, 120):
+        oracle = follower_oracle(game)
+        for _ in range(3):
+            w = rng.dirichlet(np.ones(len(oracle))) * (rng.uniform(size=len(oracle)) < 0.8)
+            if not w.any():
+                continue
+            assert (greedy_weighted_submodular(game, w, game.k_L, oracle)
+                    == oracles.greedy_weighted_edges(game, w, game.k_L, oracle))
+
+
+def test_greedy_on_warm_tables_equals_a_fresh_call():
+    for rng, game in _differential_games(613, 60):
+        oracle = follower_oracle(game)
+        tables = mwu_mod.PrefixTables(game, oracle)
+        for _ in range(8):
+            w = rng.dirichlet(np.full(len(oracle), 0.3))
+            warm = greedy_weighted_submodular(game, w, game.k_L, oracle, tables)
+            assert warm == greedy_weighted_submodular(game, w, game.k_L, oracle)
+        for prefix in list(tables._tables):
+            fresh_r, fresh_pg = mwu_mod.PrefixTables(game, oracle).get(prefix)
+            r, pg = tables.get(prefix)
+            assert np.array_equal(r, fresh_r) and np.array_equal(pg, fresh_pg)
+
+
+def test_solve_mwu_matches_edge_list_reference(monkeypatch):
+    # Only the greedy's choices feed the rest of the run, so every output
+    # must agree exactly, not just to rounding.
+    runs = []
+    for rng, game in _differential_games(614, 80):
+        config = MwuConfig(iterations=int(rng.integers(1, 60)),
+                           learning_rate=["auto", 0.3, 3.0, 30.0][int(rng.integers(4))])
+        runs.append((game, config, solve_mwu(game, config)))
+    monkeypatch.setattr(mwu_mod, "greedy_weighted_submodular",
+                        lambda game, w, budget, oracle, tables:
+                        oracles.greedy_weighted_edges(game, w, budget, oracle))
+    for game, config, (x, br, cert) in runs:
+        ref_x, ref_br, ref_cert = solve_mwu(game, config)
+        assert x.weights == ref_x.weights
+        assert br == ref_br
+        assert cert == ref_cert
 
 
 def test_greedy_guarantee_against_brute_force():
@@ -193,6 +259,18 @@ def test_mwu_config_validation():
         MwuConfig(epsilon=1.0)
     with pytest.raises(ValueError):
         MwuConfig(learning_rate=-0.1)
+    assert MwuConfig(iterations=np.int64(7), learning_rate=3).iterations == 7
+
+
+@pytest.mark.parametrize("kwargs", [dict(iterations=1.5), dict(iterations=True),
+                                    dict(learning_rate=math.inf)],
+                         ids=["fractional-iterations", "bool-iterations", "infinite-rate"])
+def test_mwu_config_rejects_at_construction(kwargs):
+    # Each used to pass construction and fail later: range(1.5) raised
+    # TypeError in solve_mwu, True ran one round, and an infinite rate
+    # surfaced only as "weights vanished".
+    with pytest.raises(ValueError):
+        MwuConfig(**kwargs)
 
 
 def test_solve_mwu_tolerates_weights_that_underflow_to_zero(private_customers):
