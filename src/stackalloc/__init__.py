@@ -17,9 +17,7 @@ from .model import (BipartiteInfluenceGame, CapExceededError, FractionalAllocati
                     validate)
 from .mwu import (ApproxCertificate, MwuConfig, certify,
                   greedy_weighted_submodular, solve_mwu)
-from .payoff import (UtilityPair, activation_prob, activation_vector,
-                     follower_utility_pure, leader_utility_pure,
-                     mixed_activation_vector, phi, phi_constant, recapture_prob,
+from .payoff import (UtilityPair, activation_vector, mixed_activation_vector, phi,
                      recapture_vector, utilities_mixed)
 
 __all__ = [
@@ -27,14 +25,14 @@ __all__ = [
     "CapExceededError", "EquilibriumResult", "ExperimentRow", "ExperimentSpec",
     "FollowerOracle", "FractionalAllocation", "InstanceFormatError",
     "LinearProgram", "LpOutcome", "MixedStrategy", "MwuConfig",
-    "PivotLimitError", "PureStrategy", "UtilityPair", "activation_prob",
+    "PivotLimitError", "PureStrategy", "UtilityPair",
     "activation_vector", "allocation_of", "best_response", "best_response_value",
     "certify", "decompose_allocation", "dump_instance", "enumerate_follower",
-    "enumerate_leader", "follower_oracle", "follower_utility_pure",
+    "enumerate_leader", "follower_oracle",
     "generate_instance", "greedy_baseline", "greedy_weighted_submodular",
-    "is_disjoint", "leader_utility_pure", "load_instance",
+    "is_disjoint", "load_instance",
     "membership_Q", "mixed_activation_vector", "parse_spec", "parse_specs", "phi",
-    "phi_constant", "recapture_prob", "recapture_vector", "run_experiment",
+    "recapture_vector", "run_experiment",
     "solve_disjoint_lp", "solve_heuristic", "solve_lp", "solve_multi_lp",
     "solve_mwu", "utilities_mixed", "validate",
 ]

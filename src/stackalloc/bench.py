@@ -18,7 +18,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Any, TextIO
+from typing import Any, Callable, TextIO
 
 import numpy as np
 
@@ -26,9 +26,50 @@ from . import exact, follower, heuristic, mwu
 from .lp import LpNumericsError, PivotLimitError
 from .model import BipartiteInfluenceGame, CapExceededError, MixedStrategy, generate_instance
 
-ALGORITHMS = ("greedy", "mwu", "heuristic", "exact-multi-lp", "exact-disjoint-lp")
-_ALIASES = {"exact": "exact-multi-lp", "exact-disjoint": "exact-disjoint-lp"}
 CSV_HEADER = "dist,kL,kF,algorithm,mean,std,mean_ms,trials"
+
+# A runner takes (game, MWU iterations, MWU epsilon, heuristic rounds) and
+# returns the leader's mix and, for MWU, its certificate.  It looks its
+# solver up through the solver's module on every call, so a solver rebound
+# there (a test double, a tracer's wrapper) is the one that runs.
+Runner = Callable[[BipartiteInfluenceGame, int, float, int],
+                  tuple[MixedStrategy, mwu.ApproxCertificate | None]]
+
+
+def _greedy(game, iterations, epsilon, ell):
+    z, _ = heuristic.greedy_baseline(game)
+    return MixedStrategy.point_mass(z), None
+
+
+def _mwu(game, iterations, epsilon, ell):
+    x, _, certificate = mwu.solve_mwu(
+        game, mwu.MwuConfig(iterations=iterations, epsilon=epsilon))
+    return x, certificate
+
+
+def _heuristic(game, iterations, epsilon, ell):
+    return heuristic.solve_heuristic(game, ell)[0], None
+
+
+def _exact_multi_lp(game, iterations, epsilon, ell):
+    return exact.solve_multi_lp(game).leader, None
+
+
+def _exact_disjoint_lp(game, iterations, epsilon, ell):
+    return exact.solve_disjoint_lp(game).leader, None
+
+
+# Every accepted engine name -> (its name in bench results, runner).  The
+# short exact names are the CLI's; bench rows always carry the long ones.
+ENGINES: dict[str, tuple[str, Runner]] = {
+    "greedy": ("greedy", _greedy),
+    "mwu": ("mwu", _mwu),
+    "heuristic": ("heuristic", _heuristic),
+    "exact": ("exact-multi-lp", _exact_multi_lp),
+    "exact-multi-lp": ("exact-multi-lp", _exact_multi_lp),
+    "exact-disjoint": ("exact-disjoint-lp", _exact_disjoint_lp),
+    "exact-disjoint-lp": ("exact-disjoint-lp", _exact_disjoint_lp),
+}
 
 
 @dataclass(frozen=True)
@@ -53,8 +94,11 @@ class ExperimentSpec:
             if not (0 <= kl <= self.n and 0 <= kf <= self.n):
                 raise ValueError(f"budget pair ({kl}, {kf}) outside [0, n]")
         for alg in self.algorithms:
-            if alg not in ALGORITHMS:
+            if alg not in ENGINES or ENGINES[alg][0] != alg:
                 raise ValueError(f"unknown algorithm {alg!r}")
+        mwu.MwuConfig(iterations=self.mwu_iterations, epsilon=self.mwu_epsilon)
+        if self.heuristic_ell < 1:
+            raise ValueError("heuristic ell must be >= 1")
 
     @property
     def dist_label(self) -> str:
@@ -65,7 +109,7 @@ class ExperimentSpec:
 def parse_spec(data: dict[str, Any]) -> ExperimentSpec:
     """Build a spec from its JSON form, normalizing algorithm aliases."""
     try:
-        algorithms = tuple(_ALIASES.get(a, a) for a in data["algorithms"])
+        algorithms = tuple(ENGINES.get(a, (a,))[0] for a in data["algorithms"])
         mwu_cfg = data.get("mwu", {})
         heur_cfg = data.get("heuristic", {})
         return ExperimentSpec(
@@ -121,20 +165,7 @@ def _solve_one(game: BipartiteInfluenceGame, alg: str,
                spec: ExperimentSpec) -> tuple[float, float]:
     """Run one solver; return its re-verified leader value and wall ms."""
     start = time.perf_counter()
-    if alg == "greedy":
-        z, _ = heuristic.greedy_baseline(game)
-        x = MixedStrategy.point_mass(z)
-    elif alg == "mwu":
-        cfg = mwu.MwuConfig(iterations=spec.mwu_iterations, epsilon=spec.mwu_epsilon)
-        x, _, _ = mwu.solve_mwu(game, cfg)
-    elif alg == "heuristic":
-        x, _ = heuristic.solve_heuristic(game, spec.heuristic_ell)
-    elif alg == "exact-multi-lp":
-        x = exact.solve_multi_lp(game).leader
-    elif alg == "exact-disjoint-lp":
-        x = exact.solve_disjoint_lp(game).leader
-    else:  # pragma: no cover - spec validation rejects unknown names
-        raise ValueError(alg)
+    x, _ = ENGINES[alg][1](game, spec.mwu_iterations, spec.mwu_epsilon, spec.heuristic_ell)
     elapsed_ms = (time.perf_counter() - start) * 1e3
     value = follower.best_response(game, x).leader_value
     return value, elapsed_ms

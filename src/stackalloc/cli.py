@@ -13,7 +13,7 @@ import json
 import sys
 import time
 
-from . import bench, exact, follower, heuristic, mwu
+from . import bench, follower, mwu
 from .lp import LpNumericsError, PivotLimitError
 from .model import (BipartiteInfluenceGame, CapExceededError, InstanceFormatError,
                     MixedStrategy, allocation_of, dump_instance, generate_instance,
@@ -50,19 +50,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     game = _load(args.instance)
     tie_tol = args.tie_tolerance
     started = time.perf_counter()
-    certificate = None
-    if args.algorithm == "greedy":
-        z, _ = heuristic.greedy_baseline(game)
-        x = MixedStrategy.point_mass(z)
-    elif args.algorithm == "mwu":
-        cfg = mwu.MwuConfig(iterations=args.iters, epsilon=args.epsilon)
-        x, _, certificate = mwu.solve_mwu(game, cfg)
-    elif args.algorithm == "heuristic":
-        x, _ = heuristic.solve_heuristic(game, args.ell)
-    elif args.algorithm == "exact":
-        x = exact.solve_multi_lp(game).leader
-    else:  # exact-disjoint
-        x = exact.solve_disjoint_lp(game).leader
+    _, run = bench.ENGINES[args.algorithm]
+    x, certificate = run(game, args.iters, args.epsilon, args.ell)
     solve_ms = (time.perf_counter() - started) * 1e3
 
     # Everything reported below is recomputed from the emitted strategy.
@@ -136,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve one instance, JSON report on stdout")
     p.add_argument("--instance", required=True)
     p.add_argument("--algorithm", required=True,
-                   choices=["greedy", "mwu", "heuristic", "exact", "exact-disjoint"])
+                   choices=list(bench.ENGINES))
     p.add_argument("--iters", type=int, default=100, help="MWU iterations")
     p.add_argument("--epsilon", type=float, default=0.5, help="MWU epsilon")
     p.add_argument("--ell", type=int, default=10, help="heuristic rounds")

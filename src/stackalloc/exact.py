@@ -106,8 +106,7 @@ def solve_multi_lp(game: BipartiteInfluenceGame,
     leaders = enumerate_leader(game, leader_cap)
     oracle = follower_mod.follower_oracle(game, follower_cap)
     pv = payoff.activation_rows(game, leaders)
-    F = pv @ (1.0 - oracle.recapture).T                      # f(z, y)
-    G = pv @ oracle.recapture.T + (1.0 - pv) @ oracle.activation.T
+    F, G = oracle.utilities(pv)                              # f(z, y), g(z, y)
 
     Gt = G.T
     simplex_row = (np.ones(len(leaders)), "=", 1.0)

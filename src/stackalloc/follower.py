@@ -53,11 +53,11 @@ class FollowerOracle:
 
     Rows of ``activation`` and ``recapture`` hold P_v(y) and P_{F,v}(y)
     for each enumerated y, so utilities against any leader activation
-    vector reduce to matrix-vector products; ``gain`` holds their
-    difference P_v(y) - P_{F,v}(y), the per-customer coefficient of the
-    MWU surrogate, so its losses take one product instead of two.  Built
-    once per instance (by prefix products, see ``payoff.activation_rows``)
-    and shared by every solver.
+    vector reduce to matrix-vector products (``payoff.utilities``);
+    ``gain`` holds their difference P_v(y) - P_{F,v}(y), the per-customer
+    coefficient of the MWU greedy's objective.  Built once per instance
+    (by prefix products, see ``payoff.activation_rows``) and shared by
+    every solver.
     """
 
     def __init__(self, game: BipartiteInfluenceGame, cap: int = DEFAULT_FOLLOWER_CAP):
@@ -77,11 +77,8 @@ class FollowerOracle:
         Accepts one activation vector or a stack of them; returns arrays
         of shape (rows, |D_F|).
         """
-        pvx = np.atleast_2d(np.asarray(pvx, dtype=float))
-        self.evaluations += pvx.shape[0]
-        flipped = pvx @ self.recapture.T
-        f = pvx.sum(axis=1, keepdims=True) - flipped
-        g = flipped + (1.0 - pvx) @ self.activation.T
+        f, g = payoff.utilities(pvx, self.activation, self.recapture)
+        self.evaluations += f.shape[0]
         return f, g
 
     def best_response_values(self, pvx: np.ndarray,

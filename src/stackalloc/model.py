@@ -91,9 +91,6 @@ class MixedStrategy:
     def point_mass(strategy: PureStrategy) -> "MixedStrategy":
         return MixedStrategy({strategy: 1.0})
 
-    def max_support_size(self) -> int:
-        return max((len(s) for s in self.weights), default=0)
-
     def __iter__(self) -> Iterator[tuple[PureStrategy, float]]:
         # Deterministic iteration order regardless of insertion history.
         return iter(sorted(self.weights.items()))

@@ -73,7 +73,8 @@ class ApproxCertificate:
 
 def _surrogate_losses(oracle: FollowerOracle, pvz: np.ndarray, C: float) -> np.ndarray:
     """h_y(z) = phi(z, y) + C for every follower strategy y."""
-    return pvz.sum() + oracle.gain @ pvz - oracle.activation_sums + C
+    _, g = oracle.utilities(pvz)
+    return pvz.sum() - g[0] + C
 
 
 class PrefixTables:
@@ -222,7 +223,8 @@ def certify(game: BipartiteInfluenceGame, x_prime: MixedStrategy,
     pv_star = payoff.mixed_activation_vector(game, x_star)
     eps2 = float((1.0 - pv_star) @ payoff.activation_vector(game, y_star))
     beta = (1.0 - 1.0 / math.e) * eps2 - eps1 + (1.0 / math.e + epsilon) * C
-    opt_value = payoff.utilities_mixed(game, x_star, y_star).leader
+    f_star, _ = oracle.utilities(pv_star)
+    opt_value = float(f_star[0, oracle.strategies.index(y_star)])
     holds = value >= alpha * opt_value - beta - 1e-9
     return ApproxCertificate(epsilon1=eps1, C=C, alpha=alpha, epsilon2=eps2,
                              beta=beta, value=value, opt_value=opt_value,

@@ -15,6 +15,11 @@ P_v(x) = sum_z x_z P_v(z).  The zero-sum surrogate used by the
 approximation solver is phi(x, y) = -g(x, y) + sum_v P_v(x), bounded
 below by -C where C = max_y sum_v P_v(y).
 
+f and g are written out once, in ``utilities``: it scores stacked rows
+of leader activations against stacked follower tables of P_v(y) and
+P_{F,v}(y).  The follower oracle, the exact multi-LP, the MWU losses and
+the single-strategy evaluators here all go through it.
+
 Survival products are built on the game's CSR edge layout (edges are
 sorted by medium): ``fund`` multiplies one medium's factors into a
 survival vector in place, and ``activation_rows`` fills the rows of a
@@ -27,7 +32,6 @@ with ``activation_vector``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,62 +128,31 @@ def _activation_of(game: BipartiteInfluenceGame, x) -> np.ndarray:
     return activation_vector(game, x)
 
 
-def _customer_hit(game: BipartiteInfluenceGame, v: int, media, probs: np.ndarray) -> float:
-    """1 - prod (1 - probs_uv) over the selected media adjacent to v."""
-    if not 0 <= v < game.m:
-        raise IndexError(f"invalid customer index {v}")
-    on = (game.edge_customers == v) & _as_mask(game, media)[game.edge_media]
-    return 1.0 - math.prod(1.0 - q for q in probs[on].tolist())
+def utilities(pvx: np.ndarray, activation: np.ndarray,
+              recapture: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(f, g) tables: entry [i, j] scores leader activation row i against
+    follower row j.
 
-
-def activation_prob(game: BipartiteInfluenceGame, v: int, z) -> float:
-    """P_v(z); the empty selection never activates anyone."""
-    return _customer_hit(game, v, z, game.edge_p)
-
-
-def recapture_prob(game: BipartiteInfluenceGame, v: int, y) -> float:
-    """P_{F,v}(y)."""
-    return _customer_hit(game, v, y, game.edge_pf)
-
-
-def leader_utility_pure(game: BipartiteInfluenceGame, z, y) -> float:
-    """f(z, y): expected customers activated by the leader and kept."""
-    pv = activation_vector(game, z)
-    rec = recapture_vector(game, y)
-    return float(pv @ (1.0 - rec))
-
-
-def follower_utility_pure(game: BipartiteInfluenceGame, z, y) -> float:
-    """g(z, y): customers flipped from the leader plus fresh activations."""
-    pv = activation_vector(game, z)
-    rec = recapture_vector(game, y)
-    pvy = activation_vector(game, y)
-    return float(pv @ rec + (1.0 - pv) @ pvy)
+    ``pvx`` is one activation vector P_v(x) or a stack of them;
+    ``activation`` and ``recapture`` stack P_v(y) and P_{F,v}(y), one
+    row per follower strategy.  Returns arrays of shape (rows, |ys|).
+    """
+    pvx = np.atleast_2d(np.asarray(pvx, dtype=float))
+    flipped = pvx @ recapture.T
+    f = pvx.sum(axis=1, keepdims=True) - flipped
+    g = flipped + (1.0 - pvx) @ activation.T
+    return f, g
 
 
 def utilities_mixed(game: BipartiteInfluenceGame, x: MixedStrategy, y) -> UtilityPair:
     """f and g at a leader mix x and follower pure strategy y."""
-    pvx = mixed_activation_vector(game, x)
-    rec = recapture_vector(game, y)
-    pvy = activation_vector(game, y)
-    leader = float(pvx @ (1.0 - rec))
-    follower = float(pvx @ rec + (1.0 - pvx) @ pvy)
-    return UtilityPair(leader=leader, follower=follower)
+    f, g = utilities(mixed_activation_vector(game, x), activation_vector(game, y)[None],
+                     recapture_vector(game, y)[None])
+    return UtilityPair(leader=float(f[0, 0]), follower=float(g[0, 0]))
 
 
 def phi(game: BipartiteInfluenceGame, x, y) -> float:
     """Zero-sum surrogate: -g(x, y) + sum_v P_v(x)."""
     pvx = _activation_of(game, x)
-    rec = recapture_vector(game, y)
-    pvy = activation_vector(game, y)
-    g = float(pvx @ rec + (1.0 - pvx) @ pvy)
-    return float(pvx.sum()) - g
-
-
-def phi_constant(game: BipartiteInfluenceGame, cap: int | None = None) -> float:
-    """C = max over follower pure strategies of sum_v P_v(y), by enumeration."""
-    from . import follower as _follower
-
-    kwargs = {} if cap is None else {"cap": cap}
-    oracle = _follower.follower_oracle(game, **kwargs)
-    return float(oracle.activation_sums.max(initial=0.0))
+    _, g = utilities(pvx, activation_vector(game, y)[None], recapture_vector(game, y)[None])
+    return float(pvx.sum() - g[0, 0])

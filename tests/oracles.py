@@ -77,6 +77,12 @@ def g_pure(game, z, y):
     return total
 
 
+def phi_constant(game):
+    """C = max over follower strategies y of sum_v P_v(y), by enumeration."""
+    return max(sum(activation(game, v, y) for v in range(game.m))
+               for y in subsets_up_to(game.n, game.k_F))
+
+
 def f_mixed(game, weights, y):
     """weights: mapping from media tuples/sets to probabilities."""
     return sum(w * f_pure(game, z, y) for z, w in weights.items())
@@ -134,9 +140,8 @@ def candidate_lps(game, disjoint=False):
     lps = {}
     if not disjoint:
         leaders = enumerate_leader(game)
-        pv = payoff.activation_rows(game, leaders)
-        F = pv @ (1.0 - oracle.recapture).T
-        Gt = (pv @ oracle.recapture.T + (1.0 - pv) @ oracle.activation.T).T
+        F, G = oracle.utilities(payoff.activation_rows(game, leaders))
+        Gt = G.T
         for yi, y_star in enumerate(oracle.strategies):
             rows = list(zip(Gt[yi] - Gt, itertools.repeat(">="), itertools.repeat(0.0)))
             rows.append((np.ones(len(leaders)), "=", 1.0))

@@ -161,10 +161,10 @@ def test_criterion_08_property_suites():
         u, small = perm[0], set(perm[1:2])
         big = small | set(perm[1:3] if game.n > 2 else perm[1:2])
         v = int(rng2.integers(game.m))
-        gs = (sa.activation_prob(game, v, sa.PureStrategy.of(small | {u}))
-              - sa.activation_prob(game, v, sa.PureStrategy.of(small)))
-        gb = (sa.activation_prob(game, v, sa.PureStrategy.of(big | {u}))
-              - sa.activation_prob(game, v, sa.PureStrategy.of(big)))
+        gs = (sa.activation_vector(game, sa.PureStrategy.of(small | {u}))[v]
+              - sa.activation_vector(game, sa.PureStrategy.of(small))[v])
+        gb = (sa.activation_vector(game, sa.PureStrategy.of(big | {u}))[v]
+              - sa.activation_vector(game, sa.PureStrategy.of(big))[v])
         if gs < gb - 1e-12 or gb < -1e-12:
             submodular_bad += 1
 
@@ -174,7 +174,7 @@ def test_criterion_08_property_suites():
         game = random_game(rng3, n_max=5, m_max=5)
         if game.n < 2:
             continue
-        C = sa.phi_constant(game)
+        C = oracles.phi_constant(game)
         ys = oracles.subsets_up_to(game.n, game.k_F)
         y = sa.PureStrategy.of(ys[int(rng3.integers(len(ys)))])
 

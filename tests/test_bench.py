@@ -135,12 +135,12 @@ def test_parallel_run_matches_sequential(monkeypatch):
 def test_parse_spec_round_trip():
     data = {
         "n": 6, "m": 10, "mean_degree": 2.0, "p": [0.0, 0.2], "p_f": [0.1, 0.9],
-        "budgets": [[1, 2], [2, 2]], "algorithms": ["greedy", "exact"],
+        "budgets": [[1, 2], [2, 2]], "algorithms": ["greedy", "exact", "exact-disjoint"],
         "trials": 5, "base_seed": 3,
         "mwu": {"iterations": 50, "epsilon": 0.4}, "heuristic": {"ell": 7},
     }
     spec = parse_spec(data)
-    assert spec.algorithms == ("greedy", "exact-multi-lp")
+    assert spec.algorithms == ("greedy", "exact-multi-lp", "exact-disjoint-lp")
     assert spec.budgets == ((1, 2), (2, 2))
     assert spec.mwu_iterations == 50 and spec.mwu_epsilon == 0.4
     assert spec.heuristic_ell == 7

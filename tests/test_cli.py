@@ -79,7 +79,8 @@ def test_every_engine_solves_an_instance_without_edges(text):
 
 
 @pytest.mark.parametrize("text", EDGELESS, ids=["no-customers", "no-edges"])
-@pytest.mark.parametrize("algorithm", ["greedy", "mwu", "heuristic", "exact", "exact-disjoint"])
+@pytest.mark.parametrize("algorithm", ["greedy", "mwu", "heuristic", "exact", "exact-disjoint",
+                                       "exact-multi-lp", "exact-disjoint-lp"])
 def test_solve_every_engine_on_an_instance_without_edges(capsys, tmp_path, text, algorithm):
     path = tmp_path / "edgeless.txt"
     path.write_text(text)
@@ -219,6 +220,21 @@ def test_bench_malformed_spec(capsys, tmp_path):
     code, _, err = run_cli(capsys, "bench", "--spec", str(spec_path))
     assert code == 2
     assert "malformed" in err
+
+
+@pytest.mark.parametrize("params", [{"mwu": {"iterations": 0}}, {"mwu": {"epsilon": 1.5}},
+                                    {"heuristic": {"ell": 0}}],
+                         ids=["mwu-iterations", "mwu-epsilon", "heuristic-ell"])
+def test_bench_rejects_bad_solver_parameters(capsys, tmp_path, params):
+    # These specs used to run, print "skipped" for the engine and exit 0.
+    spec = {"n": 5, "m": 6, "mean_degree": 1.5, "p": [0, 0.5], "p_f": [0.1, 0.9],
+            "budgets": [[1, 1]], "algorithms": ["mwu", "heuristic"], "trials": 1,
+            **params}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "bench", "--spec", str(spec_path))
+    assert code == 2 and out == ""
+    assert "malformed experiment spec" in err
 
 
 def test_validate_commands(capsys, tmp_path, no_pure_optimum_path):

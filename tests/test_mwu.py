@@ -7,7 +7,7 @@ from stackalloc import (BipartiteInfluenceGame, FollowerOracle, MixedStrategy,
                         MwuConfig, PureStrategy, activation_vector, best_response,
                         certify, enumerate_follower, follower_oracle,
                         generate_instance, greedy_weighted_submodular, phi,
-                        phi_constant, solve_multi_lp, solve_mwu, utilities_mixed)
+                        solve_multi_lp, solve_mwu, utilities_mixed)
 from stackalloc import mwu as mwu_mod
 from stackalloc.lp import LpNumericsError
 
@@ -17,8 +17,7 @@ from conftest import random_game
 
 def brute_force_weighted_value(game, weights, z):
     strategies = oracles.subsets_up_to(game.n, game.k_F)
-    C = max(sum(oracles.activation(game, v, y) for v in range(game.m))
-            for y in strategies)
+    C = oracles.phi_constant(game)
     total = 0.0
     for w, y in zip(weights, strategies):
         val = (oracles.f_pure(game, z, y)
@@ -142,7 +141,7 @@ def test_surrogate_losses_bounded():
     rng = np.random.default_rng(707)
     for _ in range(30):
         game = random_game(rng, n_max=5, m_max=6)
-        C = phi_constant(game)
+        C = oracles.phi_constant(game)
         bound = game.m + C
         for y in oracles.subsets_up_to(game.n, game.k_F):
             for z in oracles.subsets_up_to(game.n, game.k_L):
@@ -152,13 +151,13 @@ def test_surrogate_losses_bounded():
 
 
 def test_surrogate_losses_match_phi():
-    # The losses use the oracle's gain table (one product); phi evaluates
-    # g from the activation and recapture vectors directly.
+    # The losses score z against the oracle's whole follower table; phi
+    # scores it against one follower strategy's vectors.
     rng = np.random.default_rng(709)
     for _ in range(30):
         game = random_game(rng, n_max=6, m_max=8, kf_max=3)
         oracle = follower_oracle(game)
-        C = phi_constant(game)
+        C = oracles.phi_constant(game)
         for z in oracles.subsets_up_to(game.n, game.k_L):
             z = PureStrategy.of(z)
             h = mwu_mod._surrogate_losses(oracle, activation_vector(game, z), C)
@@ -173,7 +172,7 @@ def test_surrogate_losses_monotone_submodular():
         game = random_game(rng, n_max=6, m_max=6)
         if game.n < 2:
             continue
-        C = phi_constant(game)
+        C = oracles.phi_constant(game)
         y = PureStrategy.of(oracles.subsets_up_to(game.n, game.k_F)[-1])
 
         def h(z_set):
@@ -277,7 +276,7 @@ def test_solve_mwu_tolerates_weights_that_underflow_to_zero(private_customers):
     # At this rate some follower weights underflow to exactly 0 mid-run;
     # the greedy accepts nonnegative weights, so the run completes.
     x, br, _ = solve_mwu(private_customers, MwuConfig(iterations=10, learning_rate=1e3))
-    assert x.max_support_size() <= private_customers.k_L
+    assert max(len(s) for s in x.weights) <= private_customers.k_L
     assert br.chosen in enumerate_follower(private_customers)
 
 

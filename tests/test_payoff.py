@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from stackalloc import (BipartiteInfluenceGame, MixedStrategy, PureStrategy,
-                        activation_prob, activation_vector, enumerate_follower,
-                        follower_utility_pure, leader_utility_pure,
-                        mixed_activation_vector, phi, phi_constant, recapture_prob,
+from stackalloc import (BipartiteInfluenceGame, FollowerOracle, MixedStrategy,
+                        PureStrategy, activation_vector, enumerate_follower,
+                        follower_oracle, mixed_activation_vector, phi,
                         recapture_vector, utilities_mixed)
 from stackalloc.payoff import activation_rows, fund
 
@@ -17,34 +16,36 @@ def point(media):
 
 
 def test_activation_prob_uniform_overlap(uniform_overlap):
-    assert activation_prob(uniform_overlap, 1, PureStrategy.of([0, 1])) == pytest.approx(0.96, abs=1e-15)
-    assert activation_prob(uniform_overlap, 2, PureStrategy.empty()) == 0.0
+    z = PureStrategy.of([0, 1])
+    assert activation_vector(uniform_overlap, z)[1] == pytest.approx(0.96, abs=1e-15)
+    assert oracles.activation(uniform_overlap, 1, z) == pytest.approx(0.96, abs=1e-15)
+    assert activation_vector(uniform_overlap, PureStrategy.empty())[2] == 0.0
+    assert oracles.activation(uniform_overlap, 2, ()) == 0.0
 
 
 def test_activation_prob_single_edge():
     game = BipartiteInfluenceGame.build(1, 1, [(0, 0, 0.1, 0.5)], 1, 1)
-    assert activation_prob(game, 0, PureStrategy.of([0])) == pytest.approx(0.1, abs=1e-15)
-
-
-def test_activation_prob_invalid_customer(uniform_overlap):
-    with pytest.raises(IndexError):
-        activation_prob(uniform_overlap, 9, PureStrategy.of([0]))
+    assert activation_vector(game, PureStrategy.of([0]))[0] == pytest.approx(0.1, abs=1e-15)
+    assert oracles.activation(game, 0, (0,)) == pytest.approx(0.1, abs=1e-15)
 
 
 def test_recapture_prob_examples(uniform_overlap, no_pure_optimum):
-    assert recapture_prob(uniform_overlap, 1, PureStrategy.of([2])) == pytest.approx(0.5, abs=1e-15)
-    assert recapture_prob(uniform_overlap, 0, PureStrategy.empty()) == 0.0
+    y = PureStrategy.of([2])
+    assert recapture_vector(uniform_overlap, y)[1] == pytest.approx(0.5, abs=1e-15)
+    assert oracles.recapture(uniform_overlap, 1, y) == pytest.approx(0.5, abs=1e-15)
+    assert recapture_vector(uniform_overlap, PureStrategy.empty())[0] == 0.0
+    assert oracles.recapture(uniform_overlap, 0, ()) == 0.0
     # the lone edge into the last customer has p_F = 0
-    assert recapture_prob(no_pure_optimum, 3, PureStrategy.of([2])) == 0.0
+    assert recapture_vector(no_pure_optimum, y)[3] == 0.0
+    assert oracles.recapture(no_pure_optimum, 3, y) == 0.0
 
 
 def test_leader_utility_pure_examples(overfunding_trap):
-    assert leader_utility_pure(overfunding_trap, PureStrategy.of([0, 1, 2]),
-                               PureStrategy.of([1])) == pytest.approx(0.0, abs=1e-15)
-    assert leader_utility_pure(overfunding_trap, PureStrategy.of([0]),
-                               PureStrategy.of([2])) == pytest.approx(1.0, abs=1e-15)
-    assert leader_utility_pure(overfunding_trap, PureStrategy.empty(),
-                               PureStrategy.of([1])) == 0.0
+    for z, y, expected in (((0, 1, 2), (1,), 0.0), ((0,), (2,), 1.0), ((), (1,), 0.0)):
+        leader = utilities_mixed(overfunding_trap, point(z), PureStrategy.of(y)).leader
+        assert leader == pytest.approx(expected, abs=1e-15)
+        assert oracles.f_pure(overfunding_trap, z, y) == pytest.approx(expected, abs=1e-15)
+    assert utilities_mixed(overfunding_trap, point(()), PureStrategy.of([1])).leader == 0.0
 
 
 def test_follower_utility_pure_uniform_overlap_contribution(uniform_overlap):
@@ -55,15 +56,17 @@ def test_follower_utility_pure_uniform_overlap_contribution(uniform_overlap):
     pvy = activation_vector(uniform_overlap, y)
     v2 = pv[1] * rec[1] + (1 - pv[1]) * pvy[1]
     assert v2 == pytest.approx(0.512, abs=1e-12)
-    assert follower_utility_pure(uniform_overlap, z, y) == pytest.approx(oracles.g_pure(uniform_overlap, (0, 1), (2,)), abs=1e-12)
+    assert utilities_mixed(uniform_overlap, point(z), y).follower == pytest.approx(
+        oracles.g_pure(uniform_overlap, (0, 1), (2,)), abs=1e-12)
 
 
 def test_follower_utility_pure_empty_and_no_pure_optimum(no_pure_optimum):
-    assert follower_utility_pure(no_pure_optimum, PureStrategy.of([0]), PureStrategy.empty()) == 0.0
+    assert utilities_mixed(no_pure_optimum, point([0]), PureStrategy.empty()).follower == 0.0
+    assert oracles.g_pure(no_pure_optimum, (0,), ()) == 0.0
     # frozen from the event-enumeration oracle: 1*0.5 + 1*0.1 = 0.6
     assert oracles.g_pure(no_pure_optimum, (0,), (1,)) == pytest.approx(0.6, abs=1e-12)
-    assert follower_utility_pure(no_pure_optimum, PureStrategy.of([0]),
-                                 PureStrategy.of([1])) == pytest.approx(0.6, abs=1e-12)
+    assert utilities_mixed(no_pure_optimum, point([0]),
+                           PureStrategy.of([1])).follower == pytest.approx(0.6, abs=1e-12)
 
 
 def test_utilities_mixed_no_pure_optimum_mixture(no_pure_optimum):
@@ -80,10 +83,8 @@ def test_utilities_mixed_point_mass_equals_pure(uniform_overlap):
         z = tuple(sorted(rng.choice(game.n, size=min(game.n, 2), replace=False).tolist()))
         y = tuple(sorted(rng.choice(game.n, size=min(game.n, 1), replace=False).tolist()))
         pair = utilities_mixed(game, point(z), PureStrategy.of(y))
-        assert pair.leader == pytest.approx(
-            leader_utility_pure(game, PureStrategy.of(z), PureStrategy.of(y)), abs=1e-12)
-        assert pair.follower == pytest.approx(
-            follower_utility_pure(game, PureStrategy.of(z), PureStrategy.of(y)), abs=1e-12)
+        assert pair.leader == pytest.approx(oracles.f_pure(game, z, y), abs=1e-12)
+        assert pair.follower == pytest.approx(oracles.g_pure(game, z, y), abs=1e-12)
 
 
 def test_utilities_mixed_private_customers(private_customers):
@@ -98,18 +99,31 @@ def test_utilities_mixed_private_customers(private_customers):
 
 
 def test_pure_utilities_match_event_enumeration_oracle():
+    # The f/g kernel behind every solver: whole tables over the follower
+    # set, for stacked leader rows and for one row at a time.
     rng = np.random.default_rng(21)
-    for _ in range(40):
-        game = random_game(rng, n_max=5, m_max=6)
-        z = tuple(sorted(rng.choice(game.n, size=int(rng.integers(0, game.n + 1)),
-                                    replace=False).tolist()))
-        y = tuple(sorted(rng.choice(game.n, size=int(rng.integers(0, game.n + 1)),
-                                    replace=False).tolist()))
-        zs, ys = PureStrategy.of(z), PureStrategy.of(y)
-        assert leader_utility_pure(game, zs, ys) == pytest.approx(
-            oracles.f_pure(game, z, y), abs=1e-10)
-        assert follower_utility_pure(game, zs, ys) == pytest.approx(
-            oracles.g_pure(game, z, y), abs=1e-10)
+    games = [random_game(rng, n_max=5, m_max=6, kf_max=5) for _ in range(40)]
+    games += [sparse_game(rng, k) for k in range(4)]  # each has a medium without edges
+    games += [BipartiteInfluenceGame.build(3, 2, [(0, 0, 0.3, 0.6), (2, 1, 0.8, 0.1)],
+                                           k_L=2, k_F=0),
+              BipartiteInfluenceGame.build(4, 0, [], k_L=2, k_F=2)]  # m = 0
+    for game in games:
+        oracle = FollowerOracle(game)
+        zs = [tuple(sorted(rng.choice(game.n, size=int(rng.integers(0, game.n + 1)),
+                                      replace=False).tolist())) for _ in range(3)]
+        pvz = np.array([activation_vector(game, z) for z in zs]).reshape(len(zs), game.m)
+        f_all, g_all = oracle.utilities(pvz)
+        assert f_all.shape == g_all.shape == (len(zs), len(oracle))
+        ys = [y.media for y in oracle.strategies]
+        for i, z in enumerate(zs):
+            f, g = oracle.utilities(pvz[i])
+            # BLAS may sum one row in another order than a stack of rows.
+            np.testing.assert_allclose(f[0], f_all[i], rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(g[0], g_all[i], rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(f[0], [oracles.f_pure(game, z, y) for y in ys],
+                                       rtol=0.0, atol=1e-10)
+            np.testing.assert_allclose(g[0], [oracles.g_pure(game, z, y) for y in ys],
+                                       rtol=0.0, atol=1e-10)
 
 
 def test_phi_identities_and_empty_response():
@@ -131,14 +145,16 @@ def test_phi_identities_and_empty_response():
 
 
 def test_phi_constant_no_pure_optimum(no_pure_optimum):
-    assert phi_constant(no_pure_optimum) == pytest.approx(1.1, abs=1e-12)
+    # MWU takes C from the oracle's activation sums.
+    assert oracles.phi_constant(no_pure_optimum) == pytest.approx(1.1, abs=1e-12)
+    assert follower_oracle(no_pure_optimum).activation_sums.max() == pytest.approx(1.1, abs=1e-12)
 
 
 def test_phi_lower_bound_via_constant():
     rng = np.random.default_rng(44)
     for _ in range(25):
         game = random_game(rng)
-        C = phi_constant(game)
+        C = oracles.phi_constant(game)
         assert C >= -1e-12
         for y in oracles.subsets_up_to(game.n, game.k_F):
             z = tuple(sorted(rng.choice(game.n, size=min(game.n, game.k_L),
@@ -197,12 +213,17 @@ def test_activation_is_monotone_submodular():
             continue
         u = outside[0]
         for v in range(game.m):
-            gain_small = (activation_prob(game, v, PureStrategy.of(small | {u}))
-                          - activation_prob(game, v, PureStrategy.of(small)))
-            gain_big = (activation_prob(game, v, PureStrategy.of(big | {u}))
-                        - activation_prob(game, v, PureStrategy.of(big)))
+            gain_small = (oracles.activation(game, v, small | {u})
+                          - oracles.activation(game, v, small))
+            gain_big = (oracles.activation(game, v, big | {u})
+                        - oracles.activation(game, v, big))
             assert gain_small >= gain_big - 1e-12
             assert gain_big >= -1e-12
+        gain_small = (activation_vector(game, PureStrategy.of(small | {u}))
+                      - activation_vector(game, PureStrategy.of(small)))
+        gain_big = (activation_vector(game, PureStrategy.of(big | {u}))
+                    - activation_vector(game, PureStrategy.of(big)))
+        assert (gain_small >= gain_big - 1e-12).all() and (gain_big >= -1e-12).all()
 
 
 def sparse_game(rng, k):
