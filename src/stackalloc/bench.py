@@ -7,8 +7,10 @@ algorithm within a trial, and every budget row across trials, sees the
 same graph and probabilities.  Each solver's reported strategy is
 re-scored through the follower module before aggregation.
 
-Workers: set STACKALLOC_THREADS > 1 to spread trials over processes;
-per-trial seeding keeps the results identical to a sequential run.
+Workers: set STACKALLOC_THREADS > 1 to spread trials over processes.
+An experiment starts at most one worker per (budget row, trial) payload
+and per CPU, and runs in-process when that leaves one; per-trial seeding
+keeps the results identical to a sequential run.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ import numpy as np
 
 from . import exact, follower, heuristic, mwu
 from .lp import LpNumericsError, PivotLimitError
-from .model import BipartiteInfluenceGame, CapExceededError, MixedStrategy, generate_instance
+from .model import (BipartiteInfluenceGame, CapExceededError, MixedStrategy, generate_instance,
+                    require_integer)
 
 CSV_HEADER = "dist,kL,kF,algorithm,mean,std,mean_ms,trials"
 
@@ -88,6 +91,11 @@ class ExperimentSpec:
     heuristic_ell: int = 10
 
     def __post_init__(self):
+        for name in ("trials", "base_seed", "heuristic_ell"):
+            require_integer(name, getattr(self, name))
+        for pair in self.budgets:
+            for k in pair:
+                require_integer("budget entry", k)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         for kl, kf in self.budgets:
@@ -197,7 +205,7 @@ def run_experiment(spec: ExperimentSpec) -> list[ExperimentRow]:
     """Aggregate every (budgets, algorithm) cell over the trial seeds."""
     payloads = [(spec, kl, kf, t) for kl, kf in spec.budgets
                 for t in range(spec.trials)]
-    workers = worker_count()
+    workers = min(worker_count(), len(payloads), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_trial, payloads))

@@ -3,7 +3,8 @@
 Subcommands: ``solve`` (JSON report on stdout), ``generate`` (write an
 instance file), ``bench`` (CSV on stdout, optional JSON mirror) and
 ``validate``.  Exit codes: 0 success, 2 input error, 3 enumeration or
-pivot cap exceeded, 4 an answer failed its numerical re-check.
+pivot cap exceeded, or an instance too large for memory, 4 an answer
+failed its numerical re-check.
 """
 
 from __future__ import annotations
@@ -119,7 +120,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stackalloc",
         description="Leader-commitment budget-allocation game solvers "
-                    "(set STACKALLOC_THREADS to parallelize benchmarks)")
+                    "(set STACKALLOC_THREADS to run benchmark trials in up to that "
+                    "many processes, at most one per trial and budget row and one "
+                    "per CPU)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="solve one instance, JSON report on stdout")
@@ -165,6 +168,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
     except (CapExceededError, PivotLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAP
+    except MemoryError as exc:
+        print(f"error: instance too large: {exc}", file=sys.stderr)
         return EXIT_CAP
     except LpNumericsError as exc:
         print(f"error: {exc}", file=sys.stderr)

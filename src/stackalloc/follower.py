@@ -9,6 +9,7 @@ lexicographic tie-break for determinism.
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 
@@ -140,6 +141,8 @@ def best_response(game: BipartiteInfluenceGame, x: MixedStrategy,
                   tie_tol: float = TIE_TOL,
                   oracle: FollowerOracle | None = None) -> BestResponseResult:
     """Optimistic best response to a leader mixed strategy."""
+    if not (math.isfinite(tie_tol) and tie_tol >= 0.0):
+        raise ValueError(f"tie tolerance must be finite and >= 0, got {tie_tol}")
     if oracle is None:
         oracle = follower_oracle(game)
     return oracle.best_response(payoff.mixed_activation_vector(game, x), tie_tol)

@@ -25,7 +25,7 @@ import numpy as np
 from . import follower as follower_mod
 from . import payoff
 from .follower import BestResponseResult, FollowerOracle, follower_oracle
-from .model import BipartiteInfluenceGame, MixedStrategy, PureStrategy
+from .model import BipartiteInfluenceGame, MixedStrategy, PureStrategy, require_integer
 
 ACCEPT_TOL = 1e-12  # slack for the "at least as good" acceptance test
 
@@ -47,6 +47,7 @@ def solve_heuristic(game: BipartiteInfluenceGame, ell: int,
                     oracle: FollowerOracle | None = None,
                     ) -> tuple[MixedStrategy, BestResponseResult]:
     """Run the ell-round fictitious-play heuristic; returns the best mix."""
+    require_integer("ell", ell)
     if ell < 1:
         raise ValueError("ell must be >= 1")
     if oracle is None:

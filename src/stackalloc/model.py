@@ -11,6 +11,7 @@ leader.  The leader funds at most ``k_L`` media, the follower at most
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -22,6 +23,12 @@ import numpy as np
 FEASIBILITY_TOL = 1e-9
 
 Edge = tuple[int, int]
+
+
+def require_integer(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is an integer (numpy's too) and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
 
 
 class CapExceededError(RuntimeError):
@@ -163,10 +170,13 @@ class BipartiteInfluenceGame:
         columns = (np.asarray(media, dtype=np.intp), np.asarray(customers, dtype=np.intp),
                    np.asarray(p, dtype=float), np.asarray(pf, dtype=float))
         order = np.lexsort(columns[1::-1])
+        self._keep(n, m, k_L, k_F, *(column[order] for column in columns))
+
+    def _keep(self, n, m, k_L, k_F, *columns: np.ndarray) -> None:
+        """Take ownership of fresh edge columns already in (u, v) order."""
         for name, value in zip(("n", "m", "k_L", "k_F"), (n, m, k_L, k_F)):
             object.__setattr__(self, name, int(value))
         for name, column in zip(("edge_media", "edge_customers", "edge_p", "edge_pf"), columns):
-            column = column[order]
             column.flags.writeable = False
             object.__setattr__(self, name, column)
 
@@ -327,6 +337,123 @@ def dump_instance(game: BipartiteInfluenceGame, stream: TextIO,
         game.edge_p.tolist(), game.edge_pf.tolist()))
 
 
+# Generator.choice(n, d, replace=False) uses Floyd's sampling up to this
+# population, or while d <= n // _FLOYD_FRACTION, and a tail shuffle beyond.
+_FLOYD_MAX_N = 10000
+_FLOYD_FRACTION = 50
+
+
+def _raw_draws(seed: int, m: int, degree: int, bounds: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Replay the stream of a per-customer ``rng.choice`` + ``rng.random``
+    loop from one block of raw PCG64 words.
+
+    Customer v makes one bounded draw per entry of ``bounds``, then takes
+    ``2 * degree`` doubles.  A bounded draw on [0, b] is Lemire's: a
+    32-bit draw x gives (x * (b + 1)) >> 32, and is redrawn while the low
+    32 bits of that product are below 2**32 mod (b + 1).  A 32-bit draw is
+    the low half of a fresh raw word, and the next one its buffered high
+    half; a double is a whole word, (raw >> 11) * 2**-53, and leaves that
+    buffer alone.  Returns the accepted bounded values (m, len(bounds)),
+    as uint32, and the doubles (m, 2 * degree).
+
+    The layout assumes no rejections.  Each one found, first in stream
+    order, is dropped from the 32-bit draws, raises its customer's draw
+    count by one and lays the stream out again, since every later word
+    moves; earlier draws keep their places.  At paper shape a rejection
+    happens in about one instance in 180,000.
+    """
+    k = bounds.size
+    span = bounds.astype(np.uint64) + np.uint64(1)
+    threshold = (np.uint64(1 << 32) % span).astype(np.uint32)
+    dropped = np.zeros(0, dtype=np.intp)  # rejected 32-bit draws, by stream index
+    extra = np.zeros(m, dtype=np.intp)
+    while True:
+        counts = k + extra
+        first = np.cumsum(counts) - counts  # 32-bit draws made before each customer
+        fresh = (first + counts + 1) // 2 - (first + 1) // 2  # raw words its draws open
+        is_pair = np.repeat(np.tile([True, False], m),
+                            np.column_stack([fresh, np.full(m, 2 * degree)]).ravel())
+        raw = np.random.PCG64(seed).random_raw(is_pair.size)
+        halves = _halves(raw[is_pair]).ravel()[:m * k + dropped.size]
+        if dropped.size:
+            halves = np.delete(halves, dropped)
+        product = _halves(halves.reshape(m, k) * span)
+        rejected = product[..., 0] < threshold
+        if not rejected.any():
+            break
+        v, at = divmod(int(rejected.argmax()), k)
+        kept = v * k + at
+        dropped = np.append(dropped, kept + np.searchsorted(dropped - np.arange(dropped.size),
+                                                            kept, side="right"))
+        extra[v] += 1
+    doubles = raw[~is_pair]
+    doubles >>= np.uint64(11)
+    doubles = doubles.view(np.int64) * (1.0 / (1 << 53))
+    return product[..., 1], doubles.reshape(m, 2 * degree)
+
+
+def _halves(words: np.ndarray) -> np.ndarray:
+    """The 32-bit halves of uint64 ``words``, low then high, as a view with
+    a trailing axis of two whatever the host's byte order."""
+    return words.astype("<u8", copy=False).view("<u4").reshape(*words.shape, 2)
+
+
+def _sort_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of ``values`` sorted, ties by column, and the column each
+    sorted entry came from.  Entries and row length must be below 2**32."""
+    bits = np.uint64(max(values.shape[1] - 1, 0).bit_length())
+    keys = np.sort(values.astype(np.uint64) << bits | np.arange(values.shape[1], dtype=np.uint64),
+                   axis=1)
+    return keys >> bits, (keys & ((np.uint64(1) << bits) - np.uint64(1))).astype(np.intp)
+
+
+def _floyd(values: np.ndarray, n: int) -> np.ndarray:
+    """Floyd's sample per row: step t draws ``values[:, t]`` on [0, j] for
+    j = n - d + t and takes j instead when the draw is already taken.
+
+    Picks below n - d are only ever draws, so such a draw is taken iff
+    drawn at an earlier step.  A draw h in [n - d, j) is also taken when
+    step h - (n - d), whose j is h, took its j.  Memory stays O(m * d)
+    whatever n is.
+    """
+    m, d = values.shape
+    rows = np.arange(m)
+    ordered, column = _sort_rows(values)
+    taken = np.zeros(d * m, dtype=bool)  # step-major, flat
+    taken[(column[:, 1:] * m + rows[:, None]).ravel()] = (ordered[:, 1:] == ordered[:, :-1]).ravel()
+    source = np.ascontiguousarray(values.T) - (n - d)  # the step whose j is the draw
+    chain = (source >= 0) & (source < np.arange(d)[:, None])
+    link = np.where(chain, source, 0) * m + rows  # that step's flat index in taken
+    for t in np.flatnonzero(chain.any(axis=1)).tolist():
+        taken[t * m:(t + 1) * m] |= chain[t] & taken[link[t]]
+    return np.where(taken.reshape(d, m).T, np.arange(n - d, n), values)
+
+
+def _tail_shuffle(values: np.ndarray, n: int) -> np.ndarray:
+    """The last d entries of ``arange(n)`` per row after the Fisher-Yates
+    steps i = n-1, ..., n-d, step t swapping positions i and ``values[:, t]``.
+
+    Only the positions the steps touch are held, by their rank in the row.
+    """
+    m, d = values.shape
+    rows = np.arange(m)
+    positions = np.concatenate([values, np.broadcast_to(np.arange(n - 1, n - d - 1, -1), (m, d))],
+                               axis=1)
+    ordered, column = _sort_rows(positions)
+    rank = np.empty((2 * d, m), dtype=np.intp)  # step-major
+    rank[column, rows[:, None]] = np.cumsum(np.diff(ordered, axis=1, prepend=ordered[:, :1]) != 0,
+                                            axis=1)
+    slot = rank * m + rows
+    held = np.empty(2 * d * m, dtype=np.intp)
+    held[slot] = positions.T
+    picks = np.empty((d, m), dtype=np.intp)
+    for t in range(d):
+        picks[t] = held[slot[t]]
+        held[slot[t]] = held[slot[d + t]]
+    return picks.T
+
+
 def generate_instance(n: int, m: int, mean_degree: float,
                       p_dist: tuple[float, float], pf_dist: tuple[float, float],
                       seed: int, k_L: int | None = None,
@@ -336,13 +463,19 @@ def generate_instance(n: int, m: int, mean_degree: float,
     Every customer gets the same number of neighbors, the rounded mean
     degree (at least 1), drawn uniformly without replacement; edge
     probabilities are drawn from the given uniform ranges.  The output is
-    a pure function of the arguments.  Each customer's media come from
-    one ``rng.choice`` and its ``2 * degree`` probabilities from one
-    ``rng.random`` call, read pairwise (p, p_F) per sorted medium: the
-    same doubles, in the same order, as one scalar ``rng.uniform`` per
-    probability, mapped as ``lo + (hi - lo) * d`` like ``uniform`` does.
-    Budgets default to k_L=1, k_F=2 (the benchmark defaults), clamped to
-    the media count.
+    a pure function of the arguments.  Budgets default to k_L=1, k_F=2
+    (the benchmark defaults), clamped to the media count.
+
+    The random stream is defined on the raw 64-bit words of
+    ``np.random.PCG64(seed)``, which NEP 19 keeps stable across numpy
+    releases.  It is the stream of a loop that, per customer, calls
+    ``rng.choice(n, degree, replace=False)`` and then ``rng.random`` for
+    ``2 * degree`` doubles, read pairwise (p, p_F) per sorted medium and
+    mapped as ``lo + (hi - lo) * d`` like ``uniform`` does; numpy 2.4's
+    ``choice`` is Floyd's algorithm with a shuffle, or a tail shuffle for
+    large n, over Lemire's bounded integers.  ``_raw_draws`` computes
+    every draw of that loop from one ``random_raw`` block.  Media counts
+    from 2**32 up would need 64-bit draws and are rejected.
     """
     for name, (a, b) in (("p", p_dist), ("pf", pf_dist)):
         if not (0.0 <= a <= b <= 1.0):
@@ -351,21 +484,37 @@ def generate_instance(n: int, m: int, mean_degree: float,
         raise ValueError(f"mean degree {mean_degree} exceeds media count {n}")
     if n <= 0 and m > 0:
         raise ValueError("cannot attach customers to an empty media set")
+    if n >= 1 << 32 and m > 0:
+        raise ValueError(f"media count {n} is too large to generate: need n < 2**32")
     k_L = min(1, n) if k_L is None else k_L
     k_F = min(2, n) if k_F is None else k_F
     if m < 0 or not (0 <= k_L <= n and 0 <= k_F <= n):
         raise ValueError(f"need m >= 0 and budgets in [0, n], got n={n}, m={m}, k_L={k_L}, k_F={k_F}")
     degree = max(1, int(round(mean_degree))) if m > 0 else 0
     degree = min(degree, n)
-    rng = np.random.default_rng(seed)
-    media = np.empty((m, degree), dtype=np.intp)
-    draws = np.empty((m, 2 * degree))
-    for v in range(m):
-        media[v] = rng.choice(n, size=degree, replace=False)
-        rng.random(out=draws[v])
+    floyd = n <= _FLOYD_MAX_N or degree <= n // _FLOYD_FRACTION
+    low = max(n - degree, 1)  # Floyd makes no draw on [0, 0]; the tail shuffle stops at 1
+    if floyd:  # the picks, then a shuffle whose draws are only consumed: media get sorted
+        bounds = np.r_[np.arange(low, n), np.arange(degree - 1, 0, -1)]
+    else:
+        bounds = np.arange(n - 1, low - 1, -1)
+    bounded, draws = _raw_draws(seed, m, degree, bounds)
+    bounded = bounded[:, :n - low].astype(np.intp)  # the picks' draws; the rest only shuffle
+    if degree == n:
+        media = np.tile(np.arange(n), (m, 1))
+    elif floyd:
+        media = _floyd(bounded, n)
+    else:
+        media = _tail_shuffle(bounded, n)
     media.sort(axis=1)
     (p_lo, p_hi), (pf_lo, pf_hi) = map(float, p_dist), map(float, pf_dist)
-    pv = p_lo + (p_hi - p_lo) * draws[:, 0::2]
-    pfv = pf_lo + (pf_hi - pf_lo) * draws[:, 1::2]
-    return BipartiteInfluenceGame.from_arrays(n, m, media.ravel(), np.repeat(np.arange(m), degree),
-                                              pv.ravel(), pfv.ravel(), k_L, k_F)
+    pv = (p_hi - p_lo) * draws[:, 0::2]
+    pv += p_lo
+    pfv = (pf_hi - pf_lo) * draws[:, 1::2]
+    pfv += pf_lo
+    # A stable sort by medium of these customer-major edges is the game's (u, v) order.
+    order = np.argsort(media.ravel().astype(np.min_scalar_type(n)), kind="stable")
+    game = BipartiteInfluenceGame.__new__(BipartiteInfluenceGame)
+    game._keep(n, m, k_L, k_F, media.ravel()[order], order // max(degree, 1),
+               pv.ravel()[order], pfv.ravel()[order])
+    return game

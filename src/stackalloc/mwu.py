@@ -28,7 +28,7 @@ from . import follower as follower_mod
 from . import payoff
 from .follower import TIE_TOL, BestResponseResult, FollowerOracle, follower_oracle
 from .lp import LpNumericsError
-from .model import BipartiteInfluenceGame, MixedStrategy, PureStrategy
+from .model import BipartiteInfluenceGame, MixedStrategy, PureStrategy, require_integer
 
 
 @dataclass(frozen=True)
@@ -38,8 +38,7 @@ class MwuConfig:
     learning_rate: float | str = "auto"  # "auto" = sqrt(ln|D_F| / T)
 
     def __post_init__(self):
-        if isinstance(self.iterations, bool) or not isinstance(self.iterations, numbers.Integral):
-            raise ValueError(f"iterations must be an integer, not {self.iterations!r}")
+        require_integer("iterations", self.iterations)
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if not 0.0 < self.epsilon < 1.0:

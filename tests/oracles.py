@@ -6,7 +6,9 @@ enumerating the underlying success/failure events, and best responses by
 exhaustive subset enumeration; a strong equilibrium by one scipy LP per
 follower response on those brute-force tables; and the per-line instance
 loader that ``load_instance`` replaced, as the reference for its
-differential tests.
+differential tests; and the per-customer generation loop that
+``generate_instance`` replaced, as the byte-for-byte reference for its
+raw-word sampler.
 
 The exceptions reuse package pieces on purpose, so that outcomes can be
 compared bit for bit: the reference for the exact solvers' infeasibility
@@ -288,3 +290,27 @@ def load_instance(stream):
     if problem is not None:
         raise InstanceFormatError(0, problem)
     return game
+
+
+def generate_instance(n, m, mean_degree, p_dist, pf_dist, seed, k_L=None, k_F=None):
+    """Reference generator: one ``rng.choice`` and one ``rng.random`` call
+    per customer, the loop whose stream ``generate_instance`` reproduces.
+
+    Argument checks are left to the package function; call it first.
+    """
+    k_L = min(1, n) if k_L is None else k_L
+    k_F = min(2, n) if k_F is None else k_F
+    degree = max(1, int(round(mean_degree))) if m > 0 else 0
+    degree = min(degree, n)
+    rng = np.random.default_rng(seed)
+    media = np.empty((m, degree), dtype=np.intp)
+    draws = np.empty((m, 2 * degree))
+    for v in range(m):
+        media[v] = rng.choice(n, size=degree, replace=False)
+        rng.random(out=draws[v])
+    media.sort(axis=1)
+    (p_lo, p_hi), (pf_lo, pf_hi) = map(float, p_dist), map(float, pf_dist)
+    pv = p_lo + (p_hi - p_lo) * draws[:, 0::2]
+    pfv = pf_lo + (pf_hi - pf_lo) * draws[:, 1::2]
+    return BipartiteInfluenceGame.from_arrays(n, m, media.ravel(), np.repeat(np.arange(m), degree),
+                                              pv.ravel(), pfv.ravel(), k_L, k_F)

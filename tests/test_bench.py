@@ -132,6 +132,60 @@ def test_parallel_run_matches_sequential(monkeypatch):
     assert strip_timings(parallel) == strip_timings(sequential)
 
 
+@pytest.mark.parametrize("overrides", [
+    dict(trials=2.5), dict(trials=True), dict(base_seed=1.5), dict(heuristic_ell=2.5),
+    dict(heuristic_ell=False), dict(budgets=((1.5, 1),)), dict(budgets=((1, True),)),
+])
+def test_spec_rejects_non_integer_counts(overrides):
+    with pytest.raises(ValueError, match="must be an integer"):
+        tiny_spec(**overrides)
+
+
+def test_spec_accepts_numpy_integers():
+    spec = tiny_spec(trials=np.int64(1), base_seed=np.int32(10), heuristic_ell=np.int64(3),
+                     budgets=((np.int64(1), np.int8(1)),))
+    assert strip_timings(run_experiment(spec)) == strip_timings(run_experiment(tiny_spec(trials=1)))
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    started: list[int] = []
+
+    def __init__(self, max_workers):
+        RecordingPool.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable):
+        return map(fn, iterable)
+
+
+@pytest.mark.parametrize("threads,cpus,trials,budgets,started", [
+    ("500", 4, 1, ((1, 1),), []),           # one payload: in-process, no pool
+    ("500", 4, 3, ((1, 1), (2, 1)), [4]),   # capped by the CPU count
+    ("500", 16, 3, ((1, 1), (2, 1)), [6]),  # capped by the payload count
+    ("2", 16, 3, ((1, 1), (2, 1)), [2]),    # as asked
+    ("500", 1, 3, ((1, 1),), []),           # one CPU: in-process
+])
+def test_worker_count_is_bounded_by_payloads_and_cpus(monkeypatch, threads, cpus, trials,
+                                                      budgets, started):
+    from stackalloc import bench
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(bench.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(RecordingPool, "started", [])
+    monkeypatch.setenv("STACKALLOC_THREADS", threads)
+    spec = tiny_spec(trials=trials, budgets=budgets)
+    rows = run_experiment(spec)
+    assert RecordingPool.started == started
+    monkeypatch.delenv("STACKALLOC_THREADS")
+    assert strip_timings(rows) == strip_timings(run_experiment(spec))
+
+
 def test_parse_spec_round_trip():
     data = {
         "n": 6, "m": 10, "mean_degree": 2.0, "p": [0.0, 0.2], "p_f": [0.1, 0.9],

@@ -127,6 +127,27 @@ def test_solve_cap_error_exit_code(capsys, tmp_path):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("algorithm", ["greedy", "exact"])
+def test_solve_instance_too_large_for_memory_exit_code(capsys, tmp_path, algorithm):
+    # The loader accepts a header-only file of any size; 10**15 customers
+    # ask for more than any 64-bit address space, so nothing is allocated.
+    path = tmp_path / "huge.txt"
+    path.write_text(f"2 {10 ** 15} 1 1\n")
+    code, out, err = run_cli(capsys, "solve", "--instance", str(path), "--algorithm", algorithm)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: instance too large")
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "-1", "inf"])
+def test_solve_rejects_a_bad_tie_tolerance(capsys, no_pure_optimum_path, tolerance):
+    code, out, err = run_cli(capsys, "solve", "--instance", no_pure_optimum_path,
+                             "--algorithm", "greedy", "--tie-tolerance", tolerance)
+    assert code == 2
+    assert out == ""
+    assert "tie tolerance" in err
+
+
 def test_solve_numerics_error_exit_code(capsys, monkeypatch, no_pure_optimum_path):
     def failing(game):
         raise LpNumericsError("re-evaluated value disagrees with LP value")

@@ -153,6 +153,10 @@ def test_heuristic_scores_each_prefix_once(no_pure_optimum):
 def test_heuristic_rejects_bad_ell(no_pure_optimum):
     with pytest.raises(ValueError):
         solve_heuristic(no_pure_optimum, 0)
+    for ell in (2.5, True, "3"):
+        with pytest.raises(ValueError, match="ell must be an integer"):
+            solve_heuristic(no_pure_optimum, ell)
+    assert solve_heuristic(no_pure_optimum, np.int64(3))[1] == solve_heuristic(no_pure_optimum, 3)[1]
 
 
 def test_greedy_baseline_overfunding_trap(overfunding_trap):

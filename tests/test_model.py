@@ -12,6 +12,7 @@ from stackalloc import (BipartiteInfluenceGame, FractionalAllocation,
                         is_disjoint, load_instance, validate)
 from stackalloc.model import count_subsets, iter_subsets
 
+import oracles
 from conftest import make_private_customers, make_no_pure_optimum, make_overfunding_trap, random_game
 
 
@@ -204,6 +205,48 @@ def test_generate_instance_rejects_bad_arguments():
         generate_instance(3, 5, 1.0, (0.5, 0.1), (0.0, 0.5), seed=0)
 
 
+def assert_same_dump(*args):
+    """generate_instance and the reference loop write the same file."""
+    ours, reference = io.StringIO(), io.StringIO()
+    dump_instance(generate_instance(*args), ours)
+    dump_instance(oracles.generate_instance(*args), reference)
+    ours, reference = ours.getvalue().splitlines(), reference.getvalue().splitlines()
+    line = next((i for i, pair in enumerate(zip(ours, reference)) if pair[0] != pair[1]),
+                min(len(ours), len(reference)))
+    assert len(ours) == len(reference) == line, f"{args}: first difference on line {line + 1}"
+
+
+# (n, m, mean degree): the paper's shape, the four exact-lp shapes of the
+# benchmark, degree = n, one medium, no customers, and numpy's tail-shuffle
+# branch of choice (n > 10000 and degree > n // 50).
+SAMPLER_SHAPES = [(20, 844, 3506 / 844), (10, 200, 3), (10, 100, 3), (12, 400, 1), (15, 300, 1),
+                  (7, 40, 7), (1, 9, 1), (5, 0, 2), (0, 0, 0), (10001, 60, 201)]
+
+
+@pytest.mark.parametrize("n,m,degree", SAMPLER_SHAPES)
+def test_generate_instance_replays_the_per_customer_loop(n, m, degree):
+    for seed in range(4):
+        assert_same_dump(n, m, degree, (0.0, 0.2), (0.1, 0.9), seed)
+
+
+@pytest.mark.parametrize("n,m,degree,seeds", [
+    # Floyd's branch: the draw on [0, n - 1] is rejected with probability
+    # about 1/2, so most customers redraw, some several times.
+    (2 ** 31 + 1, 50, 4, (0, 1)),
+    # The tail shuffle: seeds 0 and 4 each reject two 32-bit draws here.
+    (100000, 60, 2001, (0, 4)),
+])
+def test_generate_instance_replays_rejected_draws(n, m, degree, seeds):
+    for seed in seeds:
+        assert_same_dump(n, m, degree, (0.0, 1.0), (0.0, 1.0), seed)
+
+
+def test_generate_instance_rejects_media_counts_that_need_64_bit_draws():
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        generate_instance(2 ** 32, 1, 1, (0.0, 0.2), (0.1, 0.9), seed=0)
+    assert generate_instance(2 ** 32, 0, 1, (0.0, 0.2), (0.1, 0.9), seed=0).edge_media.size == 0
+
+
 @pytest.mark.parametrize("n,m,k_L,k_F", [
     (3, 5, 5, None), (3, 5, None, 4), (3, 5, -1, None), (3, 5, None, -2),
     (-1, 0, None, None), (-1, 0, 0, 0), (3, -1, None, None),
@@ -285,8 +328,10 @@ def test_subset_enumeration_order_and_count():
     assert count_subsets(3, 5) == 8  # max_size clamps at n
 
 
-# SHA-256 of dump_instance, recorded before generation batched its uniform
-# draws; any change to the random stream or its use breaks these.
+# SHA-256 of dump_instance, recorded when generation still called
+# rng.choice and rng.random per customer; they hold unchanged for the
+# sampler that replays that stream from raw PCG64 words.  Any change to
+# the random stream or its use breaks these.
 GOLDEN_SHAPES = (
     dict(n=20, m=844, mean_degree=3506 / 844, p_dist=(0.0, 1.0), pf_dist=(0.1, 0.9),
          k_L=2, k_F=2),
