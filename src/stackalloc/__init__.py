@@ -11,10 +11,9 @@ from .follower import (BestResponseResult, FollowerOracle, best_response,
                        best_response_value, enumerate_follower, follower_oracle)
 from .heuristic import greedy_baseline, solve_heuristic
 from .lp import LinearProgram, LpOutcome, PivotLimitError, solve_lp
-from .model import (BipartiteInfluenceGame, CapExceededError, FractionalAllocation,
-                    InstanceFormatError, MixedStrategy, PureStrategy, allocation_of,
-                    dump_instance, generate_instance, is_disjoint, load_instance,
-                    validate)
+from .model import (BipartiteInfluenceGame, CapExceededError, InstanceFormatError,
+                    MixedStrategy, PureStrategy, allocation_of, dump_instance,
+                    generate_instance, is_disjoint, load_instance, validate)
 from .mwu import (ApproxCertificate, MwuConfig, certify,
                   greedy_weighted_submodular, solve_mwu)
 from .payoff import (UtilityPair, activation_vector, mixed_activation_vector, phi,
@@ -23,7 +22,7 @@ from .payoff import (UtilityPair, activation_vector, mixed_activation_vector, ph
 __all__ = [
     "ApproxCertificate", "BestResponseResult", "BipartiteInfluenceGame",
     "CapExceededError", "EquilibriumResult", "ExperimentRow", "ExperimentSpec",
-    "FollowerOracle", "FractionalAllocation", "InstanceFormatError",
+    "FollowerOracle", "InstanceFormatError",
     "LinearProgram", "LpOutcome", "MixedStrategy", "MwuConfig",
     "PivotLimitError", "PureStrategy", "UtilityPair",
     "activation_vector", "allocation_of", "best_response", "best_response_value",

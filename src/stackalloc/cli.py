@@ -29,7 +29,7 @@ EXIT_NUMERICS = 4
 def _strategy_json(game: BipartiteInfluenceGame, x: MixedStrategy) -> dict:
     return {
         "support": [{"media": list(s.media), "prob": w} for s, w in x],
-        "allocation": [float(v) for v in allocation_of(x, game.n).r],
+        "allocation": [float(v) for v in allocation_of(x, game.n)],
     }
 
 

@@ -11,8 +11,8 @@ Two routes to the same object:
   adjacent medium.  Utilities then depend on a mixed strategy only
   through its fractional allocation r (r_u = funding probability of u),
   so the per-candidate LP shrinks to n variables over the polytope
-  Q = {0 <= r <= 1, sum r <= k_L}, and a mixed strategy with support at
-  most n+1 is recovered from the optimal r afterwards.
+  Q = {0 <= r <= 1, sum r <= k_L}, and systematic sampling recovers a
+  mixed strategy with support at most n+1 from the optimal r.
 
 Most candidates cannot be induced, and most of those are decided before
 any LP is built.  y* is not inducible when some row of its LP cannot hold
@@ -42,14 +42,15 @@ import numpy as np
 from . import follower as follower_mod
 from . import payoff
 from .lp import FEAS_TOL, LinearProgram, LpNumericsError, solve_lp
-from .model import (BipartiteInfluenceGame, CapExceededError, FractionalAllocation,
-                    MixedStrategy, PureStrategy, allocation_of, count_subsets,
-                    iter_subsets)
+from .model import (BipartiteInfluenceGame, CapExceededError, MixedStrategy,
+                    PureStrategy, count_subsets, is_disjoint, iter_subsets,
+                    require_integer)
 
 DEFAULT_LEADER_CAP = 10 ** 5
 VALUE_TIE_TOL = 1e-9
 REVERIFY_TOL = 1e-6
 PRUNE_TOL = 1e-12
+Q_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -92,6 +93,30 @@ def _finish(game: BipartiteInfluenceGame, x: MixedStrategy, y_star: PureStrategy
     return EquilibriumResult(leader=x, follower=y_star, value=value, per_y_values=per_y)
 
 
+def _best_candidate(oracle: follower_mod.FollowerOracle, candidate_lp):
+    """Solve each candidate's LP; return the audit trail and the winner.
+
+    ``candidate_lp(yi)`` gives candidate yi's LP, or None when the screen
+    rules it out.  The winner ``(value, yi, x)`` is the first candidate
+    that no later one beats by more than ``VALUE_TIE_TOL``.
+    """
+    per_y: dict[PureStrategy, tuple[str, float | None]] = {}
+    best: tuple[float, int, np.ndarray] | None = None
+    for yi, y_star in enumerate(oracle.strategies):
+        lp = candidate_lp(yi)
+        if lp is None:
+            per_y[y_star] = ("infeasible", None)
+            continue
+        out = solve_lp(lp)
+        per_y[y_star] = (out.status, out.value)
+        if out.status == "optimal" and (best is None or out.value > best[0] + VALUE_TIE_TOL):
+            best = (out.value, yi, out.x)
+    if best is None:
+        raise LpNumericsError(
+            "no candidate LP was feasible, but some response is always inducible")
+    return per_y, best
+
+
 def solve_multi_lp(game: BipartiteInfluenceGame,
                    leader_cap: int = DEFAULT_LEADER_CAP,
                    follower_cap: int = follower_mod.DEFAULT_FOLLOWER_CAP) -> EquilibriumResult:
@@ -110,118 +135,67 @@ def solve_multi_lp(game: BipartiteInfluenceGame,
 
     Gt = G.T
     simplex_row = (np.ones(len(leaders)), "=", 1.0)
-    per_y: dict[PureStrategy, tuple[str, float | None]] = {}
-    best: tuple[float, int, np.ndarray] | None = None
-    for yi, y_star in enumerate(oracle.strategies):
+
+    def candidate_lp(yi: int) -> LinearProgram | None:
         # Row y': g(., y*) - g(., y') >= 0; over the simplex its left side
         # is at most the row's largest entry.
         diff = Gt[yi] - Gt
         if (diff.max(axis=1) < -FEAS_TOL).any():
-            per_y[y_star] = ("infeasible", None)
-            continue
+            return None
         rows = list(zip(diff, repeat(">="), repeat(0.0)))
         rows.append(simplex_row)
-        out = solve_lp(LinearProgram(objective=F[:, yi], rows=rows))
-        per_y[y_star] = (out.status, out.value)
-        if out.status != "optimal":
-            continue
-        if best is None or out.value > best[0] + VALUE_TIE_TOL:
-            best = (out.value, yi, out.x)
-    if best is None:
-        raise LpNumericsError(
-            "no candidate LP was feasible, but some response is always inducible")
+        return LinearProgram(objective=F[:, yi], rows=rows)
 
-    lp_value, yi, weights = best
+    per_y, (lp_value, yi, weights) = _best_candidate(oracle, candidate_lp)
     kept = {leaders[i]: float(w) for i, w in enumerate(weights) if w > PRUNE_TOL}
     total = sum(kept.values())
     x = MixedStrategy({s: w / total for s, w in kept.items()})
     return _finish(game, x, oracle.strategies[yi], lp_value, oracle, per_y)
 
 
-def membership_Q(r, k_L: int, tol: float = 1e-9) -> bool:
-    """Is r in Q = {0 <= r <= 1, sum r <= k_L} (within tolerance)?"""
+def membership_Q(r, k_L: int) -> bool:
+    """Is r in Q = {0 <= r <= 1, sum r <= k_L} (within ``Q_TOL``)?"""
     r = np.asarray(r, dtype=float)
-    if np.any(r < -tol) or np.any(r > 1.0 + tol):
+    if np.any(r < -Q_TOL) or np.any(r > 1.0 + Q_TOL):
         return False
-    return float(r.sum()) <= k_L + tol
+    return float(r.sum()) <= k_L + Q_TOL
 
 
-def decompose_allocation(r, k_L: int, tol: float = 1e-9) -> MixedStrategy:
+def decompose_allocation(r, k_L: int) -> MixedStrategy:
     """Write r in Q as a mix of at most n+1 budget-respecting subsets.
 
-    Peels one vertex of the minimal face of Q containing the current
-    point per step: coordinates already at 0 or 1 are kept, the free
-    coordinates are rounded up in descending order until k_L media are
-    funded, and the largest step toward that vertex that keeps the
-    remainder inside Q is removed.  The binding coordinate of each step
-    becomes integral exactly, so at most n peels happen before the
-    remainder is itself a vertex.
+    Systematic sampling (Madow 1949): medium u owns [R_u, R_{u+1}) of the
+    cumulative sums R of r, and the comb t, t+1, ..., t+k_L-1 funds every
+    medium whose interval holds a tooth, so u is funded with probability
+    r_u when t is uniform on [0, 1).  Each segment of [0, 1) between the
+    cuts R_u mod 1 gives one atom, weighted by its length; rounding
+    slivers of at most ``PRUNE_TOL`` are dropped and the rest renormalized.
     """
-    if isinstance(r, FractionalAllocation):
-        r = r.r
-    rho = np.asarray(r, dtype=float).copy()
-    n = rho.size
-    if not membership_Q(rho, k_L, tol):
+    require_integer("k_L", k_L)
+    rho = np.asarray(r, dtype=float)
+    if rho.ndim != 1:
+        raise ValueError(f"allocation must be a vector, got shape {rho.shape}")
+    if not membership_Q(rho, k_L):
         raise ValueError(f"allocation outside Q (budget {k_L}): {rho}")
     rho = np.clip(rho, 0.0, 1.0)
     total = float(rho.sum())
     if total > k_L:
         rho *= k_L / total
 
-    snap = 1e-12
+    R = np.concatenate(([0.0], np.cumsum(rho)))          # R_0 = 0, ..., R_n
+    cuts = np.sort(np.concatenate((R - np.floor(R), [1.0])))
     atoms: dict[PureStrategy, float] = {}
-    mass = 1.0
-    for _ in range(n + 1):
-        rho[rho < snap] = 0.0
-        rho[rho > 1.0 - snap] = 1.0
-        free = np.nonzero((rho > 0.0) & (rho < 1.0))[0]
-        ones = np.nonzero(rho == 1.0)[0]
-        if ones.size > k_L:
-            # Near-1 peel steps can snap one coordinate too many once the
-            # residual mass is tiny; dropping the tail costs at most that
-            # residual, far below the reconstruction tolerance.
-            ones = ones[:k_L]
-        if free.size == 0:
-            z = PureStrategy(tuple(int(u) for u in ones))
-            atoms[z] = atoms.get(z, 0.0) + mass
-            mass = 0.0
-            break
-        room = k_L - ones.size
-        # Descending value, then ascending index, for a deterministic vertex.
-        order = sorted(free, key=lambda u: (-rho[u], u))
-        up = order[:room]
-        zmask = np.zeros(n)
-        zmask[ones] = 1.0
-        zmask[up] = 1.0
-        z_size = ones.size + len(up)
-
-        # Track 1-lam alongside lam from the binding term itself, so the
-        # binding coordinate becomes exactly integral after the update.
-        lam, comp = 1.0, 0.0
-        for u in free:
-            term, term_comp = (rho[u], 1.0 - rho[u]) if zmask[u] else (1.0 - rho[u], rho[u])
-            if term < lam:
-                lam, comp = term, term_comp
-        if z_size < k_L:
-            # Cannot bind: an underfilled vertex contains every free
-            # coordinate, so the step to the budget face exceeds 1.
-            term = (k_L - float(rho.sum())) / (k_L - z_size)
-            if term < lam:
-                lam, comp = term, 1.0 - term
-        if not 0.0 < lam < 1.0:
-            raise LpNumericsError(f"degenerate peel step lam={lam}")
-
-        z = PureStrategy(tuple(int(u) for u in np.nonzero(zmask)[0]))
-        atoms[z] = atoms.get(z, 0.0) + mass * lam
-        # Update only the free coordinates; integral ones are pinned so
-        # rounding in lam/comp can never un-fix them.
-        new_rho = rho.copy()
-        new_rho[free] = np.clip((rho[free] - lam * zmask[free]) / comp, 0.0, 1.0)
-        rho = new_rho
-        mass *= comp
-    else:  # pragma: no cover - the peel argument bounds the loop
-        raise LpNumericsError("decomposition failed to terminate in n+1 steps")
-    return MixedStrategy(atoms)
+    for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+        if hi - lo <= PRUNE_TOL:
+            continue
+        # For t inside the segment, R_u - t is no integer, so t + j < R_u
+        # for floor(R_u - t) + 1 of the teeth j < k_L.  u's interval holds
+        # those below R_{u+1} but not below R_u.
+        below = np.clip(np.floor(R - 0.5 * (lo + hi)) + 1.0, 0.0, k_L)
+        z = PureStrategy(tuple(np.flatnonzero(below[1:] > below[:-1]).tolist()))
+        atoms[z] = atoms.get(z, 0.0) + (hi - lo)
+    mass = sum(atoms.values())
+    return MixedStrategy({z: w / mass for z, w in atoms.items()})
 
 
 def solve_disjoint_lp(game: BipartiteInfluenceGame,
@@ -234,8 +208,6 @@ def solve_disjoint_lp(game: BipartiteInfluenceGame,
     sum_u sum_{v in N_u} p_uv (y*_u - y_u)(1 - (p_uv - p_F,uv) r_u) >= 0.
     The optimal allocation is decomposed back into a mixed strategy.
     """
-    from .model import is_disjoint
-
     if not is_disjoint(game):
         raise ValueError("instance has a customer with several media; use solve_multi_lp")
     oracle = follower_mod.follower_oracle(game, follower_cap)
@@ -247,14 +219,12 @@ def solve_disjoint_lp(game: BipartiteInfluenceGame,
                      weights=game.edge_p * (game.edge_p - game.edge_pf), minlength=n)
     ymat = np.array([y.mask(n) for y in oracle.strategies], dtype=float)
 
-    per_y: dict[PureStrategy, tuple[str, float | None]] = {}
-    best: tuple[float, int, np.ndarray] | None = None
     budget_row = (np.ones(n), "<=", float(game.k_L))
     bounds = [(0.0, 1.0)] * n
     top = min(game.k_L, n)
-    for yi, y_star in enumerate(oracle.strategies):
+
+    def candidate_lp(yi: int) -> LinearProgram | None:
         ys = ymat[yi]
-        objective = a - ys * d
         # Row y: g(r, y*) - g(r, y) = sum_u diff_u * (a_u - bq_u r_u) >= 0.
         diff = ys - ymat
         coef, rhs = -diff * bq, -diff @ a
@@ -262,20 +232,11 @@ def solve_disjoint_lp(game: BipartiteInfluenceGame,
         # coefficients.
         reach = np.sort(np.maximum(coef, 0.0), axis=1)[:, n - top:].sum(axis=1)
         if (reach < rhs - FEAS_TOL * np.maximum(1.0, np.abs(rhs))).any():
-            per_y[y_star] = ("infeasible", None)
-            continue
+            return None
         rows = list(zip(coef, repeat(">="), rhs.tolist()))
         rows.append(budget_row)
-        out = solve_lp(LinearProgram(objective=objective, rows=rows, bounds=bounds))
-        per_y[y_star] = (out.status, out.value)
-        if out.status != "optimal":
-            continue
-        if best is None or out.value > best[0] + VALUE_TIE_TOL:
-            best = (out.value, yi, out.x)
-    if best is None:
-        raise LpNumericsError(
-            "no candidate LP was feasible, but some response is always inducible")
+        return LinearProgram(objective=a - ys * d, rows=rows, bounds=bounds)
 
-    lp_value, yi, r = best
+    per_y, (lp_value, yi, r) = _best_candidate(oracle, candidate_lp)
     x = decompose_allocation(r, game.k_L)
     return _finish(game, x, oracle.strategies[yi], lp_value, oracle, per_y)

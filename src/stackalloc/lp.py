@@ -126,8 +126,7 @@ def _spend(budget: list[int]) -> None:
     budget[0] -= 1
 
 
-def _simplex(T: np.ndarray, basis: list[int], pivot_tol: float,
-             budget: list[int]) -> str:
+def _simplex(T: np.ndarray, basis: list[int], budget: list[int]) -> str:
     """Run pivots until optimal/unbounded; T's last row holds z-c and the objective."""
     bland = False
     stall = 0
@@ -135,16 +134,16 @@ def _simplex(T: np.ndarray, basis: list[int], pivot_tol: float,
     while True:
         red = T[-1, :-1]
         if bland:
-            candidates = np.nonzero(red < -pivot_tol)[0]
+            candidates = np.nonzero(red < -PIVOT_TOL)[0]
             if candidates.size == 0:
                 return "optimal"
             j = int(candidates[0])
         else:
             j = int(np.argmin(red))
-            if red[j] >= -pivot_tol:
+            if red[j] >= -PIVOT_TOL:
                 return "optimal"
         col = T[:nrows, j]
-        positive = col > pivot_tol
+        positive = col > PIVOT_TOL
         if not positive.any():
             return "unbounded"
         ratios = np.full(nrows, np.inf)
@@ -152,7 +151,7 @@ def _simplex(T: np.ndarray, basis: list[int], pivot_tol: float,
         best = ratios.min()
         # Deterministic leaving rule: smallest basic-variable index among
         # the minimum ratios (also mildly anti-degenerate).
-        tied = np.nonzero(ratios <= best + pivot_tol * max(1.0, abs(best)))[0]
+        tied = np.nonzero(ratios <= best + PIVOT_TOL * max(1.0, abs(best)))[0]
         i = int(min(tied, key=lambda r: basis[r]))
         _spend(budget)
         before = T[-1, -1]
@@ -173,8 +172,7 @@ def _cost_row(T: np.ndarray, basis: list[int], costs: np.ndarray) -> None:
     T[-1, -1] = c_basis @ T[:-1, -1]
 
 
-def solve_lp(lp: LinearProgram, pivot_tol: float = PIVOT_TOL,
-             max_pivots: int = MAX_PIVOTS) -> LpOutcome:
+def solve_lp(lp: LinearProgram, max_pivots: int = MAX_PIVOTS) -> LpOutcome:
     """Solve to a certified status; see module docstring."""
     n = lp.objective.size
     lower = lp.lower
@@ -224,7 +222,7 @@ def solve_lp(lp: LinearProgram, pivot_tol: float = PIVOT_TOL,
         costs1 = np.zeros(T.shape[1] - 1)
         costs1[C2:] = -1.0
         _cost_row(T, basis, costs1)
-        status = _simplex(T, basis, pivot_tol, budget)
+        status = _simplex(T, basis, budget)
         if status != "optimal":  # pragma: no cover - phase 1 is always bounded
             raise LpNumericsError(f"phase 1 ended {status}")
         if T[-1, -1] < -FEAS_TOL:
@@ -235,7 +233,7 @@ def solve_lp(lp: LinearProgram, pivot_tol: float = PIVOT_TOL,
         for i, j in enumerate(basis):
             if j < C2:
                 continue
-            candidates = np.flatnonzero(np.abs(T[i, :C2]) > pivot_tol)
+            candidates = np.flatnonzero(np.abs(T[i, :C2]) > PIVOT_TOL)
             if candidates.size:
                 _spend(budget)
                 _pivot(T, i, int(candidates[0]))
@@ -254,7 +252,7 @@ def solve_lp(lp: LinearProgram, pivot_tol: float = PIVOT_TOL,
     costs2 = np.zeros(C2)
     costs2[:n] = lp.objective
     _cost_row(T, basis, costs2)
-    status = _simplex(T, basis, pivot_tol, budget)
+    status = _simplex(T, basis, budget)
     if status == "unbounded":
         return LpOutcome(status="unbounded")
 

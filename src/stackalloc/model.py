@@ -103,24 +103,6 @@ class MixedStrategy:
         return iter(sorted(self.weights.items()))
 
 
-@dataclass(frozen=True, eq=False)
-class FractionalAllocation:
-    """A vector r in [0,1]^n of per-medium funding probabilities."""
-
-    r: np.ndarray
-
-    def __post_init__(self):
-        r = np.asarray(self.r, dtype=float)
-        object.__setattr__(self, "r", r)
-        if r.ndim != 1:
-            raise ValueError("allocation must be a vector")
-        if np.any(r < -1e-12) or np.any(r > 1.0 + 1e-12):
-            raise ValueError("allocation coordinate outside [0, 1]")
-
-    def total(self) -> float:
-        return float(self.r.sum())
-
-
 @dataclass(frozen=True, eq=False, init=False)
 class BipartiteInfluenceGame:
     """One game instance; immutable after construction.
@@ -247,13 +229,13 @@ def is_disjoint(game: BipartiteInfluenceGame) -> bool:
     return len(set(game.edge_customers.tolist())) == game.edge_customers.size
 
 
-def allocation_of(x: MixedStrategy, n: int) -> FractionalAllocation:
-    """Aggregate a mixed strategy: r_u = total probability of funding u."""
+def allocation_of(x: MixedStrategy, n: int) -> np.ndarray:
+    """Aggregate a mixed strategy: r_u = total probability of funding u, in [0, 1]."""
     r = np.zeros(n)
     for s, w in x.weights.items():
         for u in s:
             r[u] += w
-    return FractionalAllocation(np.clip(r, 0.0, 1.0))
+    return np.clip(r, 0.0, 1.0)
 
 
 def iter_subsets(n: int, max_size: int) -> Iterator[tuple[int, ...]]:

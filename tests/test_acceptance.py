@@ -100,7 +100,7 @@ def test_criterion_06_decomposition_suite():
         k_L = int(rng.integers(0, n + 1))
         r = random_allocation(rng, n, k_L)
         x = sa.decompose_allocation(r, k_L)
-        rec = sa.allocation_of(x, n).r
+        rec = sa.allocation_of(x, n)
         worst_rec = max(worst_rec, float(np.abs(rec - r).max()))
         worst_sum = max(worst_sum, abs(sum(x.weights.values()) - 1.0))
         max_support_excess = max(max_support_excess, len(x.weights) - (n + 1))

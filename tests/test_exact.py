@@ -35,7 +35,7 @@ def test_solve_multi_lp_no_pure_optimum(no_pure_optimum):
     feasible = [v for s, v in res.per_y_values.values() if s == "optimal"]
     assert len(res.per_y_values) == 4
     assert res.value >= max(feasible) - 1e-9
-    assert allocation_of(res.leader, no_pure_optimum.n).total() <= no_pure_optimum.k_L + 1e-9
+    assert allocation_of(res.leader, no_pure_optimum.n).sum() <= no_pure_optimum.k_L + 1e-9
 
 
 def test_solve_multi_lp_overfunding_trap(overfunding_trap):
@@ -74,27 +74,58 @@ def test_decompose_integral_point_mass():
 
 
 def test_decompose_rejects_points_outside_Q():
-    with pytest.raises(ValueError):
-        decompose_allocation(np.array([0.9, 0.9, 0.9]), 2)
+    bad = [([0.9, 0.9, 0.9], 2),  # over budget
+           ([0.5, 0.5], 1.5),  # budget not an integer
+           ([0.5, 0.5], True),
+           ([0.5, 0.5], 1.0),
+           ([[0.5, 0.0], [0.0, 0.5]], 2),  # not a vector
+           (0.5, 1)]
+    for r, k_L in bad:
+        with pytest.raises(ValueError):
+            decompose_allocation(np.array(r), k_L)
+
+
+def _edge_allocations():
+    """Points of Q (and within tolerance of it) that stress the decomposition."""
+    yield np.array([0.1, 0.2, 1.0]), 2  # a 1.0 after a fractional prefix
+    yield np.array([0.1, 0.2, 1.0, 0.5]), 2
+    yield np.array([0.3, 0.3, 0.3, 1.0, 0.7]), 3
+    yield np.array([1 / 3, 1 / 3, 1.0, 1 / 3]), 2
+    yield np.array([1e-11, 0.5, 1.0 - 1e-11, 0.25]), 2  # within 1e-11 of 0 and 1
+    yield np.array([1.0 - 1e-11, 1.0 - 1e-11, 1e-11]), 2
+    yield np.array([9e-13, 0.25, 9e-13, 0.25, 9e-13, 0.25]), 1  # dropped slivers
+    yield np.array([-5e-10, 0.5, 1.0 + 5e-10]), 2  # just outside [0, 1]
+    yield np.array([0.4, 0.6, 0.7, 0.3]), 2  # sum r = k_L exactly
+    yield np.array([0.4, 0.6, 0.7, 0.3 + 5e-10]), 2  # sum r just above k_L
+    yield np.array([0.5, 0.5 + 1e-9, 1.0]), 2
+    yield np.full(250, 209 / 250), 209  # cumsum ends 1e-12 past k_L
+    yield np.array([0.0, 0.0]), 0  # k_L = 0
+    yield np.array([0.37]), 1  # n = 1
+    yield np.array([1.0]), 1
+    yield np.array([0.0]), 0
 
 
 def test_decompose_reconstruction_property():
     rng = np.random.default_rng(303)
+    cases = list(_edge_allocations())
     for _ in range(400):
         n = int(rng.integers(1, 12))
         k_L = int(rng.integers(0, n + 1))
-        r = random_allocation(rng, n, k_L)
+        cases.append((random_allocation(rng, n, k_L), k_L))
+    for r, k_L in cases:
+        n = r.size
         x = decompose_allocation(r, k_L)
         assert len(x.weights) <= n + 1
+        assert all(w > 1e-12 for w in x.weights.values())
         assert sum(x.weights.values()) == pytest.approx(1.0, abs=1e-12)
         assert all(len(s) <= k_L for s in x.weights)
-        assert np.max(np.abs(allocation_of(x, n).r - r)) <= 1e-9
+        assert np.max(np.abs(allocation_of(x, n) - r)) <= 1e-9
 
 
 def test_solve_disjoint_lp_private_customers(private_customers):
     res = solve_disjoint_lp(private_customers)
     assert res.value == pytest.approx(18.0, abs=1e-9)
-    r = allocation_of(res.leader, private_customers.n).r
+    r = allocation_of(res.leader, private_customers.n)
     assert r == pytest.approx([1.0, 1 / 3, 1 / 3, 1.0], abs=1e-7)
     assert len(res.leader.weights) <= private_customers.n + 1
 
@@ -114,7 +145,7 @@ def test_solve_disjoint_lp_no_follower_budget_funds_top_media():
     game = BipartiteInfluenceGame.build(3, 6, rows, k_L=2, k_F=0)
     res = solve_disjoint_lp(game)
     assert res.value == pytest.approx(5.0, abs=1e-9)
-    assert allocation_of(res.leader, 3).r == pytest.approx([1.0, 1.0, 0.0], abs=1e-9)
+    assert allocation_of(res.leader, 3) == pytest.approx([1.0, 1.0, 0.0], abs=1e-9)
 
 
 def test_solve_disjoint_lp_rejects_overlapping_customers(overfunding_trap):
@@ -141,7 +172,7 @@ def test_bilinearity_on_disjoint_instances():
         shuffled = decompose_allocation(r[::-1].copy(), game.k_L)
         x2 = MixedStrategy({PureStrategy.of([game.n - 1 - u for u in s]): w
                             for s, w in shuffled.weights.items()})
-        assert np.allclose(allocation_of(x2, game.n).r, r, atol=1e-9)
+        assert np.allclose(allocation_of(x2, game.n), r, atol=1e-9)
         for y in oracles.subsets_up_to(game.n, game.k_F):
             p1 = utilities_mixed(game, x1, PureStrategy.of(y))
             p2 = utilities_mixed(game, x2, PureStrategy.of(y))

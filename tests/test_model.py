@@ -6,9 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from stackalloc import (BipartiteInfluenceGame, FractionalAllocation,
-                        InstanceFormatError, MixedStrategy, PureStrategy,
-                        allocation_of, dump_instance, generate_instance,
+from stackalloc import (BipartiteInfluenceGame, InstanceFormatError, MixedStrategy,
+                        PureStrategy, allocation_of, dump_instance, generate_instance,
                         is_disjoint, load_instance, validate)
 from stackalloc.model import count_subsets, iter_subsets
 
@@ -270,12 +269,12 @@ def test_is_disjoint():
 
 def test_allocation_of_half_half():
     x = MixedStrategy({PureStrategy.of([0]): 0.5, PureStrategy.of([1]): 0.5})
-    assert np.allclose(allocation_of(x, 3).r, [0.5, 0.5, 0.0])
+    assert np.allclose(allocation_of(x, 3), [0.5, 0.5, 0.0])
 
 
 def test_allocation_of_empty_support():
     x = MixedStrategy.point_mass(PureStrategy.empty())
-    assert np.array_equal(allocation_of(x, 4).r, np.zeros(4))
+    assert np.array_equal(allocation_of(x, 4), np.zeros(4))
 
 
 def test_allocation_of_three_atom_mixture():
@@ -283,7 +282,7 @@ def test_allocation_of_three_atom_mixture():
     x = MixedStrategy({PureStrategy.of([0, 3]): third,
                        PureStrategy.of([0, 1, 3]): third,
                        PureStrategy.of([0, 2, 3]): third})
-    assert np.allclose(allocation_of(x, 4).r, [1.0, third, third, 1.0], atol=1e-15)
+    assert np.allclose(allocation_of(x, 4), [1.0, third, third, 1.0], atol=1e-15)
 
 
 def test_allocation_respects_budget_for_capped_mixes():
@@ -297,8 +296,8 @@ def test_allocation_respects_budget_for_capped_mixes():
         x = MixedStrategy({PureStrategy.of(s): float(wi)
                            for s, wi in zip(sorted(set(subsets)), w)})
         alloc = allocation_of(x, game.n)
-        assert alloc.total() <= game.k_L + 1e-9
-        assert np.all(alloc.r <= 1.0 + 1e-12)
+        assert alloc.sum() <= game.k_L + 1e-9
+        assert np.all(alloc <= 1.0 + 1e-12)
 
 
 def test_mixed_strategy_validation():
@@ -306,12 +305,6 @@ def test_mixed_strategy_validation():
         MixedStrategy({PureStrategy.of([0]): 0.6})  # does not sum to one
     with pytest.raises(ValueError):
         MixedStrategy({PureStrategy.of([0]): 1.2, PureStrategy.of([1]): -0.2})
-
-
-def test_fractional_allocation_bounds():
-    with pytest.raises(ValueError):
-        FractionalAllocation(np.array([1.2, 0.0]))
-    FractionalAllocation(np.array([1.0, 0.3]))  # fine
 
 
 def test_pure_strategy_ordering_is_lexicographic():
