@@ -91,7 +91,7 @@ class ExperimentSpec:
     heuristic_ell: int = 10
 
     def __post_init__(self):
-        for name in ("trials", "base_seed", "heuristic_ell"):
+        for name in ("n", "m", "trials", "base_seed", "heuristic_ell"):
             require_integer(name, getattr(self, name))
         for pair in self.budgets:
             for k in pair:
@@ -115,23 +115,23 @@ class ExperimentSpec:
 
 
 def parse_spec(data: dict[str, Any]) -> ExperimentSpec:
-    """Build a spec from its JSON form, normalizing algorithm aliases."""
+    """Build a spec from its JSON form; aliases are normalized, counts checked, not truncated."""
     try:
         algorithms = tuple(ENGINES.get(a, (a,))[0] for a in data["algorithms"])
         mwu_cfg = data.get("mwu", {})
         heur_cfg = data.get("heuristic", {})
         return ExperimentSpec(
-            n=int(data["n"]), m=int(data["m"]),
+            n=data["n"], m=data["m"],
             mean_degree=float(data["mean_degree"]),
             p_dist=tuple(float(t) for t in data["p"]),
             pf_dist=tuple(float(t) for t in data["p_f"]),
-            budgets=tuple((int(kl), int(kf)) for kl, kf in data["budgets"]),
+            budgets=tuple((kl, kf) for kl, kf in data["budgets"]),
             algorithms=algorithms,
-            trials=int(data.get("trials", 30)),
-            base_seed=int(data.get("base_seed", 0)),
-            mwu_iterations=int(mwu_cfg.get("iterations", 100)),
+            trials=data.get("trials", 30),
+            base_seed=data.get("base_seed", 0),
+            mwu_iterations=mwu_cfg.get("iterations", 100),
             mwu_epsilon=float(mwu_cfg.get("epsilon", 0.5)),
-            heuristic_ell=int(heur_cfg.get("ell", 10)),
+            heuristic_ell=heur_cfg.get("ell", 10),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed experiment spec: {exc}") from exc

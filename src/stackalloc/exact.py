@@ -117,9 +117,7 @@ def _best_candidate(oracle: follower_mod.FollowerOracle, candidate_lp):
     return per_y, best
 
 
-def solve_multi_lp(game: BipartiteInfluenceGame,
-                   leader_cap: int = DEFAULT_LEADER_CAP,
-                   follower_cap: int = follower_mod.DEFAULT_FOLLOWER_CAP) -> EquilibriumResult:
+def solve_multi_lp(game: BipartiteInfluenceGame) -> EquilibriumResult:
     """Exact equilibrium by one LP per candidate follower response.
 
     The LP for y* has one variable per leader pure strategy z:
@@ -128,8 +126,8 @@ def solve_multi_lp(game: BipartiteInfluenceGame,
     x >= 0.  Candidates whose LP is infeasible are not inducible and are
     skipped (recorded in the audit trail).
     """
-    leaders = enumerate_leader(game, leader_cap)
-    oracle = follower_mod.follower_oracle(game, follower_cap)
+    leaders = enumerate_leader(game)
+    oracle = follower_mod.follower_oracle(game)
     pv = payoff.activation_rows(game, leaders)
     F, G = oracle.utilities(pv)                              # f(z, y), g(z, y)
 
@@ -198,8 +196,7 @@ def decompose_allocation(r, k_L: int) -> MixedStrategy:
     return MixedStrategy({z: w / mass for z, w in atoms.items()})
 
 
-def solve_disjoint_lp(game: BipartiteInfluenceGame,
-                      follower_cap: int = follower_mod.DEFAULT_FOLLOWER_CAP) -> EquilibriumResult:
+def solve_disjoint_lp(game: BipartiteInfluenceGame) -> EquilibriumResult:
     """Exact equilibrium for disjoint customers via the n-variable LPs.
 
     For each candidate y* the LP maximizes
@@ -210,7 +207,7 @@ def solve_disjoint_lp(game: BipartiteInfluenceGame,
     """
     if not is_disjoint(game):
         raise ValueError("instance has a customer with several media; use solve_multi_lp")
-    oracle = follower_mod.follower_oracle(game, follower_cap)
+    oracle = follower_mod.follower_oracle(game)
     n = game.n
     # Per-medium aggregates over its customers.
     a = np.bincount(game.edge_media, weights=game.edge_p, minlength=n)

@@ -64,7 +64,7 @@ class FollowerOracle:
     def __init__(self, game: BipartiteInfluenceGame, cap: int = DEFAULT_FOLLOWER_CAP):
         self.strategies = enumerate_follower(game, cap)
         self.activation = payoff.activation_rows(game, self.strategies)
-        self.recapture = payoff.activation_rows(game, self.strategies, game.edge_pf)
+        self.recapture = payoff.activation_rows(game, self.strategies, game.pf_table)
         self.gain = self.activation - self.recapture
         self.activation_sums = self.activation.sum(axis=1)
         self.evaluations = 0  # instrumentation: leader points scored so far

@@ -23,24 +23,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import follower as follower_mod
-from . import payoff
 from .follower import BestResponseResult, FollowerOracle, follower_oracle
 from .model import BipartiteInfluenceGame, MixedStrategy, PureStrategy, require_integer
 
 ACCEPT_TOL = 1e-12  # slack for the "at least as good" acceptance test
-
-
-def _candidate_rows(game: BipartiteInfluenceGame, base_pv: np.ndarray,
-                    survival: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-    """Activation vectors of S + u for each candidate u, as stacked rows."""
-    rows = np.tile(base_pv, (candidates.size, 1))
-    row_of = np.full(game.n, -1, dtype=np.intp)
-    row_of[candidates] = np.arange(candidates.size)
-    edge_rows = row_of[game.edge_media]
-    sel = edge_rows >= 0
-    ev = game.edge_customers[sel]
-    rows[edge_rows[sel], ev] += survival[ev] * game.edge_p[sel]
-    return rows
 
 
 def solve_heuristic(game: BipartiteInfluenceGame, ell: int,
@@ -70,7 +56,7 @@ def solve_heuristic(game: BipartiteInfluenceGame, ell: int,
             if entry is None:
                 candidates = np.array([u for u in range(game.n) if u not in selected],
                                       dtype=np.intp)
-                rows = _candidate_rows(game, 1.0 - survival, survival, candidates)
+                rows = (1.0 - survival) + survival * game.p_table[candidates]
                 entry = scored[prefix] = (candidates, *oracle.utilities(rows))
             candidates, f_rows, g_rows = entry
             values = oracle.optimistic_values(keep * fx + f_rows / i, keep * gx + g_rows / i)
@@ -79,7 +65,7 @@ def solve_heuristic(game: BipartiteInfluenceGame, ell: int,
                 break
             u = int(candidates[r])
             selected.append(u)
-            payoff.fund(game, survival, u)
+            survival *= 1.0 - game.p_table[u]
         chosen = PureStrategy.of(selected)
         weights = {s: w * keep for s, w in weights.items() if w * keep > 0.0}
         weights[chosen] = weights.get(chosen, 0.0) + 1.0 / i
@@ -112,6 +98,6 @@ def greedy_baseline(game: BipartiteInfluenceGame,
         u = int(np.argmax(gains))  # the objective is monotone: never stop early
         selected.append(u)
         blocked[u] = True
-        payoff.fund(game, survival, u)
+        survival *= 1.0 - game.p_table[u]
     z = PureStrategy.of(selected)
     return z, follower_mod.best_response(game, MixedStrategy.point_mass(z), oracle=oracle)

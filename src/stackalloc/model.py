@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -55,7 +56,8 @@ class PureStrategy:
 
     @staticmethod
     def of(media: Iterable[int]) -> "PureStrategy":
-        return PureStrategy(tuple(sorted(set(int(u) for u in media))))
+        """From medium indices; a float or a numpy bool (a mask entry) raises TypeError."""
+        return PureStrategy(tuple(sorted(set(operator.index(u) for u in media))))
 
     @staticmethod
     def empty() -> "PureStrategy":
@@ -107,10 +109,13 @@ class MixedStrategy:
 class BipartiteInfluenceGame:
     """One game instance; immutable after construction.
 
-    Edges live only in four aligned arrays sorted by (medium, customer),
-    i.e. CSR order by medium; they are read-only because games are shared
-    through the follower-oracle cache.  ``edges``, ``p``, ``p_F`` and
-    ``customer_neighbors`` are read-only views built on first access.
+    Edges live only in four aligned arrays sorted by (medium, customer);
+    they are read-only because games are shared through the
+    follower-oracle cache.  ``edges``, ``p``, ``p_F`` and
+    ``customer_neighbors`` are read-only views, and ``p_table`` and
+    ``pf_table`` read-only dense (n, m) tables that every survival
+    product reads; all are built on first access, so loading,
+    validating, dumping and generating never build them.
     """
 
     n: int
@@ -183,12 +188,20 @@ class BipartiteInfluenceGame:
         return tuple(tuple(a) for a in adj)
 
     @cached_property
-    def media_ptr(self) -> np.ndarray:
-        """CSR row pointer: medium u's edges are ``media_ptr[u]:media_ptr[u+1]``
-        (edges are sorted by medium)."""
-        ptr = np.zeros(self.n + 1, dtype=np.intp)
-        np.cumsum(np.bincount(self.edge_media, minlength=self.n), out=ptr[1:])
-        return ptr
+    def p_table(self) -> np.ndarray:
+        """Dense (n, m) table of p: p_uv on the edges, exactly 0 elsewhere."""
+        return self._dense(self.edge_p)
+
+    @cached_property
+    def pf_table(self) -> np.ndarray:
+        """Dense (n, m) table of p_F, laid out like ``p_table``."""
+        return self._dense(self.edge_pf)
+
+    def _dense(self, values: np.ndarray) -> np.ndarray:
+        table = np.zeros((self.n, self.m))
+        table[self.edge_media, self.edge_customers] = values
+        table.flags.writeable = False
+        return table
 
 
 def _first(mask: np.ndarray) -> int | None:

@@ -80,7 +80,7 @@ class PrefixTables:
     """The greedy's per-step tables, memoized by the ordered prefix S.
 
     With s_S the survival vector after funding S, in its order, and P
-    the dense n x m table of p_uv: r(S) = (P * s_S).sum(1) and the
+    the game's dense table ``p_table``: r(S) = (P * s_S).sum(1) and the
     n x |D_F| table PG(S) = (P * s_S) @ gain.T.  Neither depends on the
     weights, so a cached entry is exactly what recomputing it would
     give.  One instance serves one game and oracle; after c greedy calls
@@ -89,9 +89,7 @@ class PrefixTables:
     """
 
     def __init__(self, game: BipartiteInfluenceGame, oracle: FollowerOracle):
-        self._game = game
-        self._p = np.zeros((game.n, game.m))
-        self._p[game.edge_media, game.edge_customers] = game.edge_p
+        self._p = game.p_table
         self._gain_t = oracle.gain.T
         self._tables: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
@@ -101,10 +99,9 @@ class PrefixTables:
         if tables is None:
             if prefix:
                 self.get(prefix[:-1])
-                survival = self._tables[prefix[:-1]][2].copy()
-                payoff.fund(self._game, survival, prefix[-1])
+                survival = self._tables[prefix[:-1]][2] * (1.0 - self._p[prefix[-1]])
             else:
-                survival = np.ones(self._game.m)
+                survival = np.ones(self._p.shape[1])
             ps = self._p * survival
             tables = self._tables[prefix] = (ps.sum(axis=1), ps @ self._gain_t, survival)
         return tables[0], tables[1]
@@ -179,16 +176,13 @@ def solve_mwu(game: BipartiteInfluenceGame, config: MwuConfig = MwuConfig(),
             h = losses[z] = _surrogate_losses(oracle, payoff.activation_vector(game, z), C)
         cum_losses += h
         played += float(w @ h)
+        if not np.isfinite(cum_losses).all():
+            raise ValueError("MWU losses are not finite")
         if H > 0 and eta > 0:
-            w = w * np.exp(-eta * h / H)
-        # Weights that underflow to 0 are fine (the greedy takes w >= 0);
-        # losing all of them, or overflowing, is not.
-        total = w.sum()
-        if not (np.isfinite(total) and total > 0.0):
-            raise ValueError(
-                f"MWU weights vanished or overflowed at learning rate {eta}; "
-                f"use a smaller learning rate")
-        w = w / total
+            # The least-loss weight is exp(0) = 1, so the weights never all
+            # vanish; the others may underflow to 0 (the greedy takes w >= 0).
+            w = np.exp(-eta * (cum_losses - cum_losses.min()) / H)
+        w = w / w.sum()
 
     x_prime = MixedStrategy({z: k / T for z, k in counts.items()})
     br = follower_mod.best_response(game, x_prime, oracle=oracle)

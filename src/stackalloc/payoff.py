@@ -20,14 +20,14 @@ of leader activations against stacked follower tables of P_v(y) and
 P_{F,v}(y).  The follower oracle, the exact multi-LP, the MWU losses and
 the single-strategy evaluators here all go through it.
 
-Survival products are built on the game's CSR edge layout (edges are
-sorted by medium): ``fund`` multiplies one medium's factors into a
-survival vector in place, and ``activation_rows`` fills the rows of a
-whole prefix-closed strategy list by prefix products,
-row(y) = row(y[:-1]) * (1 - p[y[-1], .]), one dense multiply per
-strategy and no scatter.  Both multiply each customer's factors in
-increasing medium order, so they agree bit for bit with each other and
-with ``activation_vector``.
+Every survival product reads the game's dense tables ``p_table`` and
+``pf_table`` (p or p_F on the edges, exactly 0 elsewhere, so an
+unfunded customer's factor is exactly 1): ``activation_vector`` takes
+the product of the selected rows of 1 - table, and ``activation_rows``
+fills the rows of a whole prefix-closed strategy list by prefix
+products, row(y) = row(y[:-1]) * (1 - table[y[-1]]), one dense multiply
+per strategy.  Both multiply each customer's factors in increasing
+medium order, so they agree bit for bit.
 """
 
 from __future__ import annotations
@@ -47,56 +47,22 @@ class UtilityPair:
     follower: float
 
 
-def _as_mask(game: BipartiteInfluenceGame, media) -> np.ndarray:
-    if isinstance(media, PureStrategy):
-        return media.mask(game.n)
-    arr = np.asarray(media)
-    if arr.dtype == bool:
-        return arr
-    mask = np.zeros(game.n, dtype=bool)
-    mask[arr.astype(int)] = True
-    return mask
-
-
-def fund(game: BipartiteInfluenceGame, survival: np.ndarray, u: int,
-         probs: np.ndarray | None = None) -> None:
-    """Multiply (1 - prob) over medium u's edges into ``survival``, in place.
-
-    ``probs`` is an edge-aligned table and defaults to ``game.edge_p``.
-    """
-    probs = game.edge_p if probs is None else probs
-    lo, hi = game.media_ptr[u], game.media_ptr[u + 1]
-    survival[game.edge_customers[lo:hi]] *= 1.0 - probs[lo:hi]
-
-
-def _survival(game: BipartiteInfluenceGame, media, probs: np.ndarray) -> np.ndarray:
-    """Per-customer product of (1 - prob) over the selected media's edges."""
-    s = np.ones(game.m)
-    for u in np.flatnonzero(_as_mask(game, media)):
-        fund(game, s, u, probs)
-    return s
-
-
 def activation_rows(game: BipartiteInfluenceGame, strategies: list[PureStrategy],
-                    probs: np.ndarray | None = None) -> np.ndarray:
-    """Rows 1 - prod_{u in y} (1 - probs_uv), one per strategy y.
+                    table: np.ndarray | None = None) -> np.ndarray:
+    """Rows 1 - prod_{u in y} (1 - table[u]), one per strategy y.
 
     ``strategies`` must list every y[:-1] before y, as the lexicographic
-    enumerations of ``iter_subsets`` do.  With the default ``game.edge_p``
-    the rows are P_v(y); with ``game.edge_pf`` they are P_{F,v}(y).  Equal,
-    bit for bit, to stacking ``activation_vector``.
+    enumerations of ``iter_subsets`` do.  With the default
+    ``game.p_table`` the rows are P_v(y); with ``game.pf_table`` they are
+    P_{F,v}(y).  Equal, bit for bit, to stacking ``activation_vector``.
     """
-    probs = game.edge_p if probs is None else probs
     survival = np.ones((len(strategies), game.m))
-    factors = None  # dense (n, m) table of 1 - probs, built on first use
+    factors = 1.0 - (game.p_table if table is None else table)
     row_of: dict[tuple[int, ...], int] = {}
     for i, y in enumerate(strategies):
         row_of[y.media] = i
         if not y.media:
             continue
-        if factors is None:
-            factors = np.ones((game.n, game.m))
-            factors[game.edge_media, game.edge_customers] = 1.0 - probs
         parent = row_of.get(y.media[:-1])
         if parent is None:
             raise ValueError(f"strategy {y} is listed before its prefix {y.media[:-1]}")
@@ -105,13 +71,13 @@ def activation_rows(game: BipartiteInfluenceGame, strategies: list[PureStrategy]
 
 
 def activation_vector(game: BipartiteInfluenceGame, media) -> np.ndarray:
-    """P_v(z) for every customer v."""
-    return 1.0 - _survival(game, media, game.edge_p)
+    """P_v(z) for every customer v; ``media`` lists z's medium indices."""
+    return 1.0 - np.prod(1.0 - game.p_table[list(PureStrategy.of(media))], axis=0)
 
 
 def recapture_vector(game: BipartiteInfluenceGame, media) -> np.ndarray:
     """P_{F,v}(y) for every customer v."""
-    return 1.0 - _survival(game, media, game.edge_pf)
+    return 1.0 - np.prod(1.0 - game.pf_table[list(PureStrategy.of(media))], axis=0)
 
 
 def mixed_activation_vector(game: BipartiteInfluenceGame, x: MixedStrategy) -> np.ndarray:

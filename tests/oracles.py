@@ -30,7 +30,7 @@ from stackalloc import (BipartiteInfluenceGame, InstanceFormatError, MixedStrate
 from stackalloc import payoff
 from stackalloc.exact import enumerate_leader
 from stackalloc.follower import best_response, follower_oracle
-from stackalloc.heuristic import ACCEPT_TOL, _candidate_rows
+from stackalloc.heuristic import ACCEPT_TOL
 from stackalloc.lp import LinearProgram, solve_lp
 
 
@@ -173,6 +173,17 @@ def unscreened_outcomes(game, disjoint=False):
     return outcomes
 
 
+def _edges_of(game, u):
+    """(customer, p) on each of medium u's edges, from the edge list."""
+    return [(v, game.p[(a, v)]) for a, v in game.edges if a == u]
+
+
+def _fund(game, survival, u):
+    """Multiply (1 - p_uv) into ``survival`` over medium u's edges, in place."""
+    for v, q in _edges_of(game, u):
+        survival[v] *= 1.0 - q
+
+
 def greedy_weighted_edges(game, weights, budget, oracle):
     """The MWU greedy scored from the edge list: c = w @ gain once per
     call, then per step an edge gather of c_v * s(v) * p_uv summed per
@@ -194,7 +205,7 @@ def greedy_weighted_edges(game, weights, budget, oracle):
             break
         chosen.append(u)
         blocked[u] = True
-        payoff.fund(game, survival, u)
+        _fund(game, survival, u)
     return PureStrategy.of(chosen)
 
 
@@ -213,13 +224,16 @@ def solve_heuristic_blended(game, ell, oracle):
         for _ in range(min(game.k_L, game.n)):
             candidates = np.array([u for u in range(game.n) if u not in selected],
                                   dtype=np.intp)
-            rows = _candidate_rows(game, 1.0 - survival, survival, candidates)
+            rows = np.tile(1.0 - survival, (candidates.size, 1))
+            for r, u in enumerate(candidates.tolist()):
+                for v, q in _edges_of(game, u):
+                    rows[r, v] += survival[v] * q
             values = oracle.best_response_values(keep * pvx + rows / i)
             r = int(np.argmax(values))
             if values[r] < fbr_x - ACCEPT_TOL:
                 break
             selected.append(int(candidates[r]))
-            payoff.fund(game, survival, selected[-1])
+            _fund(game, survival, selected[-1])
         chosen = PureStrategy.of(selected)
         weights = {s: w * keep for s, w in weights.items() if w * keep > 0.0}
         weights[chosen] = weights.get(chosen, 0.0) + 1.0 / i

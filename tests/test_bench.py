@@ -132,13 +132,32 @@ def test_parallel_run_matches_sequential(monkeypatch):
     assert strip_timings(parallel) == strip_timings(sequential)
 
 
+def tiny_spec_json(**overrides):
+    """``tiny_spec(**overrides)`` in the JSON form ``parse_spec`` reads."""
+    data = {"n": 5, "m": 8, "mean_degree": 2.0, "p": [0.0, 0.5], "p_f": [0.1, 0.9],
+            "budgets": [[1, 1]], "algorithms": ["greedy", "heuristic"], "trials": 3,
+            "base_seed": 10, "mwu": {"iterations": 20}, "heuristic": {"ell": 3}}
+    for name, value in overrides.items():
+        if name == "mwu_iterations":
+            data["mwu"]["iterations"] = value
+        elif name == "heuristic_ell":
+            data["heuristic"]["ell"] = value
+        else:
+            data[name] = [list(pair) for pair in value] if name == "budgets" else value
+    return data
+
+
 @pytest.mark.parametrize("overrides", [
     dict(trials=2.5), dict(trials=True), dict(base_seed=1.5), dict(heuristic_ell=2.5),
     dict(heuristic_ell=False), dict(budgets=((1.5, 1),)), dict(budgets=((1, True),)),
+    dict(n=6.7), dict(m=8.5), dict(mwu_iterations=20.5),
 ])
 def test_spec_rejects_non_integer_counts(overrides):
+    assert parse_spec(tiny_spec_json()) == tiny_spec()
     with pytest.raises(ValueError, match="must be an integer"):
         tiny_spec(**overrides)
+    with pytest.raises(ValueError, match="must be an integer"):
+        parse_spec(tiny_spec_json(**overrides))
 
 
 def test_spec_accepts_numpy_integers():

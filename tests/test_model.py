@@ -87,7 +87,7 @@ def test_game_arrays_and_views_are_read_only(no_pure_optimum):
     game = no_pure_optimum
     with pytest.raises(ValueError, match="read-only"):
         game.edge_p[0] = 0.5
-    for name in ("edge_media", "edge_customers", "edge_pf"):
+    for name in ("edge_media", "edge_customers", "edge_pf", "p_table", "pf_table"):
         assert not getattr(game, name).flags.writeable
     with pytest.raises(TypeError):
         game.p[(0, 0)] = 0.5
@@ -346,13 +346,3 @@ def test_generate_instance_random_stream_is_pinned(shape, seed):
     out = io.StringIO()
     dump_instance(generate_instance(seed=seed, **GOLDEN_SHAPES[shape]), out)
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == GOLDEN_DIGESTS[shape, seed]
-
-
-def test_media_ptr_slices_edges_by_medium(no_pure_optimum):
-    game = no_pure_optimum
-    assert game.media_ptr.tolist() == [0, 2, 4, 5]
-    for u in range(game.n):
-        lo, hi = game.media_ptr[u], game.media_ptr[u + 1]
-        assert set(game.edge_media[lo:hi].tolist()) <= {u}
-    empty = BipartiteInfluenceGame.build(3, 2, [], 1, 1)
-    assert empty.media_ptr.tolist() == [0, 0, 0, 0]

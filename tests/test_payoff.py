@@ -5,7 +5,7 @@ from stackalloc import (BipartiteInfluenceGame, FollowerOracle, MixedStrategy,
                         PureStrategy, activation_vector, enumerate_follower,
                         follower_oracle, mixed_activation_vector, phi,
                         recapture_vector, utilities_mixed)
-from stackalloc.payoff import activation_rows, fund
+from stackalloc.payoff import activation_rows
 
 import oracles
 from conftest import random_game
@@ -255,7 +255,7 @@ def test_activation_rows_equal_per_strategy_vectors():
     for game in games:
         strategies = enumerate_follower(game)
         act = activation_rows(game, strategies)
-        rec = activation_rows(game, strategies, game.edge_pf)
+        rec = activation_rows(game, strategies, game.pf_table)
         assert act.shape == rec.shape == (len(strategies), game.m)
         assert np.array_equal(act, [activation_vector(game, y) for y in strategies])
         assert np.array_equal(rec, [recapture_vector(game, y) for y in strategies])
@@ -272,17 +272,21 @@ def test_activation_rows_zero_budget_and_prefix_check(uniform_overlap):
         activation_rows(uniform_overlap, [PureStrategy.empty(), PureStrategy.of([0, 1])])
 
 
-def test_fund_equals_the_per_edge_loop():
+def test_vectors_reject_a_mask_in_place_of_indices(uniform_overlap):
+    z = PureStrategy.of([2])
+    for vector in (activation_vector, recapture_vector):
+        assert np.array_equal(vector(uniform_overlap, np.array([2])), vector(uniform_overlap, z))
+        with pytest.raises(TypeError):
+            vector(uniform_overlap, z.mask(uniform_overlap.n))
+
+
+def test_tables_equal_the_edge_maps():
     rng = np.random.default_rng(77)
-    for _ in range(30):
-        game = sparse_game(rng, 2)
-        for probs, table in ((game.edge_p, game.p), (game.edge_pf, game.p_F)):
-            for u in range(game.n):
-                start = rng.uniform(size=game.m)
-                fast = start.copy()
-                fund(game, fast, u, probs)
-                slow = start.copy()
-                for a, v in game.edges:
-                    if a == u:
-                        slow[v] *= 1.0 - table[(a, v)]
-                assert np.array_equal(fast, slow)
+    games = [sparse_game(rng, 2) for _ in range(30)]
+    games.append(BipartiteInfluenceGame.build(3, 2, [], k_L=1, k_F=1))  # no edges
+    games.append(BipartiteInfluenceGame.build(4, 0, [], k_L=2, k_F=2))  # m = 0
+    for game in games:
+        for table, probs in ((game.p_table, game.p), (game.pf_table, game.p_F)):
+            assert table.shape == (game.n, game.m)
+            assert table.tolist() == [[probs.get((u, v), 0.0) for v in range(game.m)]
+                                      for u in range(game.n)]

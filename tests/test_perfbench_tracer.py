@@ -54,6 +54,8 @@ def test_traced_solves_match_plain_solves(capsys, monkeypatch, tmp_path):
     state = spans.state()
     assert state["calls"]["lp.solve_lp"] > 0
     assert state["calls"]["exact.decompose_allocation"] > 0
+    assert state["calls"]["payoff.activation_vector"] > 0
+    assert state["calls"]["payoff.mixed_activation_vector"] > 0
     assert state["calls"]["cli.main"] == len(runs)
     metrics = tracer.metrics(state, len(runs), 1.0, 1.0)
     assert all(f"{layer}.calls" in metrics for layer in tracer.LAYERS)
