@@ -8,12 +8,12 @@ from .bench import (ExperimentRow, ExperimentSpec, parse_spec, parse_specs,
 from .exact import (EquilibriumResult, decompose_allocation, enumerate_leader,
                     membership_Q, solve_disjoint_lp, solve_multi_lp)
 from .follower import (BestResponseResult, FollowerOracle, best_response,
-                       best_response_value, enumerate_follower, follower_oracle)
+                       enumerate_follower, follower_oracle)
 from .heuristic import greedy_baseline, solve_heuristic
 from .lp import LinearProgram, LpOutcome, PivotLimitError, solve_lp
 from .model import (BipartiteInfluenceGame, CapExceededError, InstanceFormatError,
                     MixedStrategy, PureStrategy, allocation_of, dump_instance,
-                    generate_instance, is_disjoint, load_instance, validate)
+                    generate_instance, is_disjoint, load_instance)
 from .mwu import (ApproxCertificate, MwuConfig, certify,
                   greedy_weighted_submodular, solve_mwu)
 from .payoff import (UtilityPair, activation_vector, mixed_activation_vector, phi,
@@ -25,7 +25,7 @@ __all__ = [
     "FollowerOracle", "InstanceFormatError",
     "LinearProgram", "LpOutcome", "MixedStrategy", "MwuConfig",
     "PivotLimitError", "PureStrategy", "UtilityPair",
-    "activation_vector", "allocation_of", "best_response", "best_response_value",
+    "activation_vector", "allocation_of", "best_response",
     "certify", "decompose_allocation", "dump_instance", "enumerate_follower",
     "enumerate_leader", "follower_oracle",
     "generate_instance", "greedy_baseline", "greedy_weighted_submodular",
@@ -33,5 +33,5 @@ __all__ = [
     "membership_Q", "mixed_activation_vector", "parse_spec", "parse_specs", "phi",
     "recapture_vector", "run_experiment",
     "solve_disjoint_lp", "solve_heuristic", "solve_lp", "solve_multi_lp",
-    "solve_mwu", "utilities_mixed", "validate",
+    "solve_mwu", "utilities_mixed",
 ]

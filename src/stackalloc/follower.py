@@ -146,10 +146,3 @@ def best_response(game: BipartiteInfluenceGame, x: MixedStrategy,
     if oracle is None:
         oracle = follower_oracle(game)
     return oracle.best_response(payoff.mixed_activation_vector(game, x), tie_tol)
-
-
-def best_response_value(game: BipartiteInfluenceGame, x: MixedStrategy,
-                        tie_tol: float = TIE_TOL,
-                        oracle: FollowerOracle | None = None) -> float:
-    """f_BR(x): the leader's value under the optimistic best response."""
-    return best_response(game, x, tie_tol, oracle).leader_value

@@ -90,7 +90,7 @@ class MixedStrategy:
     def __post_init__(self):
         total = 0.0
         for s, w in self.weights.items():
-            if w <= 0.0:
+            if not w > 0.0:  # NaN too
                 raise ValueError(f"non-positive weight {w} on {s}")
             total += w
         if abs(total - 1.0) > FEASIBILITY_TOL:
@@ -107,15 +107,17 @@ class MixedStrategy:
 
 @dataclass(frozen=True, eq=False, init=False)
 class BipartiteInfluenceGame:
-    """One game instance; immutable after construction.
+    """One valid game instance; immutable after construction.
 
-    Edges live only in four aligned arrays sorted by (medium, customer);
-    they are read-only because games are shared through the
-    follower-oracle cache.  ``edges``, ``p``, ``p_F`` and
-    ``customer_neighbors`` are read-only views, and ``p_table`` and
-    ``pf_table`` read-only dense (n, m) tables that every survival
-    product reads; all are built on first access, so loading,
-    validating, dumping and generating never build them.
+    Every constructor (``build``, ``from_arrays``, ``load_instance`` and
+    ``generate_instance``) ends in ``_keep``, which checks the instance
+    invariants, so every game satisfies them.  Edges live only in four
+    aligned arrays sorted by (medium, customer); they are read-only
+    because games are shared through the follower-oracle cache.
+    ``edges``, ``p``, ``p_F`` and ``customer_neighbors`` are read-only
+    views, and ``p_table`` and ``pf_table`` read-only dense (n, m) tables
+    that every survival product reads; all are built on first access, so
+    loading, dumping and generating never build them.
     """
 
     n: int
@@ -127,24 +129,13 @@ class BipartiteInfluenceGame:
     edge_p: np.ndarray
     edge_pf: np.ndarray
 
-    def __init__(self, n: int, m: int, edges: Iterable[Edge], p: Mapping[Edge, float],
-                 p_F: Mapping[Edge, float], k_L: int, k_F: int):
-        """Construct from edge tuples and ``p``/``p_F`` maps keyed by exactly those edges."""
-        edges = [(int(u), int(v)) for u, v in edges]
-        for name, table in (("p", p), ("p_F", p_F)):
-            if missing := set(edges).difference(table):
-                raise ValueError(f"missing {name} value on edge {min(missing)}")
-            if unknown := set(table).difference(edges):
-                raise ValueError(f"{name} value on unknown edge {min(unknown)}")
-        self._store(n, m, [u for u, _ in edges], [v for _, v in edges],
-                    [p[e] for e in edges], [p_F[e] for e in edges], k_L, k_F)
-
     @classmethod
     def from_arrays(cls, n: int, m: int, edge_media, edge_customers, edge_p, edge_pf,
                     k_L: int, k_F: int) -> "BipartiteInfluenceGame":
         """Construct from the four edge columns, in any edge order."""
         game = cls.__new__(cls)
-        game._store(n, m, edge_media, edge_customers, edge_p, edge_pf, k_L, k_F)
+        game._keep(n, m, k_L, k_F, [np.asarray(column, dtype=dtype) for column, dtype in zip(
+            (edge_media, edge_customers, edge_p, edge_pf), (np.intp, np.intp, float, float))])
         return game
 
     @classmethod
@@ -153,16 +144,41 @@ class BipartiteInfluenceGame:
         """Construct from ``(u, v, p, p_F)`` rows."""
         return cls.from_arrays(n, m, *(tuple(zip(*edge_rows)) or ((),) * 4), k_L, k_F)
 
-    def _store(self, n, m, media, customers, p, pf, k_L, k_F) -> None:
-        columns = (np.asarray(media, dtype=np.intp), np.asarray(customers, dtype=np.intp),
-                   np.asarray(p, dtype=float), np.asarray(pf, dtype=float))
-        order = np.lexsort(columns[1::-1])
-        self._keep(n, m, k_L, k_F, *(column[order] for column in columns))
+    def _keep(self, n, m, k_L, k_F, columns: list[np.ndarray],
+              order: np.ndarray | None = None) -> None:
+        """Check every instance invariant, then keep fresh copies of the
+        edge columns gathered by ``order``, their (u, v) order, which is
+        computed when not given.
 
-    def _keep(self, n, m, k_L, k_F, *columns: np.ndarray) -> None:
-        """Take ownership of fresh edge columns already in (u, v) order."""
-        for name, value in zip(("n", "m", "k_L", "k_F"), (n, m, k_L, k_F)):
-            object.__setattr__(self, name, int(value))
+        Raises ValueError on the first violation: columns that are not 1-D
+        or not of one length, sizes, budgets, then edges in (u, v) order
+        for index range and duplicates, then for p and p_F.
+        """
+        if any(column.ndim != 1 for column in columns) or len({c.size for c in columns}) > 1:
+            raise ValueError("edge columns must be 1-D and of equal length, got shapes "
+                             + ", ".join(str(column.shape) for column in columns))
+        n, m, k_L, k_F = sizes = tuple(int(value) for value in (n, m, k_L, k_F))
+        if n < 0 or m < 0:
+            raise ValueError("negative media or customer count")
+        for who, name, k in (("leader", "k_L", k_L), ("follower", "k_F", k_F)):
+            if k > n:
+                raise ValueError(f"{who} budget exceeds media count ({name}={k}, n={n})")
+            if k < 0:
+                raise ValueError(f"negative {who} budget {name}={k}")
+        if order is None:
+            order = np.lexsort(columns[1::-1])
+        u, v, p, pf = columns = [column[order] for column in columns]
+        out_of_range = (u < 0) | (u >= n) | (v < 0) | (v >= m)
+        repeated = np.r_[False, (u[1:] == u[:-1]) & (v[1:] == v[:-1])]
+        if (i := _first(out_of_range | repeated)) is not None:
+            kind = "edge index out of range" if out_of_range[i] else "duplicate edge"
+            raise ValueError(f"{kind} ({u[i]}, {v[i]})")
+        p_ok, pf_ok = ((0.0 <= q) & (q <= 1.0) for q in (p, pf))  # NaN fails
+        if (i := _first(~(p_ok & pf_ok))) is not None:
+            name, q = ("p", p) if not p_ok[i] else ("p_F", pf)
+            raise ValueError(f"probability out of range: {name}({u[i]}, {v[i]}) = {float(q[i])}")
+        for name, value in zip(("n", "m", "k_L", "k_F"), sizes):
+            object.__setattr__(self, name, value)
         for name, column in zip(("edge_media", "edge_customers", "edge_p", "edge_pf"), columns):
             column.flags.writeable = False
             object.__setattr__(self, name, column)
@@ -207,30 +223,6 @@ class BipartiteInfluenceGame:
 def _first(mask: np.ndarray) -> int | None:
     """Index of the first True entry, or None."""
     return next(iter(np.flatnonzero(mask).tolist()), None)
-
-
-def validate(game: BipartiteInfluenceGame) -> str | None:
-    """Return None when every instance invariant holds, else a description
-    of the first violated one: sizes, budgets, then edges in (u, v) order
-    for index range and duplicates, then for p and p_F.  Violations are
-    values, not exceptions."""
-    if game.n < 0 or game.m < 0:
-        return "negative media or customer count"
-    for who, name, k in (("leader", "k_L", game.k_L), ("follower", "k_F", game.k_F)):
-        if not 0 <= k <= game.n:
-            return f"{who} budget exceeds media count ({name}={k}, n={game.n})" \
-                if k > game.n else f"negative {who} budget {name}={k}"
-    u, v = game.edge_media, game.edge_customers
-    out_of_range = (u < 0) | (u >= game.n) | (v < 0) | (v >= game.m)
-    repeated = np.r_[False, (u[1:] == u[:-1]) & (v[1:] == v[:-1])]
-    if (i := _first(out_of_range | repeated)) is not None:
-        kind = "edge index out of range" if out_of_range[i] else "duplicate edge"
-        return f"{kind} ({u[i]}, {v[i]})"
-    p_ok, pf_ok = ((0.0 <= q) & (q <= 1.0) for q in (game.edge_p, game.edge_pf))  # NaN fails
-    if (i := _first(~(p_ok & pf_ok))) is not None:
-        name, q = ("p", game.edge_p) if not p_ok[i] else ("p_F", game.edge_pf)
-        return f"probability out of range: {name}({u[i]}, {v[i]}) = {float(q[i])}"
-    return None
 
 
 def is_disjoint(game: BipartiteInfluenceGame) -> bool:
@@ -510,6 +502,6 @@ def generate_instance(n: int, m: int, mean_degree: float,
     # A stable sort by medium of these customer-major edges is the game's (u, v) order.
     order = np.argsort(media.ravel().astype(np.min_scalar_type(n)), kind="stable")
     game = BipartiteInfluenceGame.__new__(BipartiteInfluenceGame)
-    game._keep(n, m, k_L, k_F, media.ravel()[order], order // max(degree, 1),
-               pv.ravel()[order], pfv.ravel()[order])
+    game._keep(n, m, k_L, k_F, [media.ravel(), np.repeat(np.arange(m), degree), pv.ravel(),
+                                pfv.ravel()], order)
     return game

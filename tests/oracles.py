@@ -25,8 +25,7 @@ import itertools
 
 import numpy as np
 
-from stackalloc import (BipartiteInfluenceGame, InstanceFormatError, MixedStrategy,
-                        PureStrategy, validate)
+from stackalloc import BipartiteInfluenceGame, InstanceFormatError, MixedStrategy, PureStrategy
 from stackalloc import payoff
 from stackalloc.exact import enumerate_leader
 from stackalloc.follower import best_response, follower_oracle
@@ -299,11 +298,7 @@ def load_instance(stream):
         edges.append((u, v, pv, pfv))
     if header is None:
         raise InstanceFormatError(0, "empty instance file")
-    game = BipartiteInfluenceGame.build(header[0], header[1], edges, header[2], header[3])
-    problem = validate(game)
-    if problem is not None:
-        raise InstanceFormatError(0, problem)
-    return game
+    return BipartiteInfluenceGame.build(header[0], header[1], edges, header[2], header[3])
 
 
 def generate_instance(n, m, mean_degree, p_dist, pf_dist, seed, k_L=None, k_F=None):

@@ -31,7 +31,7 @@ def point(media):
 def test_criterion_01_no_pure_optimum_worked_example():
     game = make_no_pure_optimum()
     start = time.perf_counter()
-    values = [sa.best_response_value(game, point([u])) for u in range(3)]
+    values = [sa.best_response(game, point([u])).leader_value for u in range(3)]
     lp_value = sa.solve_multi_lp(game).value
     elapsed = time.perf_counter() - start
     ok = (abs(values[0] - 0.6) <= 1e-6 and abs(values[1] - 0.6) <= 1e-6
@@ -44,9 +44,9 @@ def test_criterion_01_no_pure_optimum_worked_example():
 def test_criterion_02_overfunding_trap_worked_example():
     game = make_overfunding_trap()
     start = time.perf_counter()
-    v_full = sa.best_response_value(game, point([0, 1, 2]))
-    v0 = sa.best_response_value(game, point([0]))
-    v2 = sa.best_response_value(game, point([2]))
+    v_full = sa.best_response(game, point([0, 1, 2])).leader_value
+    v0 = sa.best_response(game, point([0])).leader_value
+    v2 = sa.best_response(game, point([2])).leader_value
     lp_value = sa.solve_multi_lp(game).value
     elapsed = time.perf_counter() - start
     ok = (abs(v_full) <= 1e-6 and abs(v0 - 1.0) <= 1e-6 and abs(v2 - 1.0) <= 1e-6
@@ -69,7 +69,7 @@ def test_criterion_03_recapture_semantics():
 def test_criterion_04_disjoint_example_value_and_no_pure_equilibrium():
     game = make_private_customers()
     res = sa.solve_disjoint_lp(game)
-    best_pure = max(sa.best_response_value(game, point(z.media))
+    best_pure = max(sa.best_response(game, point(z.media)).leader_value
                     for z in sa.enumerate_leader(game))
     ok = abs(res.value - 18.0) <= 1e-6 and best_pure < res.value - 1e-6
     _report(4, "private-customer example: equilibrium 18, strictly above every pure commitment",

@@ -263,5 +263,6 @@ def test_validate_commands(capsys, tmp_path, no_pure_optimum_path):
     assert code == 0 and out.strip() == "ok"
     bad = tmp_path / "bad.txt"
     bad.write_text("2 2 1 1\n0 0 1.5 0.5\n")
-    code, _, err = run_cli(capsys, "validate", "--instance", str(bad))
-    assert code == 2
+    code, out, err = run_cli(capsys, "validate", "--instance", str(bad))
+    assert code == 2 and out == ""
+    assert err.strip() == "error: line 2: probability out of range"

@@ -3,7 +3,7 @@ import pytest
 from scipy.optimize import linprog
 
 from stackalloc import (BipartiteInfluenceGame, CapExceededError, MixedStrategy,
-                        PureStrategy, allocation_of, best_response_value,
+                        PureStrategy, allocation_of, best_response,
                         decompose_allocation, enumerate_leader, exact,
                         generate_instance, membership_Q, solve_disjoint_lp,
                         solve_multi_lp, utilities_mixed)
@@ -132,7 +132,7 @@ def test_solve_disjoint_lp_private_customers(private_customers):
 
 def test_private_customers_has_no_pure_equilibrium(private_customers):
     res = solve_disjoint_lp(private_customers)
-    best_pure = max(best_response_value(private_customers, MixedStrategy.point_mass(z))
+    best_pure = max(best_response(private_customers, MixedStrategy.point_mass(z)).leader_value
                     for z in enumerate_leader(private_customers))
     assert best_pure < res.value - 1e-6
     assert best_pure == pytest.approx(17.0, abs=1e-9)
@@ -184,7 +184,7 @@ def test_equilibrium_values_are_reverified(no_pure_optimum):
     res = solve_multi_lp(no_pure_optimum)
     pair = utilities_mixed(no_pure_optimum, res.leader, res.follower)
     assert pair.leader == pytest.approx(res.value, abs=1e-9)
-    assert best_response_value(no_pure_optimum, res.leader) >= res.value - 1e-9
+    assert best_response(no_pure_optimum, res.leader).leader_value >= res.value - 1e-9
 
 
 def _lp_key(lp):

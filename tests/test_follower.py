@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from stackalloc import (CapExceededError, MixedStrategy, PureStrategy,
-                        best_response, best_response_value, enumerate_follower,
+                        best_response, enumerate_follower,
                         follower_oracle, phi, utilities_mixed)
 from stackalloc.model import BipartiteInfluenceGame
 
@@ -64,7 +64,7 @@ def test_best_response_overfunding_trap_tie_breaking(overfunding_trap):
 
 
 def test_best_response_no_pure_optimum_third_medium(no_pure_optimum):
-    assert best_response_value(no_pure_optimum, point([2])) == pytest.approx(0.599, abs=1e-12)
+    assert best_response(no_pure_optimum, point([2])).leader_value == pytest.approx(0.599, abs=1e-12)
 
 
 def test_best_response_matches_enumeration_oracle():
@@ -78,7 +78,7 @@ def test_best_response_matches_enumeration_oracle():
         for s, wi in zip(picks, (w, 1 - w)):
             weights[s] = weights.get(s, 0.0) + wi
         x = MixedStrategy({PureStrategy.of(s): wi for s, wi in weights.items()})
-        assert best_response_value(game, x) == pytest.approx(
+        assert best_response(game, x).leader_value == pytest.approx(
             oracles.best_response_value(game, weights), abs=1e-9)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stackalloc import (BipartiteInfluenceGame, MixedStrategy, PureStrategy,
-                        best_response_value, follower_oracle, greedy_baseline,
+                        best_response, follower_oracle, greedy_baseline,
                         solve_heuristic)
 from stackalloc import heuristic as heuristic_mod
 
@@ -20,13 +20,13 @@ def reference_pure_greedy(game):
         for u in range(game.n):
             if u in selected:
                 continue
-            val = best_response_value(
-                game, MixedStrategy.point_mass(PureStrategy.of(selected + [u])))
+            val = best_response(
+                game, MixedStrategy.point_mass(PureStrategy.of(selected + [u]))).leader_value
             if val > best_val:
                 best_u, best_val = u, val
         selected.append(best_u)
     final = PureStrategy.of(selected)
-    value = best_response_value(game, MixedStrategy.point_mass(final))
+    value = best_response(game, MixedStrategy.point_mass(final)).leader_value
     return (final, value) if value > 0.0 else (PureStrategy.empty(), 0.0)
 
 
@@ -71,7 +71,7 @@ def test_running_max_never_regressed():
         # re-scoring it from scratch reproduces the reported value
         for ell, val in zip((1, 3, 6), values):
             x, br = solve_heuristic(game, ell)
-            assert best_response_value(game, x) == pytest.approx(val, abs=1e-12)
+            assert best_response(game, x).leader_value == pytest.approx(val, abs=1e-12)
 
 
 def test_support_bounds_and_budget():

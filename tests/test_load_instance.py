@@ -1,17 +1,21 @@
-"""load_instance against the per-line reference loader in ``oracles``.
+"""load_instance and ``build`` against the per-line reference loader in
+``oracles``.
 
-On any text the two must agree: the same game, or an
+On any text the two loaders must agree: the same game, or an
 ``InstanceFormatError`` with the same line number and message.  Any other
-exception fails the test.
+exception fails the test.  On any rows ``build`` must accept exactly what
+the reference loader accepts once the rows are written out as a file.
 """
 
 import io
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stackalloc import InstanceFormatError, dump_instance, generate_instance, load_instance
+from stackalloc import (BipartiteInfluenceGame, InstanceFormatError, dump_instance,
+                        generate_instance, load_instance)
 
 import oracles
 from conftest import random_game
@@ -24,6 +28,10 @@ def outcome(loader, text):
         game = loader(io.StringIO(text))
     except InstanceFormatError as err:
         return "error", err.line_no, str(err)
+    return described(game)
+
+
+def described(game):
     return ("game", game.n, game.m, game.k_L, game.k_F, game.edge_media.tolist(),
             game.edge_customers.tolist(), game.edge_p.tolist(), game.edge_pf.tolist())
 
@@ -90,6 +98,48 @@ def test_token_soup_matches_reference(rows):
 @given(st.text(max_size=60))
 def test_arbitrary_text_matches_reference(text):
     assert_agrees(text)
+
+
+@st.composite
+def mutated_rows(draw):
+    """The header and rows of a valid small game with a few entries replaced:
+    indices and budgets by values in and out of range, probabilities by
+    values outside [0, 1] and NaN, and rows by repeats and shuffles."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    game = random_game(rng, n_max=4, m_max=5, decimals=2)
+    n, m = game.n, game.m
+    header = [n, m, game.k_L, game.k_F]
+    rows = [list(row) for row in zip(game.edge_media.tolist(), game.edge_customers.tolist(),
+                                     game.edge_p.tolist(), game.edge_pf.tolist())]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(rows) - 1))
+        kind = draw(st.sampled_from(["index", "probability", "duplicate", "shuffle", "header"]))
+        if kind == "index":
+            rows[i][draw(st.integers(0, 1))] = draw(st.sampled_from([-1, 0, 1, n - 1, n, m - 1, m]))
+        elif kind == "probability":
+            rows[i][draw(st.integers(2, 3))] = draw(st.sampled_from(
+                [0.0, 1.0, 0.25, -0.5, 1.5, math.nan, math.inf, -math.inf]))
+        elif kind == "duplicate":
+            rows.insert(draw(st.integers(0, len(rows))), rows[i][:2] + [0.5, 0.5])
+        elif kind == "shuffle":
+            rows = [rows[j] for j in rng.permutation(len(rows))]
+        else:
+            header[draw(st.integers(0, 3))] = draw(st.sampled_from([-1, 0, 1, n, n + 1]))
+    return header, [tuple(row) for row in rows]
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_rows())
+def test_build_accepts_what_the_reference_loader_accepts(header_rows):
+    (n, m, k_L, k_F), rows = header_rows
+    text = f"{n} {m} {k_L} {k_F}\n" + "".join(f"{u} {v} {p!r} {pf!r}\n" for u, v, p, pf in rows)
+    expected = outcome(oracles.load_instance, text)
+    try:
+        game = BipartiteInfluenceGame.build(n, m, rows, k_L, k_F)
+    except ValueError:
+        assert expected[0] == "error"
+    else:
+        assert described(game) == expected
 
 
 @pytest.mark.parametrize("text,expected", [

@@ -2,44 +2,55 @@ import dataclasses
 import hashlib
 import io
 import math
+import re
 
 import numpy as np
 import pytest
 
 from stackalloc import (BipartiteInfluenceGame, InstanceFormatError, MixedStrategy,
                         PureStrategy, allocation_of, dump_instance, generate_instance,
-                        is_disjoint, load_instance, validate)
+                        is_disjoint, load_instance)
 from stackalloc.model import count_subsets, iter_subsets
 
 import oracles
 from conftest import make_private_customers, make_no_pure_optimum, make_overfunding_trap, random_game
 
 
+def assert_rejected(message, n, m, rows, k_L, k_F):
+    """``build`` and ``from_arrays`` both raise ValueError with exactly ``message``."""
+    columns = [np.array(column) for column in zip(*rows)] or [np.zeros(0)] * 4
+    for construct in (lambda: BipartiteInfluenceGame.build(n, m, rows, k_L, k_F),
+                      lambda: BipartiteInfluenceGame.from_arrays(n, m, *columns, k_L, k_F)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            construct()
+
+
+def worked_example_rows(game):
+    return [(u, v, game.p[(u, v)], game.p_F[(u, v)]) for u, v in game.edges]
+
+
 def test_validate_accepts_worked_example(no_pure_optimum):
-    assert validate(no_pure_optimum) is None
-    assert no_pure_optimum.n == 3 and no_pure_optimum.m == 4 and len(no_pure_optimum.edges) == 5
+    game = no_pure_optimum
+    again = BipartiteInfluenceGame.from_arrays(3, 4, game.edge_media, game.edge_customers,
+                                               game.edge_p, game.edge_pf, 1, 1)
+    assert game.n == 3 and game.m == 4 and len(game.edges) == 5
+    assert again.edges == game.edges and again.p == game.p and again.p_F == game.p_F
 
 
 def test_validate_probability_out_of_range(no_pure_optimum):
-    bad = BipartiteInfluenceGame.build(
-        3, 4, [(u, v, (1.5 if (u, v) == (0, 0) else no_pure_optimum.p[(u, v)]), no_pure_optimum.p_F[(u, v)])
-               for u, v in no_pure_optimum.edges], 1, 1)
-    assert "probability out of range" in validate(bad)
+    rows = [(u, v, 1.5 if (u, v) == (0, 0) else p, pf)
+            for u, v, p, pf in worked_example_rows(no_pure_optimum)]
+    assert_rejected("probability out of range: p(0, 0) = 1.5", 3, 4, rows, 1, 1)
 
 
 def test_validate_budget_exceeds_media_count(no_pure_optimum):
-    bad = BipartiteInfluenceGame.build(
-        3, 4, [(u, v, no_pure_optimum.p[(u, v)], no_pure_optimum.p_F[(u, v)]) for u, v in no_pure_optimum.edges],
-        k_L=4, k_F=1)
-    assert "budget exceeds media count" in validate(bad)
+    assert_rejected("leader budget exceeds media count (k_L=4, n=3)",
+                    3, 4, worked_example_rows(no_pure_optimum), 4, 1)
 
 
 def test_validate_duplicate_edge_and_bad_index():
-    dup = BipartiteInfluenceGame(n=2, m=2, edges=((0, 0), (0, 0)),
-                                 p={(0, 0): 0.5}, p_F={(0, 0): 0.5}, k_L=1, k_F=1)
-    assert "duplicate edge" in validate(dup)
-    oob = BipartiteInfluenceGame.build(2, 2, [(0, 5, 0.5, 0.5)], 1, 1)
-    assert "out of range" in validate(oob)
+    assert_rejected("duplicate edge (0, 0)", 2, 2, [(0, 0, 0.5, 0.5), (0, 0, 0.5, 0.5)], 1, 1)
+    assert_rejected("edge index out of range (0, 5)", 2, 2, [(0, 5, 0.5, 0.5)], 1, 1)
 
 
 @pytest.mark.parametrize("n,m,rows,k_L,k_F,message", [
@@ -65,7 +76,19 @@ def test_validate_duplicate_edge_and_bad_index():
     (2, 2, [(0, 1, 0.5, float("inf"))], 1, 1, "probability out of range: p_F(0, 1) = inf"),
 ])
 def test_validate_messages(n, m, rows, k_L, k_F, message):
-    assert validate(BipartiteInfluenceGame.build(n, m, rows, k_L, k_F)) == message
+    assert_rejected(message, n, m, rows, k_L, k_F)
+
+
+@pytest.mark.parametrize("columns,shapes", [
+    (([0, 1], [0, 1], [0.5], [0.5, 0.5]), "(2,), (2,), (1,), (2,)"),
+    (([0], [0], [0.5], [0.5, 0.5]), "(1,), (1,), (1,), (2,)"),
+    (([[0]], [[0]], [[0.5]], [[0.5]]), "(1, 1), (1, 1), (1, 1), (1, 1)"),
+    ((0, 0, 0.5, 0.5), "(), (), (), ()"),
+])
+def test_from_arrays_rejects_columns_that_are_not_1d_or_not_one_length(columns, shapes):
+    message = f"edge columns must be 1-D and of equal length, got shapes {shapes}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        BipartiteInfluenceGame.from_arrays(2, 2, *columns, 1, 1)
 
 
 def test_edges_are_sorted_arrays_whatever_the_input_order(no_pure_optimum):
@@ -73,11 +96,8 @@ def test_edges_are_sorted_arrays_whatever_the_input_order(no_pure_optimum):
     rows = list(zip(game.edges, game.p.values(), game.p_F.values()))
     shuffled = BipartiteInfluenceGame.build(
         3, 4, [(u, v, p, pf) for (u, v), p, pf in rows[::-1]], 1, 1)
-    keyword = BipartiteInfluenceGame(n=3, m=4, edges=game.edges[::-1], p=dict(game.p),
-                                     p_F=dict(game.p_F), k_L=1, k_F=1)
-    for other in (shuffled, keyword):
-        for name in ("edge_media", "edge_customers", "edge_p", "edge_pf"):
-            assert np.array_equal(getattr(other, name), getattr(game, name))
+    for name in ("edge_media", "edge_customers", "edge_p", "edge_pf"):
+        assert np.array_equal(getattr(shuffled, name), getattr(game, name))
     assert game.edges == ((0, 0), (0, 1), (1, 1), (1, 2), (2, 3))
     assert game.customer_neighbors == ((0,), (0, 1), (1,), (2,))
     assert game.p[(2, 3)] == 0.599 and game.p_F[(0, 1)] == 0.5
@@ -93,19 +113,6 @@ def test_game_arrays_and_views_are_read_only(no_pure_optimum):
         game.p[(0, 0)] = 0.5
     with pytest.raises(dataclasses.FrozenInstanceError):
         game.edge_p = np.zeros(5)
-
-
-@pytest.mark.parametrize("p,p_F,message", [
-    ({(0, 0): 0.5}, {(0, 0): 0.5, (1, 1): 0.5}, r"missing p value on edge \(1, 1\)"),
-    ({(0, 0): 0.5, (1, 1): 0.5}, {(1, 1): 0.5}, r"missing p_F value on edge \(0, 0\)"),
-    ({(0, 0): 0.5, (1, 1): 0.5, (1, 0): 0.5}, {(0, 0): 0.5, (1, 1): 0.5},
-     r"p value on unknown edge \(1, 0\)"),
-    ({(0, 0): 0.5, (1, 1): 0.5}, {(0, 0): 0.5, (1, 1): 0.5, (0, 1): 0.5},
-     r"p_F value on unknown edge \(0, 1\)"),
-])
-def test_keyword_constructor_rejects_maps_that_do_not_match_the_edges(p, p_F, message):
-    with pytest.raises(ValueError, match=message):
-        BipartiteInfluenceGame(n=2, m=2, edges=((0, 0), (1, 1)), p=p, p_F=p_F, k_L=1, k_F=1)
 
 
 def test_is_disjoint_matches_the_neighbor_rule():
@@ -176,7 +183,6 @@ def test_round_trip_is_exact():
 
 def test_generate_instance_movielens_shape():
     game = generate_instance(20, 844, 3506 / 844, (0.0, 0.2), (0.1, 0.9), seed=1)
-    assert validate(game) is None
     assert game.n == 20 and game.m == 844
     assert len(game.edges) == 844 * 4  # rounded mean degree, one draw per customer
     assert all(0.0 <= game.p[e] <= 0.2 for e in game.edges)
@@ -261,10 +267,11 @@ def test_is_disjoint():
     empty = BipartiteInfluenceGame.build(3, 2, [], 1, 1)
     assert is_disjoint(empty)
     assert not is_disjoint(make_no_pure_optimum())
-    # Needs no memory of m's size, and no valid index to answer.
+    # Neither constructing nor answering needs memory of m's size.
     huge = BipartiteInfluenceGame.build(2, 10**12, [(0, 10**12 - 1, .5, .5), (1, 5, .5, .5)], 1, 1)
     assert is_disjoint(huge)
-    assert not is_disjoint(BipartiteInfluenceGame.build(2, 1, [(0, -1, .5, .5), (1, -1, .5, .5)], 1, 1))
+    with pytest.raises(ValueError, match=re.escape("edge index out of range (0, -1)")):
+        BipartiteInfluenceGame.build(2, 1, [(0, -1, .5, .5), (1, -1, .5, .5)], 1, 1)
 
 
 def test_allocation_of_half_half():
@@ -305,6 +312,8 @@ def test_mixed_strategy_validation():
         MixedStrategy({PureStrategy.of([0]): 0.6})  # does not sum to one
     with pytest.raises(ValueError):
         MixedStrategy({PureStrategy.of([0]): 1.2, PureStrategy.of([1]): -0.2})
+    with pytest.raises(ValueError, match="non-positive weight nan"):
+        MixedStrategy({PureStrategy.of([0]): math.nan})
 
 
 def test_pure_strategy_ordering_is_lexicographic():
