@@ -6,7 +6,7 @@ benchmark harness."""
 from .bench import (ExperimentRow, ExperimentSpec, parse_spec, parse_specs,
                     run_experiment)
 from .exact import (EquilibriumResult, decompose_allocation, enumerate_leader,
-                    membership_Q, solve_disjoint_lp, solve_multi_lp)
+                    solve_disjoint_lp, solve_multi_lp)
 from .follower import (BestResponseResult, FollowerOracle, best_response,
                        enumerate_follower, follower_oracle)
 from .heuristic import greedy_baseline, solve_heuristic
@@ -16,22 +16,20 @@ from .model import (BipartiteInfluenceGame, CapExceededError, InstanceFormatErro
                     generate_instance, is_disjoint, load_instance)
 from .mwu import (ApproxCertificate, MwuConfig, certify,
                   greedy_weighted_submodular, solve_mwu)
-from .payoff import (UtilityPair, activation_vector, mixed_activation_vector, phi,
-                     recapture_vector, utilities_mixed)
+from .payoff import activation_vector, mixed_activation_vector
 
 __all__ = [
     "ApproxCertificate", "BestResponseResult", "BipartiteInfluenceGame",
     "CapExceededError", "EquilibriumResult", "ExperimentRow", "ExperimentSpec",
     "FollowerOracle", "InstanceFormatError",
     "LinearProgram", "LpOutcome", "MixedStrategy", "MwuConfig",
-    "PivotLimitError", "PureStrategy", "UtilityPair",
+    "PivotLimitError", "PureStrategy",
     "activation_vector", "allocation_of", "best_response",
     "certify", "decompose_allocation", "dump_instance", "enumerate_follower",
     "enumerate_leader", "follower_oracle",
     "generate_instance", "greedy_baseline", "greedy_weighted_submodular",
     "is_disjoint", "load_instance",
-    "membership_Q", "mixed_activation_vector", "parse_spec", "parse_specs", "phi",
-    "recapture_vector", "run_experiment",
+    "mixed_activation_vector", "parse_spec", "parse_specs", "run_experiment",
     "solve_disjoint_lp", "solve_heuristic", "solve_lp", "solve_multi_lp",
-    "solve_mwu", "utilities_mixed",
+    "solve_mwu",
 ]

@@ -40,8 +40,7 @@ Runner = Callable[[BipartiteInfluenceGame, int, float, int],
 
 
 def _greedy(game, iterations, epsilon, ell):
-    z, _ = heuristic.greedy_baseline(game)
-    return MixedStrategy.point_mass(z), None
+    return MixedStrategy.point_mass(heuristic.greedy_baseline(game)), None
 
 
 def _mwu(game, iterations, epsilon, ell):
@@ -51,7 +50,7 @@ def _mwu(game, iterations, epsilon, ell):
 
 
 def _heuristic(game, iterations, epsilon, ell):
-    return heuristic.solve_heuristic(game, ell)[0], None
+    return heuristic.solve_heuristic(game, ell), None
 
 
 def _exact_multi_lp(game, iterations, epsilon, ell):

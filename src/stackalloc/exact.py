@@ -151,14 +151,6 @@ def solve_multi_lp(game: BipartiteInfluenceGame) -> EquilibriumResult:
     return _finish(game, x, oracle.strategies[yi], lp_value, oracle, per_y)
 
 
-def membership_Q(r, k_L: int) -> bool:
-    """Is r in Q = {0 <= r <= 1, sum r <= k_L} (within ``Q_TOL``)?"""
-    r = np.asarray(r, dtype=float)
-    if np.any(r < -Q_TOL) or np.any(r > 1.0 + Q_TOL):
-        return False
-    return float(r.sum()) <= k_L + Q_TOL
-
-
 def decompose_allocation(r, k_L: int) -> MixedStrategy:
     """Write r in Q as a mix of at most n+1 budget-respecting subsets.
 
@@ -173,7 +165,9 @@ def decompose_allocation(r, k_L: int) -> MixedStrategy:
     rho = np.asarray(r, dtype=float)
     if rho.ndim != 1:
         raise ValueError(f"allocation must be a vector, got shape {rho.shape}")
-    if not membership_Q(rho, k_L):
+    # Q = {0 <= r <= 1, sum r <= k_L}, within Q_TOL; NaN fails every test.
+    if not (np.all(rho >= -Q_TOL) and np.all(rho <= 1.0 + Q_TOL)
+            and float(rho.sum()) <= k_L + Q_TOL):
         raise ValueError(f"allocation outside Q (budget {k_L}): {rho}")
     rho = np.clip(rho, 0.0, 1.0)
     total = float(rho.sum())

@@ -67,7 +67,6 @@ class FollowerOracle:
         self.recapture = payoff.activation_rows(game, self.strategies, game.pf_table)
         self.gain = self.activation - self.recapture
         self.activation_sums = self.activation.sum(axis=1)
-        self.evaluations = 0  # instrumentation: leader points scored so far
 
     def __len__(self) -> int:
         return len(self.strategies)
@@ -78,9 +77,7 @@ class FollowerOracle:
         Accepts one activation vector or a stack of them; returns arrays
         of shape (rows, |D_F|).
         """
-        f, g = payoff.utilities(pvx, self.activation, self.recapture)
-        self.evaluations += f.shape[0]
-        return f, g
+        return payoff.utilities(pvx, self.activation, self.recapture)
 
     def best_response_values(self, pvx: np.ndarray,
                              tie_tol: float = TIE_TOL) -> np.ndarray:

@@ -22,16 +22,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import follower as follower_mod
-from .follower import BestResponseResult, FollowerOracle, follower_oracle
+from .follower import FollowerOracle, follower_oracle
 from .model import BipartiteInfluenceGame, MixedStrategy, PureStrategy, require_integer
 
 ACCEPT_TOL = 1e-12  # slack for the "at least as good" acceptance test
 
 
 def solve_heuristic(game: BipartiteInfluenceGame, ell: int,
-                    oracle: FollowerOracle | None = None,
-                    ) -> tuple[MixedStrategy, BestResponseResult]:
+                    oracle: FollowerOracle | None = None) -> MixedStrategy:
     """Run the ell-round fictitious-play heuristic; returns the best mix."""
     require_integer("ell", ell)
     if ell < 1:
@@ -76,16 +74,11 @@ def solve_heuristic(game: BipartiteInfluenceGame, ell: int,
             best_value = fbr_x
             best_weights = dict(weights)
 
-    x_star = MixedStrategy(best_weights)
-    return x_star, follower_mod.best_response(game, x_star, oracle=oracle)
+    return MixedStrategy(best_weights)
 
 
-def greedy_baseline(game: BipartiteInfluenceGame,
-                    oracle: FollowerOracle | None = None,
-                    ) -> tuple[PureStrategy, BestResponseResult]:
+def greedy_baseline(game: BipartiteInfluenceGame) -> PureStrategy:
     """Fill the budget greedily on expected activations sum_v P_v(z)."""
-    if oracle is None:
-        oracle = follower_oracle(game)
     survival = np.ones(game.m)
     blocked = np.zeros(game.n, dtype=bool)
     selected: list[int] = []
@@ -99,5 +92,4 @@ def greedy_baseline(game: BipartiteInfluenceGame,
         selected.append(u)
         blocked[u] = True
         survival *= 1.0 - game.p_table[u]
-    z = PureStrategy.of(selected)
-    return z, follower_mod.best_response(game, MixedStrategy.point_mass(z), oracle=oracle)
+    return PureStrategy.of(selected)

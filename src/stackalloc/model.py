@@ -15,7 +15,6 @@ import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, TextIO
 
 import numpy as np
@@ -114,10 +113,10 @@ class BipartiteInfluenceGame:
     invariants, so every game satisfies them.  Edges live only in four
     aligned arrays sorted by (medium, customer); they are read-only
     because games are shared through the follower-oracle cache.
-    ``edges``, ``p``, ``p_F`` and ``customer_neighbors`` are read-only
-    views, and ``p_table`` and ``pf_table`` read-only dense (n, m) tables
-    that every survival product reads; all are built on first access, so
-    loading, dumping and generating never build them.
+    ``edges`` is a tuple view of the (u, v) pairs, and ``p_table`` and
+    ``pf_table`` read-only dense (n, m) tables that every survival product
+    reads; all are built on first access, so loading, dumping and
+    generating never build them.
     """
 
     n: int
@@ -134,8 +133,9 @@ class BipartiteInfluenceGame:
                     k_L: int, k_F: int) -> "BipartiteInfluenceGame":
         """Construct from the four edge columns, in any edge order."""
         game = cls.__new__(cls)
-        game._keep(n, m, k_L, k_F, [np.asarray(column, dtype=dtype) for column, dtype in zip(
-            (edge_media, edge_customers, edge_p, edge_pf), (np.intp, np.intp, float, float))])
+        game._keep(n, m, k_L, k_F, [np.asarray(edge_media), np.asarray(edge_customers),
+                                    np.asarray(edge_p, dtype=float),
+                                    np.asarray(edge_pf, dtype=float)])
         return game
 
     @classmethod
@@ -151,12 +151,21 @@ class BipartiteInfluenceGame:
         computed when not given.
 
         Raises ValueError on the first violation: columns that are not 1-D
-        or not of one length, sizes, budgets, then edges in (u, v) order
-        for index range and duplicates, then for p and p_F.
+        or not of one length, sizes and budgets that are not integers, index
+        columns whose dtype is not an integer type (bool included; empty
+        columns pass), sizes, budgets, then edges in (u, v) order for index
+        range and duplicates, then for p and p_F.
         """
         if any(column.ndim != 1 for column in columns) or len({c.size for c in columns}) > 1:
             raise ValueError("edge columns must be 1-D and of equal length, got shapes "
                              + ", ".join(str(column.shape) for column in columns))
+        names = ("n", "m", "k_L", "k_F")
+        for name, value in zip(names, (n, m, k_L, k_F)):
+            require_integer(name, value)
+        for name, column in zip(("media", "customers"), columns):
+            if column.size and column.dtype.kind not in "iu":
+                raise ValueError(f"edge {name} must be integers, got dtype {column.dtype}")
+        columns[:2] = (column.astype(np.intp, copy=False) for column in columns[:2])
         n, m, k_L, k_F = sizes = tuple(int(value) for value in (n, m, k_L, k_F))
         if n < 0 or m < 0:
             raise ValueError("negative media or customer count")
@@ -177,7 +186,7 @@ class BipartiteInfluenceGame:
         if (i := _first(~(p_ok & pf_ok))) is not None:
             name, q = ("p", p) if not p_ok[i] else ("p_F", pf)
             raise ValueError(f"probability out of range: {name}({u[i]}, {v[i]}) = {float(q[i])}")
-        for name, value in zip(("n", "m", "k_L", "k_F"), sizes):
+        for name, value in zip(names, sizes):
             object.__setattr__(self, name, value)
         for name, column in zip(("edge_media", "edge_customers", "edge_p", "edge_pf"), columns):
             column.flags.writeable = False
@@ -186,22 +195,6 @@ class BipartiteInfluenceGame:
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
         return tuple(zip(self.edge_media.tolist(), self.edge_customers.tolist()))
-
-    @cached_property
-    def p(self) -> Mapping[Edge, float]:
-        return MappingProxyType(dict(zip(self.edges, self.edge_p.tolist())))
-
-    @cached_property
-    def p_F(self) -> Mapping[Edge, float]:
-        return MappingProxyType(dict(zip(self.edges, self.edge_pf.tolist())))
-
-    @cached_property
-    def customer_neighbors(self) -> tuple[tuple[int, ...], ...]:
-        """N_v: media adjacent to each customer, in increasing order."""
-        adj: list[list[int]] = [[] for _ in range(self.m)]
-        for u, v in self.edges:
-            adj[v].append(u)
-        return tuple(tuple(a) for a in adj)
 
     @cached_property
     def p_table(self) -> np.ndarray:
@@ -464,6 +457,11 @@ def generate_instance(n: int, m: int, mean_degree: float,
     every draw of that loop from one ``random_raw`` block.  Media counts
     from 2**32 up would need 64-bit draws and are rejected.
     """
+    require_integer("n", n)
+    k_L = min(1, n) if k_L is None else k_L
+    k_F = min(2, n) if k_F is None else k_F
+    for name, value in (("m", m), ("seed", seed), ("k_L", k_L), ("k_F", k_F)):
+        require_integer(name, value)
     for name, (a, b) in (("p", p_dist), ("pf", pf_dist)):
         if not (0.0 <= a <= b <= 1.0):
             raise ValueError(f"{name} distribution bounds must satisfy 0 <= a <= b <= 1, got ({a}, {b})")
@@ -473,8 +471,6 @@ def generate_instance(n: int, m: int, mean_degree: float,
         raise ValueError("cannot attach customers to an empty media set")
     if n >= 1 << 32 and m > 0:
         raise ValueError(f"media count {n} is too large to generate: need n < 2**32")
-    k_L = min(1, n) if k_L is None else k_L
-    k_F = min(2, n) if k_F is None else k_F
     if m < 0 or not (0 <= k_L <= n and 0 <= k_F <= n):
         raise ValueError(f"need m >= 0 and budgets in [0, n], got n={n}, m={m}, k_L={k_L}, k_F={k_F}")
     degree = max(1, int(round(mean_degree))) if m > 0 else 0

@@ -45,6 +45,7 @@ class MwuConfig:
             raise ValueError("epsilon must lie in (0, 1)")
         if self.learning_rate != "auto" and not (
                 isinstance(self.learning_rate, numbers.Real)
+                and not isinstance(self.learning_rate, bool)
                 and 0.0 < self.learning_rate < math.inf):
             raise ValueError("learning rate must be positive and finite, or 'auto'")
 

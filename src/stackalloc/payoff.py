@@ -17,8 +17,8 @@ below by -C where C = max_y sum_v P_v(y).
 
 f and g are written out once, in ``utilities``: it scores stacked rows
 of leader activations against stacked follower tables of P_v(y) and
-P_{F,v}(y).  The follower oracle, the exact multi-LP, the MWU losses and
-the single-strategy evaluators here all go through it.
+P_{F,v}(y).  The follower oracle, the exact multi-LP and the MWU losses
+all go through it.
 
 Every survival product reads the game's dense tables ``p_table`` and
 ``pf_table`` (p or p_F on the edges, exactly 0 elsewhere, so an
@@ -32,19 +32,9 @@ medium order, so they agree bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import BipartiteInfluenceGame, MixedStrategy, PureStrategy
-
-
-@dataclass(frozen=True)
-class UtilityPair:
-    """Leader (retained) and follower (acquired) expected customer counts."""
-
-    leader: float
-    follower: float
 
 
 def activation_rows(game: BipartiteInfluenceGame, strategies: list[PureStrategy],
@@ -75,23 +65,12 @@ def activation_vector(game: BipartiteInfluenceGame, media) -> np.ndarray:
     return 1.0 - np.prod(1.0 - game.p_table[list(PureStrategy.of(media))], axis=0)
 
 
-def recapture_vector(game: BipartiteInfluenceGame, media) -> np.ndarray:
-    """P_{F,v}(y) for every customer v."""
-    return 1.0 - np.prod(1.0 - game.pf_table[list(PureStrategy.of(media))], axis=0)
-
-
 def mixed_activation_vector(game: BipartiteInfluenceGame, x: MixedStrategy) -> np.ndarray:
     """P_v(x) = sum over the support of x_z * P_v(z); O(|E| * |supp(x)|)."""
     pvx = np.zeros(game.m)
     for z, w in x.weights.items():
         pvx += w * activation_vector(game, z)
     return pvx
-
-
-def _activation_of(game: BipartiteInfluenceGame, x) -> np.ndarray:
-    if isinstance(x, MixedStrategy):
-        return mixed_activation_vector(game, x)
-    return activation_vector(game, x)
 
 
 def utilities(pvx: np.ndarray, activation: np.ndarray,
@@ -108,17 +87,3 @@ def utilities(pvx: np.ndarray, activation: np.ndarray,
     f = pvx.sum(axis=1, keepdims=True) - flipped
     g = flipped + (1.0 - pvx) @ activation.T
     return f, g
-
-
-def utilities_mixed(game: BipartiteInfluenceGame, x: MixedStrategy, y) -> UtilityPair:
-    """f and g at a leader mix x and follower pure strategy y."""
-    f, g = utilities(mixed_activation_vector(game, x), activation_vector(game, y)[None],
-                     recapture_vector(game, y)[None])
-    return UtilityPair(leader=float(f[0, 0]), follower=float(g[0, 0]))
-
-
-def phi(game: BipartiteInfluenceGame, x, y) -> float:
-    """Zero-sum surrogate: -g(x, y) + sum_v P_v(x)."""
-    pvx = _activation_of(game, x)
-    _, g = utilities(pvx, activation_vector(game, y)[None], recapture_vector(game, y)[None])
-    return float(pvx.sum() - g[0, 0])

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from stackalloc import BipartiteInfluenceGame
+from stackalloc import BipartiteInfluenceGame, PureStrategy, mixed_activation_vector
+from stackalloc.payoff import activation_rows, utilities
 
 
 def make_uniform_overlap():
@@ -98,3 +99,31 @@ def random_allocation(rng, n, k_L):
             if r.sum() > k_L:
                 r *= k_L / r.sum()
     return r
+
+
+def count_scored_rows(monkeypatch, oracle):
+    """From now on, count the leader rows ``oracle.utilities`` scores."""
+    scored = [0]
+    utilities = oracle.utilities
+
+    def counting(pvx):
+        f, g = utilities(pvx)
+        scored[0] += f.shape[0]
+        return f, g
+
+    monkeypatch.setattr(oracle, "utilities", counting)
+    return scored
+
+
+def follower_rows(game, y):
+    """P_v(y) and P_{F,v}(y), one row each, from the prefix chain of y."""
+    y = PureStrategy.of(y)
+    chain = [PureStrategy(y.media[:i]) for i in range(len(y) + 1)]
+    return activation_rows(game, chain)[-1:], activation_rows(game, chain, game.pf_table)[-1:]
+
+
+def utilities_at(game, x, y):
+    """f(x, y) and g(x, y) at a leader mix x and any follower media y, from
+    the kernel ``payoff.utilities``; y need not fit the follower budget."""
+    f, g = utilities(mixed_activation_vector(game, x), *follower_rows(game, y))
+    return float(f[0, 0]), float(g[0, 0])

@@ -22,13 +22,14 @@ every blended candidate row).
 from __future__ import annotations
 
 import itertools
+import weakref
 
 import numpy as np
 
 from stackalloc import BipartiteInfluenceGame, InstanceFormatError, MixedStrategy, PureStrategy
 from stackalloc import payoff
 from stackalloc.exact import enumerate_leader
-from stackalloc.follower import best_response, follower_oracle
+from stackalloc.follower import follower_oracle
 from stackalloc.heuristic import ACCEPT_TOL
 from stackalloc.lp import LinearProgram, solve_lp
 
@@ -53,16 +54,36 @@ def _hit_probability(probs):
     return total
 
 
+def edge_maps(game):
+    """({(u, v): p_uv}, {(u, v): p_F,uv}), plain dicts built from the edge columns."""
+    edges = list(zip(game.edge_media.tolist(), game.edge_customers.tolist()))
+    return dict(zip(edges, game.edge_p.tolist())), dict(zip(edges, game.edge_pf.tolist()))
+
+
+_NEIGHBORS = weakref.WeakKeyDictionary()
+
+
+def _neighbors(game):
+    """Per customer v, a plain dict {u: (p_uv, p_F,uv)} over its media in
+    increasing order; built from the edge columns once per game."""
+    table = _NEIGHBORS.get(game)
+    if table is None:
+        table = [{} for _ in range(game.m)]
+        p, p_F = edge_maps(game)
+        for (u, v), q in p.items():
+            table[v][u] = (q, p_F[(u, v)])
+        _NEIGHBORS[game] = table
+    return table
+
+
 def activation(game, v, media):
     media = set(media)
-    return _hit_probability([game.p[(u, v)] for u in game.customer_neighbors[v]
-                             if u in media])
+    return _hit_probability([q for u, (q, _) in _neighbors(game)[v].items() if u in media])
 
 
 def recapture(game, v, media):
     media = set(media)
-    return _hit_probability([game.p_F[(u, v)] for u in game.customer_neighbors[v]
-                             if u in media])
+    return _hit_probability([q for u, (_, q) in _neighbors(game)[v].items() if u in media])
 
 
 def f_pure(game, z, y):
@@ -91,6 +112,12 @@ def f_mixed(game, weights, y):
 
 def g_mixed(game, weights, y):
     return sum(w * g_pure(game, z, y) for z, w in weights.items())
+
+
+def phi(game, weights, y):
+    """The zero-sum surrogate -g(x, y) + sum_v P_v(x) at the mix ``weights``."""
+    reach = sum(w * activation(game, v, z) for z, w in weights.items() for v in range(game.m))
+    return reach - g_mixed(game, weights, y)
 
 
 def best_response_value(game, weights, tie_tol=1e-9):
@@ -173,8 +200,8 @@ def unscreened_outcomes(game, disjoint=False):
 
 
 def _edges_of(game, u):
-    """(customer, p) on each of medium u's edges, from the edge list."""
-    return [(v, game.p[(a, v)]) for a, v in game.edges if a == u]
+    """(customer, p) on each of medium u's edges, from the edge columns."""
+    return [(v, q) for (a, v), q in edge_maps(game)[0].items() if a == u]
 
 
 def _fund(game, survival, u):
@@ -240,8 +267,7 @@ def solve_heuristic_blended(game, ell, oracle):
         fbr_x = float(oracle.best_response_values(pvx)[0])
         if best_value < fbr_x:
             best_weights, best_value = dict(weights), fbr_x
-    x_star = MixedStrategy(best_weights)
-    return x_star, best_response(game, x_star, oracle=oracle)
+    return MixedStrategy(best_weights)
 
 
 def weights_of(x):

@@ -12,7 +12,7 @@ from stackalloc.bench import ExperimentSpec, run_experiment
 import oracles
 from conftest import (make_no_pure_optimum, make_overfunding_trap,
                       make_private_customers, make_uniform_overlap,
-                      random_allocation, random_game)
+                      random_allocation, random_game, utilities_at)
 from test_heuristic import reference_pure_greedy
 
 
@@ -58,7 +58,8 @@ def test_criterion_02_overfunding_trap_worked_example():
 def test_criterion_03_recapture_semantics():
     game = make_uniform_overlap()
     pv = sa.activation_vector(game, sa.PureStrategy.of([0, 1]))
-    rec = sa.recapture_vector(game, sa.PureStrategy.of([2]))
+    oracle = sa.follower_oracle(game)
+    rec = oracle.recapture[oracle.strategies.index(sa.PureStrategy.of([2]))]
     pvy = sa.activation_vector(game, sa.PureStrategy.of([2]))
     contribution = pv[1] * rec[1] + (1 - pv[1]) * pvy[1]
     ok = abs(contribution - 0.512) <= 1e-12
@@ -141,14 +142,14 @@ def test_criterion_08_property_suites():
             tuple(sorted(rng.choice(game.n, size=min(game.n, max(game.k_F, 1)),
                                     replace=False).tolist())))
         x = point(z)
-        pair = sa.utilities_mixed(game, x, y)
+        leader, follower = utilities_at(game, x, y)
         pvx = sa.mixed_activation_vector(game, x)
         pvy = sa.activation_vector(game, y)
         expected = float(pvx.sum() + (1 - pvx) @ pvy)
-        if abs(pair.leader + pair.follower - expected) > 1e-12:
+        if abs(leader + follower - expected) > 1e-12:
             conservation_bad += 1
-        value = sa.phi(game, x, y)
-        if abs(value - (pair.leader - float((1 - pvx) @ pvy))) > 1e-12:
+        value = oracles.phi(game, {z: 1.0}, y.media)
+        if abs(value - (leader - float((1 - pvx) @ pvy))) > 1e-12:
             rewriting_bad += 1
 
     submodular_bad = 0
@@ -179,7 +180,7 @@ def test_criterion_08_property_suites():
         y = sa.PureStrategy.of(ys[int(rng3.integers(len(ys)))])
 
         def h(z_set):
-            return sa.phi(game, point(tuple(sorted(z_set))), y) + C
+            return oracles.phi(game, {tuple(sorted(z_set)): 1.0}, y.media) + C
 
         perm = [int(u) for u in rng3.permutation(game.n)]
         u, small = perm[0], set(perm[1:2])
@@ -200,10 +201,9 @@ def test_criterion_08_property_suites():
             weights[s] = weights.get(s, 0.0) + wi
         x = sa.MixedStrategy({sa.PureStrategy.of(s): wi for s, wi in weights.items()})
         strategies = sa.enumerate_follower(game)
-        g_vals = np.array([sa.utilities_mixed(game, x, y).follower for y in strategies])
-        phi_vals = np.array([sa.phi(game, x, y) for y in strategies])
-        g_arg = set(np.nonzero(g_vals >= g_vals.max() - 1e-9)[0].tolist())
-        phi_arg = set(np.nonzero(phi_vals <= phi_vals.min() + 1e-9)[0].tolist())
+        g_arg = set(sa.best_response(game, x).responses)
+        phi_vals = np.array([oracles.phi(game, weights, y.media) for y in strategies])
+        phi_arg = {strategies[i] for i in np.nonzero(phi_vals <= phi_vals.min() + 1e-9)[0]}
         if g_arg != phi_arg:
             br_set_bad += 1
 
@@ -219,7 +219,7 @@ def test_criterion_09_heuristic_collapse():
     mismatches = 0
     for _ in range(50):
         game = random_game(rng, n_max=6, m_max=8)
-        x, _ = sa.solve_heuristic(game, ell=1)
+        x = sa.solve_heuristic(game, ell=1)
         ref_strategy, _ = reference_pure_greedy(game)
         if list(x.weights) != [ref_strategy] or x.weights[ref_strategy] != 1.0:
             mismatches += 1

@@ -68,12 +68,12 @@ EDGELESS = ("3 0 1 1\n", "3 5 1 1\n")
 @pytest.mark.parametrize("text", EDGELESS, ids=["no-customers", "no-edges"])
 def test_every_engine_solves_an_instance_without_edges(text):
     game = load_instance(io.StringIO(text))
-    z, br = heuristic.greedy_baseline(game)
-    assert len(z) == game.k_L and br.leader_value == 0.0
+    z = heuristic.greedy_baseline(game)
+    assert len(z) == game.k_L
+    assert best_response(game, MixedStrategy.point_mass(z)).leader_value == 0.0
     _, br, _ = mwu.solve_mwu(game)
     assert br.leader_value == 0.0
-    _, br = heuristic.solve_heuristic(game, 3)
-    assert br.leader_value == 0.0
+    assert best_response(game, heuristic.solve_heuristic(game, 3)).leader_value == 0.0
     assert exact.solve_multi_lp(game).value == 0.0
     assert exact.solve_disjoint_lp(game).value == 0.0
 

@@ -5,8 +5,8 @@ from scipy.optimize import linprog
 from stackalloc import (BipartiteInfluenceGame, CapExceededError, MixedStrategy,
                         PureStrategy, allocation_of, best_response,
                         decompose_allocation, enumerate_leader, exact,
-                        generate_instance, membership_Q, solve_disjoint_lp,
-                        solve_multi_lp, utilities_mixed)
+                        follower_oracle, generate_instance, mixed_activation_vector,
+                        solve_disjoint_lp, solve_multi_lp)
 from stackalloc import lp as lp_mod
 
 import oracles
@@ -53,12 +53,6 @@ def test_solve_multi_lp_no_follower_budget_matches_brute_force():
         assert res.value == pytest.approx(best, abs=1e-7)
 
 
-def test_membership_Q_examples():
-    assert membership_Q(np.array([1.0, 1 / 3, 1 / 3, 1.0]), 3)
-    assert not membership_Q(np.array([1.2, 0.0]), 2)
-    assert not membership_Q(np.array([0.9, 0.9, 0.9]), 2)
-
-
 def test_decompose_reproduces_paper_mixture():
     third = 1.0 / 3.0
     x = decompose_allocation(np.array([1.0, third, third, 1.0]), 3)
@@ -74,8 +68,14 @@ def test_decompose_integral_point_mass():
 
 
 def test_decompose_rejects_points_outside_Q():
-    bad = [([0.9, 0.9, 0.9], 2),  # over budget
-           ([0.5, 0.5], 1.5),  # budget not an integer
+    outside = [([0.9, 0.9, 0.9], 2),  # over budget
+               ([1.2, 0.0], 2),  # above 1
+               ([-0.1, 0.5], 1),  # below 0
+               ([0.5, float("nan")], 2)]
+    for r, k_L in outside:
+        with pytest.raises(ValueError, match="allocation outside Q"):
+            decompose_allocation(np.array(r), k_L)
+    bad = [([0.5, 0.5], 1.5),  # budget not an integer
            ([0.5, 0.5], True),
            ([0.5, 0.5], 1.0),
            ([[0.5, 0.0], [0.0, 0.5]], 2),  # not a vector
@@ -173,17 +173,17 @@ def test_bilinearity_on_disjoint_instances():
         x2 = MixedStrategy({PureStrategy.of([game.n - 1 - u for u in s]): w
                             for s, w in shuffled.weights.items()})
         assert np.allclose(allocation_of(x2, game.n), r, atol=1e-9)
-        for y in oracles.subsets_up_to(game.n, game.k_F):
-            p1 = utilities_mixed(game, x1, PureStrategy.of(y))
-            p2 = utilities_mixed(game, x2, PureStrategy.of(y))
-            assert p1.leader == pytest.approx(p2.leader, abs=1e-9)
-            assert p1.follower == pytest.approx(p2.follower, abs=1e-9)
+        oracle = follower_oracle(game)  # every y in the follower set
+        (f1, g1), (f2, g2) = (oracle.utilities(mixed_activation_vector(game, x))
+                              for x in (x1, x2))
+        np.testing.assert_allclose(f1, f2, rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(g1, g2, rtol=0.0, atol=1e-9)
 
 
 def test_equilibrium_values_are_reverified(no_pure_optimum):
     res = solve_multi_lp(no_pure_optimum)
-    pair = utilities_mixed(no_pure_optimum, res.leader, res.follower)
-    assert pair.leader == pytest.approx(res.value, abs=1e-9)
+    leader = oracles.f_mixed(no_pure_optimum, oracles.weights_of(res.leader), res.follower.media)
+    assert leader == pytest.approx(res.value, abs=1e-9)
     assert best_response(no_pure_optimum, res.leader).leader_value >= res.value - 1e-9
 
 

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from stackalloc import (CapExceededError, MixedStrategy, PureStrategy,
-                        best_response, enumerate_follower,
-                        follower_oracle, phi, utilities_mixed)
+                        best_response, enumerate_follower, follower_oracle,
+                        mixed_activation_vector)
 from stackalloc.model import BipartiteInfluenceGame
 
 import oracles
-from conftest import random_game
+from conftest import count_scored_rows, random_game
 
 
 def point(media):
@@ -88,13 +88,12 @@ def test_optimistic_consistency():
         game = random_game(rng)
         z = tuple(sorted(rng.choice(game.n, size=min(game.n, game.k_L),
                                     replace=False).tolist()))
-        x = point(z)
-        res = best_response(game, x)
-        f_over_responses = [utilities_mixed(game, x, y).leader for y in res.responses]
+        res = best_response(game, point(z))
+        f_over_responses = [oracles.f_mixed(game, {z: 1.0}, y.media) for y in res.responses]
         assert res.leader_value == pytest.approx(max(f_over_responses), abs=1e-9)
         assert res.chosen in res.responses
         for y in res.responses:
-            assert utilities_mixed(game, x, y).follower >= res.follower_value - 1e-9
+            assert oracles.g_mixed(game, {z: 1.0}, y.media) >= res.follower_value - 1e-9
 
 
 def test_surrogate_preserves_best_response_sets():
@@ -103,12 +102,10 @@ def test_surrogate_preserves_best_response_sets():
         game = random_game(rng, n_max=5, m_max=6)
         z = tuple(sorted(rng.choice(game.n, size=min(game.n, game.k_L),
                                     replace=False).tolist()))
-        x = point(z)
         strategies = enumerate_follower(game)
-        g_vals = np.array([utilities_mixed(game, x, y).follower for y in strategies])
-        phi_vals = np.array([phi(game, x, y) for y in strategies])
-        brs = set(np.nonzero(g_vals >= g_vals.max() - 1e-9)[0].tolist())
-        phi_mins = set(np.nonzero(phi_vals <= phi_vals.min() + 1e-9)[0].tolist())
+        brs = set(best_response(game, point(z)).responses)
+        phi_vals = np.array([oracles.phi(game, {z: 1.0}, y.media) for y in strategies])
+        phi_mins = {strategies[i] for i in np.nonzero(phi_vals <= phi_vals.min() + 1e-9)[0]}
         assert brs == phi_mins
 
 
@@ -120,8 +117,10 @@ def test_follower_value_monotone_in_response_size():
             continue
         x = point(tuple(sorted(rng.choice(game.n, size=min(game.n, game.k_L),
                                           replace=False).tolist())))
-        strategies = enumerate_follower(game)
-        values = {y.media: utilities_mixed(game, x, y).follower for y in strategies}
+        oracle = follower_oracle(game)
+        strategies = oracle.strategies
+        _, g = oracle.utilities(mixed_activation_vector(game, x))
+        values = {y.media: float(gy) for y, gy in zip(strategies, g[0])}
         for y in strategies:
             for bigger in strategies:
                 if set(y.media) <= set(bigger.media):
@@ -131,11 +130,11 @@ def test_follower_value_monotone_in_response_size():
         assert max(full_sized) >= best - 1e-9
 
 
-def test_oracle_evaluation_count(no_pure_optimum):
+def test_oracle_evaluation_count(monkeypatch, no_pure_optimum):
     oracle = follower_oracle(no_pure_optimum)
-    before = oracle.evaluations
+    scored = count_scored_rows(monkeypatch, oracle)
     best_response(no_pure_optimum, point([0]), oracle=oracle)
-    assert oracle.evaluations == before + 1  # one activation row per f_BR call
+    assert scored[0] == 1  # one activation row per f_BR call
 
 
 def test_oracle_is_shared_per_instance(no_pure_optimum):

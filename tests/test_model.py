@@ -25,8 +25,10 @@ def assert_rejected(message, n, m, rows, k_L, k_F):
             construct()
 
 
-def worked_example_rows(game):
-    return [(u, v, game.p[(u, v)], game.p_F[(u, v)]) for u, v in game.edges]
+def edge_rows(game):
+    """The game's (u, v, p, p_F) rows, in its (u, v) order."""
+    return list(zip(game.edge_media.tolist(), game.edge_customers.tolist(),
+                    game.edge_p.tolist(), game.edge_pf.tolist()))
 
 
 def test_validate_accepts_worked_example(no_pure_optimum):
@@ -34,18 +36,18 @@ def test_validate_accepts_worked_example(no_pure_optimum):
     again = BipartiteInfluenceGame.from_arrays(3, 4, game.edge_media, game.edge_customers,
                                                game.edge_p, game.edge_pf, 1, 1)
     assert game.n == 3 and game.m == 4 and len(game.edges) == 5
-    assert again.edges == game.edges and again.p == game.p and again.p_F == game.p_F
+    assert again.edges == game.edges and edge_rows(again) == edge_rows(game)
 
 
 def test_validate_probability_out_of_range(no_pure_optimum):
     rows = [(u, v, 1.5 if (u, v) == (0, 0) else p, pf)
-            for u, v, p, pf in worked_example_rows(no_pure_optimum)]
+            for u, v, p, pf in edge_rows(no_pure_optimum)]
     assert_rejected("probability out of range: p(0, 0) = 1.5", 3, 4, rows, 1, 1)
 
 
 def test_validate_budget_exceeds_media_count(no_pure_optimum):
     assert_rejected("leader budget exceeds media count (k_L=4, n=3)",
-                    3, 4, worked_example_rows(no_pure_optimum), 4, 1)
+                    3, 4, edge_rows(no_pure_optimum), 4, 1)
 
 
 def test_validate_duplicate_edge_and_bad_index():
@@ -74,6 +76,12 @@ def test_validate_duplicate_edge_and_bad_index():
     (2, 2, [(0, 0, 0.5, 0.5), (1, 0, 0.5, float("nan"))], 1, 1,
      "probability out of range: p_F(1, 0) = nan"),
     (2, 2, [(0, 1, 0.5, float("inf"))], 1, 1, "probability out of range: p_F(0, 1) = inf"),
+    # Non-integer sizes, budgets and index columns raise instead of truncating.
+    (2, 2, [(0.7, 1.9, .5, .5)], 1, 1, "edge media must be integers, got dtype float64"),
+    (2.9, 2, [(0, 0, .5, .5)], 1.5, 1, "n must be an integer, not 2.9"),
+    (2, 2, [(True, 0, .5, .5)], 1, 1, "edge media must be integers, got dtype bool"),
+    (2, 2, [(0, 1.0, .5, .5)], 1, 1, "edge customers must be integers, got dtype float64"),
+    (2, 2, [], 1, True, "k_F must be an integer, not True"),
 ])
 def test_validate_messages(n, m, rows, k_L, k_F, message):
     assert_rejected(message, n, m, rows, k_L, k_F)
@@ -93,14 +101,12 @@ def test_from_arrays_rejects_columns_that_are_not_1d_or_not_one_length(columns, 
 
 def test_edges_are_sorted_arrays_whatever_the_input_order(no_pure_optimum):
     game = no_pure_optimum
-    rows = list(zip(game.edges, game.p.values(), game.p_F.values()))
-    shuffled = BipartiteInfluenceGame.build(
-        3, 4, [(u, v, p, pf) for (u, v), p, pf in rows[::-1]], 1, 1)
+    shuffled = BipartiteInfluenceGame.build(3, 4, edge_rows(game)[::-1], 1, 1)
     for name in ("edge_media", "edge_customers", "edge_p", "edge_pf"):
         assert np.array_equal(getattr(shuffled, name), getattr(game, name))
     assert game.edges == ((0, 0), (0, 1), (1, 1), (1, 2), (2, 3))
-    assert game.customer_neighbors == ((0,), (0, 1), (1,), (2,))
-    assert game.p[(2, 3)] == 0.599 and game.p_F[(0, 1)] == 0.5
+    p, p_F = oracles.edge_maps(game)
+    assert p[(2, 3)] == 0.599 and p_F[(0, 1)] == 0.5
 
 
 def test_game_arrays_and_views_are_read_only(no_pure_optimum):
@@ -109,8 +115,6 @@ def test_game_arrays_and_views_are_read_only(no_pure_optimum):
         game.edge_p[0] = 0.5
     for name in ("edge_media", "edge_customers", "edge_pf", "p_table", "pf_table"):
         assert not getattr(game, name).flags.writeable
-    with pytest.raises(TypeError):
-        game.p[(0, 0)] = 0.5
     with pytest.raises(dataclasses.FrozenInstanceError):
         game.edge_p = np.zeros(5)
 
@@ -138,20 +142,19 @@ NO_PURE_OPTIMUM_TEXT = """\
 
 def test_load_instance_no_pure_optimum(no_pure_optimum):
     game = load_instance(io.StringIO(NO_PURE_OPTIMUM_TEXT))
-    assert game.edges == no_pure_optimum.edges
-    assert game.p == no_pure_optimum.p and game.p_F == no_pure_optimum.p_F
+    assert edge_rows(game) == edge_rows(no_pure_optimum)
     assert (game.k_L, game.k_F) == (1, 1)
 
 
 def test_load_instance_minimal():
     game = load_instance(io.StringIO("1 1 0 0\n0 0 0.5 0.5\n"))
-    assert game.n == 1 and game.m == 1 and game.p[(0, 0)] == 0.5
+    assert game.n == 1 and game.m == 1 and edge_rows(game) == [(0, 0, 0.5, 0.5)]
 
 
 def test_load_instance_overfunding_trap(overfunding_trap):
     text = "3 2 3 1\n0 0 1 0\n1 0 0 1\n1 1 0 1\n2 1 1 0\n"
     game = load_instance(io.StringIO(text))
-    assert game.edges == overfunding_trap.edges and game.p == overfunding_trap.p
+    assert edge_rows(game) == edge_rows(overfunding_trap)
 
 
 @pytest.mark.parametrize("text,fragment", [
@@ -176,8 +179,7 @@ def test_round_trip_is_exact():
         buf = io.StringIO()
         dump_instance(game, buf, comment="round trip")
         again = load_instance(io.StringIO(buf.getvalue()))
-        assert again.edges == game.edges
-        assert again.p == game.p and again.p_F == game.p_F
+        assert edge_rows(again) == edge_rows(game)
         assert (again.k_L, again.k_F) == (game.k_L, game.k_F)
 
 
@@ -185,22 +187,20 @@ def test_generate_instance_movielens_shape():
     game = generate_instance(20, 844, 3506 / 844, (0.0, 0.2), (0.1, 0.9), seed=1)
     assert game.n == 20 and game.m == 844
     assert len(game.edges) == 844 * 4  # rounded mean degree, one draw per customer
-    assert all(0.0 <= game.p[e] <= 0.2 for e in game.edges)
-    assert all(0.1 <= game.p_F[e] <= 0.9 for e in game.edges)
+    assert all(0.0 <= p <= 0.2 and 0.1 <= pf <= 0.9 for _, _, p, pf in edge_rows(game))
 
 
 def test_generate_instance_degenerate_distribution():
     game = generate_instance(1, 1, 1, (0.3, 0.3), (0.3, 0.3), seed=99)
-    assert game.edges == ((0, 0),)
-    assert game.p[(0, 0)] == 0.3 and game.p_F[(0, 0)] == 0.3
+    assert edge_rows(game) == [(0, 0, 0.3, 0.3)]
 
 
 def test_generate_instance_deterministic():
     a = generate_instance(8, 20, 2.5, (0.0, 0.5), (0.2, 0.8), seed=7)
     b = generate_instance(8, 20, 2.5, (0.0, 0.5), (0.2, 0.8), seed=7)
-    assert a.edges == b.edges and a.p == b.p and a.p_F == b.p_F
+    assert edge_rows(a) == edge_rows(b)
     c = generate_instance(8, 20, 2.5, (0.0, 0.5), (0.2, 0.8), seed=8)
-    assert a.p != c.p
+    assert edge_rows(a) != edge_rows(c)
 
 
 def test_generate_instance_rejects_bad_arguments():
@@ -208,6 +208,20 @@ def test_generate_instance_rejects_bad_arguments():
         generate_instance(3, 5, 4.0, (0.0, 0.5), (0.0, 0.5), seed=0)
     with pytest.raises(ValueError):
         generate_instance(3, 5, 1.0, (0.5, 0.1), (0.0, 0.5), seed=0)
+
+
+@pytest.mark.parametrize("overrides,message", [
+    (dict(n=3.5), "n must be an integer, not 3.5"),
+    (dict(m=4.5), "m must be an integer, not 4.5"),
+    (dict(seed=1.5), "seed must be an integer, not 1.5"),
+    (dict(k_L=1.5), "k_L must be an integer, not 1.5"),
+    (dict(k_F=True), "k_F must be an integer, not True"),
+])
+def test_generate_instance_rejects_non_integer_arguments(overrides, message):
+    # n, m and seed used to raise TypeError, and k_L=1.5 built a k_L=1 game.
+    args = dict(n=3, m=4, mean_degree=1, p_dist=(0.0, 0.2), pf_dist=(0.1, 0.9), seed=1)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        generate_instance(**{**args, **overrides})
 
 
 def assert_same_dump(*args):

@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from stackalloc import (BipartiteInfluenceGame, FollowerOracle, MixedStrategy,
-                        MwuConfig, PureStrategy, activation_vector, best_response,
-                        certify, enumerate_follower, follower_oracle,
-                        generate_instance, greedy_weighted_submodular, phi,
-                        solve_multi_lp, solve_mwu, utilities_mixed)
+from stackalloc import (FollowerOracle, MixedStrategy, MwuConfig, PureStrategy,
+                        activation_vector, best_response, certify, enumerate_follower,
+                        follower_oracle, generate_instance, greedy_weighted_submodular,
+                        solve_multi_lp, solve_mwu)
 from stackalloc import mwu as mwu_mod
 from stackalloc.lp import LpNumericsError
 
@@ -41,7 +40,8 @@ def test_greedy_concentrated_on_empty_response(no_pure_optimum):
     weights = np.array([1.0, 0.0, 0.0, 0.0])  # all mass on the empty strategy
     z = greedy_weighted_submodular(no_pure_optimum, weights, budget=1)
     # h_empty(z) = sum_v P_v(z) + C: plain budget allocation greedy
-    sums = {u: sum(no_pure_optimum.p[(a, v)] for a, v in no_pure_optimum.edges if a == u) for u in range(3)}
+    p, _ = oracles.edge_maps(no_pure_optimum)
+    sums = {u: sum(q for (a, _), q in p.items() if a == u) for u in range(3)}
     assert z == PureStrategy.of([max(sums, key=lambda u: (sums[u], -u))])
 
 
@@ -145,23 +145,21 @@ def test_surrogate_losses_bounded():
         bound = game.m + C
         for y in oracles.subsets_up_to(game.n, game.k_F):
             for z in oracles.subsets_up_to(game.n, game.k_L):
-                h = phi(game, MixedStrategy.point_mass(PureStrategy.of(z)),
-                        PureStrategy.of(y)) + C
+                h = oracles.phi(game, {z: 1.0}, y) + C
                 assert -1e-9 <= h <= bound + 1e-9
 
 
 def test_surrogate_losses_match_phi():
-    # The losses score z against the oracle's whole follower table; phi
-    # scores it against one follower strategy's vectors.
+    # The losses score z against the oracle's whole follower table; the
+    # brute-force phi scores it against one follower strategy by enumeration.
     rng = np.random.default_rng(709)
     for _ in range(30):
         game = random_game(rng, n_max=6, m_max=8, kf_max=3)
         oracle = follower_oracle(game)
         C = oracles.phi_constant(game)
         for z in oracles.subsets_up_to(game.n, game.k_L):
-            z = PureStrategy.of(z)
             h = mwu_mod._surrogate_losses(oracle, activation_vector(game, z), C)
-            expected = [phi(game, z, y) + C for y in oracle.strategies]
+            expected = [oracles.phi(game, {z: 1.0}, y.media) + C for y in oracle.strategies]
             np.testing.assert_allclose(h, expected, rtol=0.0, atol=1e-12)
 
 
@@ -173,10 +171,10 @@ def test_surrogate_losses_monotone_submodular():
         if game.n < 2:
             continue
         C = oracles.phi_constant(game)
-        y = PureStrategy.of(oracles.subsets_up_to(game.n, game.k_F)[-1])
+        y = oracles.subsets_up_to(game.n, game.k_F)[-1]
 
         def h(z_set):
-            return phi(game, MixedStrategy.point_mass(PureStrategy.of(z_set)), y) + C
+            return oracles.phi(game, {tuple(sorted(z_set)): 1.0}, y) + C
 
         perm = [int(u) for u in rng.permutation(game.n)]
         u = perm[0]
@@ -262,12 +260,14 @@ def test_mwu_config_validation():
 
 
 @pytest.mark.parametrize("kwargs", [dict(iterations=1.5), dict(iterations=True),
-                                    dict(learning_rate=math.inf)],
-                         ids=["fractional-iterations", "bool-iterations", "infinite-rate"])
+                                    dict(learning_rate=math.inf), dict(learning_rate=True)],
+                         ids=["fractional-iterations", "bool-iterations", "infinite-rate",
+                              "bool-rate"])
 def test_mwu_config_rejects_at_construction(kwargs):
-    # Each used to pass construction and fail later: range(1.5) raised
-    # TypeError in solve_mwu, True ran one round, and an infinite rate
-    # surfaced only as "weights vanished".
+    # Each used to pass construction and fail later or not at all:
+    # range(1.5) raised TypeError in solve_mwu, True ran one round, an
+    # infinite rate surfaced only as "weights vanished", and a True rate
+    # ran as 1.0.
     with pytest.raises(ValueError):
         MwuConfig(**kwargs)
 

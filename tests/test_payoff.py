@@ -3,12 +3,11 @@ import pytest
 
 from stackalloc import (BipartiteInfluenceGame, FollowerOracle, MixedStrategy,
                         PureStrategy, activation_vector, enumerate_follower,
-                        follower_oracle, mixed_activation_vector, phi,
-                        recapture_vector, utilities_mixed)
+                        follower_oracle, mixed_activation_vector)
 from stackalloc.payoff import activation_rows
 
 import oracles
-from conftest import random_game
+from conftest import follower_rows, random_game, utilities_at
 
 
 def point(media):
@@ -30,50 +29,52 @@ def test_activation_prob_single_edge():
 
 
 def test_recapture_prob_examples(uniform_overlap, no_pure_optimum):
+    # rows of the follower oracle's recapture table: P_{F,v}(y) per strategy
+    def recapture(game, y):
+        oracle = follower_oracle(game)
+        return oracle.recapture[oracle.strategies.index(PureStrategy.of(y))]
+
     y = PureStrategy.of([2])
-    assert recapture_vector(uniform_overlap, y)[1] == pytest.approx(0.5, abs=1e-15)
+    assert recapture(uniform_overlap, y)[1] == pytest.approx(0.5, abs=1e-15)
     assert oracles.recapture(uniform_overlap, 1, y) == pytest.approx(0.5, abs=1e-15)
-    assert recapture_vector(uniform_overlap, PureStrategy.empty())[0] == 0.0
+    assert recapture(uniform_overlap, PureStrategy.empty())[0] == 0.0
     assert oracles.recapture(uniform_overlap, 0, ()) == 0.0
     # the lone edge into the last customer has p_F = 0
-    assert recapture_vector(no_pure_optimum, y)[3] == 0.0
+    assert recapture(no_pure_optimum, y)[3] == 0.0
     assert oracles.recapture(no_pure_optimum, 3, y) == 0.0
 
 
 def test_leader_utility_pure_examples(overfunding_trap):
     for z, y, expected in (((0, 1, 2), (1,), 0.0), ((0,), (2,), 1.0), ((), (1,), 0.0)):
-        leader = utilities_mixed(overfunding_trap, point(z), PureStrategy.of(y)).leader
+        leader, _ = utilities_at(overfunding_trap, point(z), y)
         assert leader == pytest.approx(expected, abs=1e-15)
         assert oracles.f_pure(overfunding_trap, z, y) == pytest.approx(expected, abs=1e-15)
-    assert utilities_mixed(overfunding_trap, point(()), PureStrategy.of([1])).leader == 0.0
+    assert utilities_at(overfunding_trap, point(()), [1])[0] == 0.0
 
 
 def test_follower_utility_pure_uniform_overlap_contribution(uniform_overlap):
     z, y = PureStrategy.of([0, 1]), PureStrategy.of([2])
     pv = activation_vector(uniform_overlap, z)
-    from stackalloc import recapture_vector
-    rec = recapture_vector(uniform_overlap, y)
-    pvy = activation_vector(uniform_overlap, y)
+    (pvy,), (rec,) = follower_rows(uniform_overlap, y)
     v2 = pv[1] * rec[1] + (1 - pv[1]) * pvy[1]
     assert v2 == pytest.approx(0.512, abs=1e-12)
-    assert utilities_mixed(uniform_overlap, point(z), y).follower == pytest.approx(
+    assert utilities_at(uniform_overlap, point(z), y)[1] == pytest.approx(
         oracles.g_pure(uniform_overlap, (0, 1), (2,)), abs=1e-12)
 
 
 def test_follower_utility_pure_empty_and_no_pure_optimum(no_pure_optimum):
-    assert utilities_mixed(no_pure_optimum, point([0]), PureStrategy.empty()).follower == 0.0
+    assert utilities_at(no_pure_optimum, point([0]), ())[1] == 0.0
     assert oracles.g_pure(no_pure_optimum, (0,), ()) == 0.0
     # frozen from the event-enumeration oracle: 1*0.5 + 1*0.1 = 0.6
     assert oracles.g_pure(no_pure_optimum, (0,), (1,)) == pytest.approx(0.6, abs=1e-12)
-    assert utilities_mixed(no_pure_optimum, point([0]),
-                           PureStrategy.of([1])).follower == pytest.approx(0.6, abs=1e-12)
+    assert utilities_at(no_pure_optimum, point([0]), [1])[1] == pytest.approx(0.6, abs=1e-12)
 
 
 def test_utilities_mixed_no_pure_optimum_mixture(no_pure_optimum):
     x = MixedStrategy({PureStrategy.of([0]): 0.5, PureStrategy.of([1]): 0.5})
-    pair = utilities_mixed(no_pure_optimum, x, PureStrategy.of([2]))
-    assert pair.leader == pytest.approx(1.1, abs=1e-12)
-    assert pair.follower == pytest.approx(0.599, abs=1e-12)
+    leader, follower = utilities_at(no_pure_optimum, x, [2])
+    assert leader == pytest.approx(1.1, abs=1e-12)
+    assert follower == pytest.approx(0.599, abs=1e-12)
 
 
 def test_utilities_mixed_point_mass_equals_pure(uniform_overlap):
@@ -82,9 +83,9 @@ def test_utilities_mixed_point_mass_equals_pure(uniform_overlap):
         game = random_game(rng)
         z = tuple(sorted(rng.choice(game.n, size=min(game.n, 2), replace=False).tolist()))
         y = tuple(sorted(rng.choice(game.n, size=min(game.n, 1), replace=False).tolist()))
-        pair = utilities_mixed(game, point(z), PureStrategy.of(y))
-        assert pair.leader == pytest.approx(oracles.f_pure(game, z, y), abs=1e-12)
-        assert pair.follower == pytest.approx(oracles.g_pure(game, z, y), abs=1e-12)
+        leader, follower = utilities_at(game, point(z), y)
+        assert leader == pytest.approx(oracles.f_pure(game, z, y), abs=1e-12)
+        assert follower == pytest.approx(oracles.g_pure(game, z, y), abs=1e-12)
 
 
 def test_utilities_mixed_private_customers(private_customers):
@@ -92,9 +93,9 @@ def test_utilities_mixed_private_customers(private_customers):
     x = MixedStrategy({PureStrategy.of([0, 3]): third,
                        PureStrategy.of([0, 1, 3]): third,
                        PureStrategy.of([0, 2, 3]): third})
-    pair = utilities_mixed(private_customers, x, PureStrategy.of([1, 2]))
-    assert pair.leader == pytest.approx(18.0, abs=1e-12)
-    assert pair.leader == pytest.approx(
+    leader, _ = utilities_at(private_customers, x, [1, 2])
+    assert leader == pytest.approx(18.0, abs=1e-12)
+    assert leader == pytest.approx(
         oracles.f_mixed(private_customers, oracles.weights_of(x), (1, 2)), abs=1e-12)
 
 
@@ -137,11 +138,11 @@ def test_phi_identities_and_empty_response():
         x = point(z)
         pvx = mixed_activation_vector(game, x)
         pvy = activation_vector(game, y)
-        pair = utilities_mixed(game, x, PureStrategy.of(y))
-        value = phi(game, x, PureStrategy.of(y))
-        assert value == pytest.approx(pair.leader - float((1 - pvx) @ pvy), abs=1e-12)
-        assert value == pytest.approx(-pair.follower + pvx.sum(), abs=1e-12)
-        assert phi(game, x, PureStrategy.empty()) == pytest.approx(pvx.sum(), abs=1e-12)
+        leader, follower = utilities_at(game, x, y)
+        value = oracles.phi(game, {z: 1.0}, y)
+        assert value == pytest.approx(leader - float((1 - pvx) @ pvy), abs=1e-12)
+        assert value == pytest.approx(-follower + pvx.sum(), abs=1e-12)
+        assert oracles.phi(game, {z: 1.0}, ()) == pytest.approx(pvx.sum(), abs=1e-12)
 
 
 def test_phi_constant_no_pure_optimum(no_pure_optimum):
@@ -159,7 +160,7 @@ def test_phi_lower_bound_via_constant():
         for y in oracles.subsets_up_to(game.n, game.k_F):
             z = tuple(sorted(rng.choice(game.n, size=min(game.n, game.k_L),
                                         replace=False).tolist()))
-            assert -phi(game, point(z), PureStrategy.of(y)) <= C + 1e-9
+            assert -oracles.phi(game, {z: 1.0}, y) <= C + 1e-9
 
 
 def test_conservation_identity_rapid():
@@ -171,13 +172,13 @@ def test_conservation_identity_rapid():
         y = tuple(sorted(rng.choice(game.n, size=min(game.n, max(game.k_F, 1)),
                                     replace=False).tolist()))
         x = point(z)
-        pair = utilities_mixed(game, x, PureStrategy.of(y))
+        leader, follower = utilities_at(game, x, y)
         pvx = mixed_activation_vector(game, x)
         pvy = activation_vector(game, y)
         expected = float(pvx.sum() + (1 - pvx) @ pvy)
-        assert pair.leader + pair.follower == pytest.approx(expected, abs=1e-12)
-        assert 0.0 <= pair.leader <= game.m and 0.0 <= pair.follower <= game.m
-        assert pair.leader + pair.follower <= game.m + 1e-12
+        assert leader + follower == pytest.approx(expected, abs=1e-12)
+        assert 0.0 <= leader <= game.m and 0.0 <= follower <= game.m
+        assert leader + follower <= game.m + 1e-12
 
 
 def test_mixed_evaluation_linear_in_x():
@@ -187,15 +188,15 @@ def test_mixed_evaluation_linear_in_x():
         subsets = oracles.subsets_up_to(game.n, game.k_L)
         z1 = subsets[int(rng.integers(len(subsets)))]
         z2 = subsets[int(rng.integers(len(subsets)))]
-        y = PureStrategy.of(subsets[int(rng.integers(len(subsets)))])
+        y = subsets[int(rng.integers(len(subsets)))]
         alpha = float(rng.uniform(0.1, 0.9))
         if z1 == z2:
             continue
         blend = MixedStrategy({PureStrategy.of(z1): alpha, PureStrategy.of(z2): 1 - alpha})
-        p1, p2 = utilities_mixed(game, point(z1), y), utilities_mixed(game, point(z2), y)
-        pb = utilities_mixed(game, blend, y)
-        assert pb.leader == pytest.approx(alpha * p1.leader + (1 - alpha) * p2.leader, abs=1e-12)
-        assert pb.follower == pytest.approx(alpha * p1.follower + (1 - alpha) * p2.follower, abs=1e-12)
+        (f1, g1), (f2, g2) = utilities_at(game, point(z1), y), utilities_at(game, point(z2), y)
+        fb, gb = utilities_at(game, blend, y)
+        assert fb == pytest.approx(alpha * f1 + (1 - alpha) * f2, abs=1e-12)
+        assert gb == pytest.approx(alpha * g1 + (1 - alpha) * g2, abs=1e-12)
 
 
 def test_activation_is_monotone_submodular():
@@ -258,7 +259,6 @@ def test_activation_rows_equal_per_strategy_vectors():
         rec = activation_rows(game, strategies, game.pf_table)
         assert act.shape == rec.shape == (len(strategies), game.m)
         assert np.array_equal(act, [activation_vector(game, y) for y in strategies])
-        assert np.array_equal(rec, [recapture_vector(game, y) for y in strategies])
         assert np.array_equal(act, [1.0 - scatter_survival(game, y, game.edge_p)
                                     for y in strategies])
         assert np.array_equal(rec, [1.0 - scatter_survival(game, y, game.edge_pf)
@@ -274,10 +274,10 @@ def test_activation_rows_zero_budget_and_prefix_check(uniform_overlap):
 
 def test_vectors_reject_a_mask_in_place_of_indices(uniform_overlap):
     z = PureStrategy.of([2])
-    for vector in (activation_vector, recapture_vector):
-        assert np.array_equal(vector(uniform_overlap, np.array([2])), vector(uniform_overlap, z))
-        with pytest.raises(TypeError):
-            vector(uniform_overlap, z.mask(uniform_overlap.n))
+    assert np.array_equal(activation_vector(uniform_overlap, np.array([2])),
+                          activation_vector(uniform_overlap, z))
+    with pytest.raises(TypeError):
+        activation_vector(uniform_overlap, z.mask(uniform_overlap.n))
 
 
 def test_tables_equal_the_edge_maps():
@@ -286,7 +286,7 @@ def test_tables_equal_the_edge_maps():
     games.append(BipartiteInfluenceGame.build(3, 2, [], k_L=1, k_F=1))  # no edges
     games.append(BipartiteInfluenceGame.build(4, 0, [], k_L=2, k_F=2))  # m = 0
     for game in games:
-        for table, probs in ((game.p_table, game.p), (game.pf_table, game.p_F)):
+        for table, probs in zip((game.p_table, game.pf_table), oracles.edge_maps(game)):
             assert table.shape == (game.n, game.m)
             assert table.tolist() == [[probs.get((u, v), 0.0) for v in range(game.m)]
                                       for u in range(game.n)]
