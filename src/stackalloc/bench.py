@@ -44,9 +44,7 @@ def _greedy(game, iterations, epsilon, ell):
 
 
 def _mwu(game, iterations, epsilon, ell):
-    x, _, certificate = mwu.solve_mwu(
-        game, mwu.MwuConfig(iterations=iterations, epsilon=epsilon))
-    return x, certificate
+    return mwu.solve_mwu(game, mwu.MwuConfig(iterations=iterations, epsilon=epsilon))
 
 
 def _heuristic(game, iterations, epsilon, ell):
@@ -184,7 +182,12 @@ def _run_trial(payload: tuple[ExperimentSpec, int, int, int]
     game = generate_instance(spec.n, spec.m, spec.mean_degree, spec.p_dist,
                              spec.pf_dist, seed=spec.base_seed + trial,
                              k_L=k_L, k_F=k_F)
-    out: dict[str, tuple[float, float] | None] = {}
+    out: dict[str, tuple[float, float] | None] = dict.fromkeys(spec.algorithms)
+    try:
+        # Built outside every timer, so no engine's mean_ms pays for it.
+        follower.follower_oracle(game)
+    except CapExceededError:
+        return out  # every cell skipped: no answer could be re-verified
     for alg in spec.algorithms:
         try:
             out[alg] = _solve_one(game, alg, spec)

@@ -63,13 +63,13 @@ class EquilibriumResult:
     per_y_values: dict[PureStrategy, tuple[str, float | None]]
 
 
-def enumerate_leader(game: BipartiteInfluenceGame,
-                     cap: int = DEFAULT_LEADER_CAP) -> list[PureStrategy]:
-    """All leader pure strategies, lexicographically ordered."""
+def enumerate_leader(game: BipartiteInfluenceGame) -> list[PureStrategy]:
+    """All leader pure strategies, lexicographically ordered; at most
+    ``DEFAULT_LEADER_CAP`` of them, or CapExceededError."""
     total = count_subsets(game.n, game.k_L)
-    if total > cap:
+    if total > DEFAULT_LEADER_CAP:
         raise CapExceededError(
-            f"leader strategy set has {total} elements (cap {cap}); "
+            f"leader strategy set has {total} elements (cap {DEFAULT_LEADER_CAP}); "
             f"use the disjoint solver or an approximation instead")
     return [PureStrategy(s) for s in iter_subsets(game.n, game.k_L)]
 

@@ -4,7 +4,9 @@ The follower's pure strategies are all media subsets of size at most
 ``k_F``.  A best response maximizes g(x, .); among responses tied within
 tolerance the one maximizing f(x, .) is chosen (leader-favorable
 tie-breaking, the strong-equilibrium convention), with a final
-lexicographic tie-break for determinism.
+lexicographic tie-break for determinism.  A strategy set larger than
+``DEFAULT_FOLLOWER_CAP`` raises CapExceededError before anything is
+enumerated, so the cap holds for every caller and in any call order.
 """
 
 from __future__ import annotations
@@ -23,19 +25,15 @@ DEFAULT_FOLLOWER_CAP = 10 ** 6
 TIE_TOL = 1e-9
 
 
-def _cap_exceeded(total: int, cap: int) -> CapExceededError:
-    return CapExceededError(
-        f"follower strategy set has {total} elements (cap {cap}); "
-        f"evaluating best responses is intractable for large k_F, "
-        f"reduce k_F or raise the cap")
-
-
-def enumerate_follower(game: BipartiteInfluenceGame,
-                       cap: int = DEFAULT_FOLLOWER_CAP) -> list[PureStrategy]:
-    """All follower pure strategies, lexicographically ordered."""
+def enumerate_follower(game: BipartiteInfluenceGame) -> list[PureStrategy]:
+    """All follower pure strategies, lexicographically ordered; at most
+    ``DEFAULT_FOLLOWER_CAP`` of them, or CapExceededError."""
     total = count_subsets(game.n, game.k_F)
-    if total > cap:
-        raise _cap_exceeded(total, cap)
+    if total > DEFAULT_FOLLOWER_CAP:
+        raise CapExceededError(
+            f"follower strategy set has {total} elements (cap {DEFAULT_FOLLOWER_CAP}); "
+            f"evaluating best responses is intractable for large k_F, "
+            f"reduce k_F or raise the cap")
     return [PureStrategy(s) for s in iter_subsets(game.n, game.k_F)]
 
 
@@ -61,8 +59,8 @@ class FollowerOracle:
     every solver.
     """
 
-    def __init__(self, game: BipartiteInfluenceGame, cap: int = DEFAULT_FOLLOWER_CAP):
-        self.strategies = enumerate_follower(game, cap)
+    def __init__(self, game: BipartiteInfluenceGame):
+        self.strategies = enumerate_follower(game)
         self.activation = payoff.activation_rows(game, self.strategies)
         self.recapture = payoff.activation_rows(game, self.strategies, game.pf_table)
         self.gain = self.activation - self.recapture
@@ -119,18 +117,11 @@ _ORACLES: "weakref.WeakKeyDictionary[BipartiteInfluenceGame, FollowerOracle]" = 
     weakref.WeakKeyDictionary()
 
 
-def follower_oracle(game: BipartiteInfluenceGame,
-                    cap: int = DEFAULT_FOLLOWER_CAP) -> FollowerOracle:
-    """The shared per-instance oracle; materialized on first request.
-
-    ``cap`` holds on every call, cached or not.
-    """
+def follower_oracle(game: BipartiteInfluenceGame) -> FollowerOracle:
+    """The shared per-instance oracle; materialized on first request."""
     oracle = _ORACLES.get(game)
     if oracle is None:
-        oracle = FollowerOracle(game, cap)
-        _ORACLES[game] = oracle
-    elif len(oracle) > cap:
-        raise _cap_exceeded(len(oracle), cap)
+        oracle = _ORACLES[game] = FollowerOracle(game)
     return oracle
 
 

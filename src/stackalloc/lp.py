@@ -17,8 +17,8 @@ callers can verify strong duality.
 Pivoting is Dantzig's rule with a deterministic ratio test; after a run
 of degenerate pivots the solver switches to Bland's rule, which cannot
 cycle.  Every pivot, including those that drive artificials out of the
-basis after phase 1, counts against a hard cap, so a wrong answer is
-never returned silently.
+basis after phase 1, counts against the hard cap ``MAX_PIVOTS`` (read on
+every call), so a wrong answer is never returned silently.
 """
 
 from __future__ import annotations
@@ -172,7 +172,7 @@ def _cost_row(T: np.ndarray, basis: list[int], costs: np.ndarray) -> None:
     T[-1, -1] = c_basis @ T[:-1, -1]
 
 
-def solve_lp(lp: LinearProgram, max_pivots: int = MAX_PIVOTS) -> LpOutcome:
+def solve_lp(lp: LinearProgram) -> LpOutcome:
     """Solve to a certified status; see module docstring."""
     n = lp.objective.size
     lower = lp.lower
@@ -216,7 +216,7 @@ def solve_lp(lp: LinearProgram, max_pivots: int = MAX_PIVOTS) -> LpOutcome:
     basis_arr[slack_rows] = slack_cols
     basis_arr[art_rows] = art_cols
     basis = basis_arr.tolist()
-    budget = [max_pivots]
+    budget = [MAX_PIVOTS]
 
     if art_rows.size:
         costs1 = np.zeros(T.shape[1] - 1)

@@ -23,6 +23,7 @@ import numpy as np
 FEASIBILITY_TOL = 1e-9
 
 Edge = tuple[int, int]
+_BOOLS = {bool, np.bool_}
 
 
 def require_integer(name: str, value) -> None:
@@ -133,9 +134,7 @@ class BipartiteInfluenceGame:
                     k_L: int, k_F: int) -> "BipartiteInfluenceGame":
         """Construct from the four edge columns, in any edge order."""
         game = cls.__new__(cls)
-        game._keep(n, m, k_L, k_F, [np.asarray(edge_media), np.asarray(edge_customers),
-                                    np.asarray(edge_p, dtype=float),
-                                    np.asarray(edge_pf, dtype=float)])
+        game._keep(n, m, k_L, k_F, [edge_media, edge_customers, edge_p, edge_pf])
         return game
 
     @classmethod
@@ -144,27 +143,31 @@ class BipartiteInfluenceGame:
         """Construct from ``(u, v, p, p_F)`` rows."""
         return cls.from_arrays(n, m, *(tuple(zip(*edge_rows)) or ((),) * 4), k_L, k_F)
 
-    def _keep(self, n, m, k_L, k_F, columns: list[np.ndarray],
-              order: np.ndarray | None = None) -> None:
+    def _keep(self, n, m, k_L, k_F, given: list) -> None:
         """Check every instance invariant, then keep fresh copies of the
-        edge columns gathered by ``order``, their (u, v) order, which is
-        computed when not given.
+        edge columns ``given`` (u, v, p, p_F) in (u, v) order; columns
+        already in that order are copied, not sorted.
 
         Raises ValueError on the first violation: columns that are not 1-D
         or not of one length, sizes and budgets that are not integers, index
         columns whose dtype is not an integer type (bool included; empty
-        columns pass), sizes, budgets, then edges in (u, v) order for index
-        range and duplicates, then for p and p_F.
+        columns pass) or lists and tuples holding a bool, which numpy would
+        read as an integer, sizes, budgets, then edges in (u, v) order for
+        index range and duplicates, then for p and p_F.
         """
+        columns = [np.asarray(given[0]), np.asarray(given[1]),
+                   np.asarray(given[2], dtype=float), np.asarray(given[3], dtype=float)]
         if any(column.ndim != 1 for column in columns) or len({c.size for c in columns}) > 1:
             raise ValueError("edge columns must be 1-D and of equal length, got shapes "
                              + ", ".join(str(column.shape) for column in columns))
         names = ("n", "m", "k_L", "k_F")
         for name, value in zip(names, (n, m, k_L, k_F)):
             require_integer(name, value)
-        for name, column in zip(("media", "customers"), columns):
+        for name, column, entries in zip(("media", "customers"), columns, given):
             if column.size and column.dtype.kind not in "iu":
                 raise ValueError(f"edge {name} must be integers, got dtype {column.dtype}")
+            if isinstance(entries, (list, tuple)) and not _BOOLS.isdisjoint(map(type, entries)):
+                raise ValueError(f"edge {name} must be integers, got a bool entry")
         columns[:2] = (column.astype(np.intp, copy=False) for column in columns[:2])
         n, m, k_L, k_F = sizes = tuple(int(value) for value in (n, m, k_L, k_F))
         if n < 0 or m < 0:
@@ -174,9 +177,13 @@ class BipartiteInfluenceGame:
                 raise ValueError(f"{who} budget exceeds media count ({name}={k}, n={n})")
             if k < 0:
                 raise ValueError(f"negative {who} budget {name}={k}")
-        if order is None:
-            order = np.lexsort(columns[1::-1])
-        u, v, p, pf = columns = [column[order] for column in columns]
+        u, v = columns[:2]
+        if ((u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] >= v[:-1]))).all():
+            columns = [column.copy() for column in columns]
+        else:
+            order = np.lexsort((v, u))
+            columns = [column[order] for column in columns]
+        u, v, p, pf = columns
         out_of_range = (u < 0) | (u >= n) | (v < 0) | (v >= m)
         repeated = np.r_[False, (u[1:] == u[:-1]) & (v[1:] == v[:-1])]
         if (i := _first(out_of_range | repeated)) is not None:
@@ -497,7 +504,5 @@ def generate_instance(n: int, m: int, mean_degree: float,
     pfv += pf_lo
     # A stable sort by medium of these customer-major edges is the game's (u, v) order.
     order = np.argsort(media.ravel().astype(np.min_scalar_type(n)), kind="stable")
-    game = BipartiteInfluenceGame.__new__(BipartiteInfluenceGame)
-    game._keep(n, m, k_L, k_F, [media.ravel(), np.repeat(np.arange(m), degree), pv.ravel(),
-                                pfv.ravel()], order)
-    return game
+    edges = (media.ravel(), np.repeat(np.arange(m), degree), pv.ravel(), pfv.ravel())
+    return BipartiteInfluenceGame.from_arrays(n, m, *(column[order] for column in edges), k_L, k_F)

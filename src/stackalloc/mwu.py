@@ -24,9 +24,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import follower as follower_mod
 from . import payoff
-from .follower import TIE_TOL, BestResponseResult, FollowerOracle, follower_oracle
+from .follower import FollowerOracle, follower_oracle
 from .lp import LpNumericsError
 from .model import BipartiteInfluenceGame, MixedStrategy, PureStrategy, require_integer
 
@@ -108,10 +107,10 @@ class PrefixTables:
         return tables[0], tables[1]
 
 
-def greedy_weighted_submodular(game: BipartiteInfluenceGame, weights, budget: int,
+def greedy_weighted_submodular(game: BipartiteInfluenceGame, weights,
                                oracle: FollowerOracle | None = None,
                                tables: PrefixTables | None = None) -> PureStrategy:
-    """Greedy maximizer of sum_y w_y h_y(z) under |z| <= budget.
+    """Greedy maximizer of sum_y w_y h_y(z) under the leader's budget |z| <= k_L.
 
     The weighted objective collapses to sum_v c_v P_v(z) + const with
     c_v = sum_y w_y (1 - P_{F,v}(y) + P_v(y)) >= 0, so adding u to S
@@ -134,7 +133,7 @@ def greedy_weighted_submodular(game: BipartiteInfluenceGame, weights, budget: in
         tables = PrefixTables(game, oracle)
     chosen: list[int] = []
     blocked = np.zeros(game.n, dtype=bool)
-    for _ in range(min(budget, game.n)):
+    for _ in range(min(game.k_L, game.n)):
         r, pg = tables.get(tuple(chosen))
         gains = total * r + pg @ w
         if gains.min() < -1e-12:
@@ -151,8 +150,9 @@ def greedy_weighted_submodular(game: BipartiteInfluenceGame, weights, budget: in
 
 def solve_mwu(game: BipartiteInfluenceGame, config: MwuConfig = MwuConfig(),
               oracle: FollowerOracle | None = None,
-              ) -> tuple[MixedStrategy, BestResponseResult, ApproxCertificate]:
-    """Run T rounds of exponential weights against the greedy oracle."""
+              ) -> tuple[MixedStrategy, ApproxCertificate]:
+    """Run T rounds of exponential weights against the greedy oracle;
+    returns the uniform mix of the leader's iterates and its certificate."""
     if oracle is None:
         oracle = follower_oracle(game)
     T = config.iterations
@@ -170,7 +170,7 @@ def solve_mwu(game: BipartiteInfluenceGame, config: MwuConfig = MwuConfig(),
     played = 0.0
     tables = PrefixTables(game, oracle)
     for _ in range(T):
-        z = greedy_weighted_submodular(game, w, game.k_L, oracle, tables)
+        z = greedy_weighted_submodular(game, w, oracle, tables)
         counts[z] = counts.get(z, 0) + 1
         h = losses.get(z)
         if h is None:
@@ -186,29 +186,25 @@ def solve_mwu(game: BipartiteInfluenceGame, config: MwuConfig = MwuConfig(),
         w = w / w.sum()
 
     x_prime = MixedStrategy({z: k / T for z, k in counts.items()})
-    br = follower_mod.best_response(game, x_prime, oracle=oracle)
     regret = (played - float(cum_losses.min())) / T
-    cert = certify(game, x_prime, br.chosen, epsilon=config.epsilon, oracle=oracle)
-    return x_prime, br, replace(cert, empirical_regret=regret)
+    cert = certify(game, x_prime, epsilon=config.epsilon, oracle=oracle)
+    return x_prime, replace(cert, empirical_regret=regret)
 
 
 def certify(game: BipartiteInfluenceGame, x_prime: MixedStrategy,
-            y_prime: PureStrategy,
             exact: tuple[MixedStrategy, PureStrategy] | None = None,
-            epsilon: float = 0.5, tie_tol: float = TIE_TOL,
+            epsilon: float = 0.5,
             oracle: FollowerOracle | None = None) -> ApproxCertificate:
-    """Evaluate the translation terms; with an exact optimum supplied,
-    also check f(x', y') >= (1 - 1/e - eps) OPT - beta and record it."""
+    """Evaluate the translation terms at (x', y'), with y' the follower's
+    optimistic best response to x'; ``value`` is f(x', y'), the leader's
+    value f_BR.  With an exact optimum supplied, also check
+    f(x', y') >= (1 - 1/e - eps) OPT - beta and record it."""
     if oracle is None:
         oracle = follower_oracle(game)
     pvx = payoff.mixed_activation_vector(game, x_prime)
-    f_all, g_all = oracle.utilities(pvx)
-    f_all, g_all = f_all[0], g_all[0]
-    yi = oracle.strategies.index(y_prime)
-    if g_all[yi] < g_all.max() - tie_tol:
-        raise ValueError(f"{y_prime} is not a best response to the given strategy")
-    value = float(f_all[yi])
-    eps1 = float((1.0 - pvx) @ payoff.activation_vector(game, y_prime))
+    br = oracle.best_response(pvx)
+    value = br.leader_value
+    eps1 = float((1.0 - pvx) @ payoff.activation_vector(game, br.chosen))
     C = float(oracle.activation_sums.max(initial=0.0))
     alpha = 1.0 - 1.0 / math.e - epsilon
     if exact is None:

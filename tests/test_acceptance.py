@@ -119,9 +119,8 @@ def test_criterion_07_mwu_guarantee_with_exact_optimum():
     for _ in range(20):
         game = random_game(rng, n_max=8, m_max=10, kl_max=3, kf_max=2)
         res = sa.solve_multi_lp(game)
-        x, br, _ = sa.solve_mwu(game, sa.MwuConfig(iterations=200, epsilon=0.5))
-        cert = sa.certify(game, x, br.chosen, exact=(res.leader, res.follower),
-                          epsilon=0.5)
+        x, _ = sa.solve_mwu(game, sa.MwuConfig(iterations=200, epsilon=0.5))
+        cert = sa.certify(game, x, exact=(res.leader, res.follower), epsilon=0.5)
         if not cert.bound_holds:
             violations += 1
         worst_slack = min(worst_slack,

@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from stackalloc import ExperimentSpec, parse_spec, run_experiment
-from stackalloc import exact
+from stackalloc import (ExperimentSpec, MixedStrategy, PureStrategy, best_response,
+                        generate_instance, parse_spec, run_experiment)
+from stackalloc import bench, exact, follower
 from stackalloc.bench import rows_as_json, write_csv
 from stackalloc.lp import LpNumericsError
 
@@ -91,6 +92,35 @@ def test_numerics_failure_skips_only_its_cell(monkeypatch):
     greedy = rows[0].cells["greedy"]
     assert (greedy.mean, greedy.values) == (clean[0].cells["greedy"].mean,
                                             clean[0].cells["greedy"].values)
+
+
+@pytest.mark.parametrize("algorithms", [("greedy", "mwu"), ("mwu", "greedy")])
+def test_every_engine_finds_the_trial_oracle_built(monkeypatch, algorithms):
+    # The oracle is built before the timed runners, so no cell's mean_ms
+    # depends on the order of the algorithms.
+    found = []
+
+    def stand_in(game, iterations, epsilon, ell):
+        found.append(game in follower._ORACLES)
+        return MixedStrategy.point_mass(PureStrategy.empty()), None
+
+    for alg in algorithms:
+        monkeypatch.setitem(bench.ENGINES, alg, (alg, stand_in))
+    rows = run_experiment(tiny_spec(algorithms=algorithms, trials=2))
+    assert found == [True] * 4
+    assert all(cell.trials_done == 2 for cell in rows[0].cells.values())
+
+
+def test_follower_cap_skips_every_cell(monkeypatch):
+    # 1 + 200 + C(200, 2) + C(200, 3) follower strategies exceed the cap.
+    ran = []
+    monkeypatch.setitem(bench.ENGINES, "greedy",
+                        ("greedy", lambda *args: ran.append(args) or bench._greedy(*args)))
+    spec = tiny_spec(n=200, m=2, mean_degree=1.0, budgets=((1, 3),),
+                     algorithms=("greedy", "mwu"), trials=1)
+    rows = run_experiment(spec)
+    assert all(cell.skipped for cell in rows[0].cells.values())
+    assert ran == []
 
 
 def test_disjoint_solver_skips_overlapping_instances():
@@ -244,3 +274,23 @@ def test_parse_spec_rejects_malformed_input():
     with pytest.raises(ValueError):
         parse_spec({"n": 5, "m": 5, "mean_degree": 1, "p": [0, 0.2], "p_f": [0, 0.2],
                     "budgets": [[1, 1]], "algorithms": ["sorcery"]})
+
+
+def test_paper_cell_answers_are_pinned():
+    # One cell of the paper's table (n=20, m=844, k_L=2, k_F=2, p~U(0,0.2),
+    # p_F~U(0.1,0.9), seed 0): each engine's strategy, its f_BR and MWU's
+    # certificate, as recorded.
+    game = generate_instance(20, 844, 3506 / 844, (0.0, 0.2), (0.1, 0.9), seed=0, k_L=2, k_F=2)
+    expected = {"greedy": ({(5, 9): 1.0}, 18.93648059916333),
+                "heuristic": ({(4, 13): 1.0}, 25.726259258109394),
+                "mwu": ({(5, 9): 1.0}, 18.93648059916333)}
+    for alg, (mix, value) in expected.items():
+        x, certificate = bench.ENGINES[alg][1](game, 100, 0.5, 10)
+        assert {z.media: w for z, w in x.weights.items()} == mix
+        assert best_response(game, x).leader_value == pytest.approx(value, abs=1e-12)
+        assert (certificate is None) == (alg != "mwu")
+    # x and certificate are MWU's, which runs last.
+    assert certificate.value == best_response(game, x).leader_value
+    assert certificate.epsilon1 == pytest.approx(33.68244818707071, abs=1e-12)
+    assert certificate.C == pytest.approx(39.77951677627095, abs=1e-12)
+    assert certificate.empirical_regret == pytest.approx(16.63865545667276, abs=1e-12)

@@ -71,8 +71,8 @@ def test_every_engine_solves_an_instance_without_edges(text):
     z = heuristic.greedy_baseline(game)
     assert len(z) == game.k_L
     assert best_response(game, MixedStrategy.point_mass(z)).leader_value == 0.0
-    _, br, _ = mwu.solve_mwu(game)
-    assert br.leader_value == 0.0
+    x, _ = mwu.solve_mwu(game)
+    assert best_response(game, x).leader_value == 0.0
     assert best_response(game, heuristic.solve_heuristic(game, 3)).leader_value == 0.0
     assert exact.solve_multi_lp(game).value == 0.0
     assert exact.solve_disjoint_lp(game).value == 0.0

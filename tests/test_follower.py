@@ -1,11 +1,12 @@
 import gc
 import math
+import re
 import weakref
 
 import numpy as np
 import pytest
 
-from stackalloc import (CapExceededError, MixedStrategy, PureStrategy,
+from stackalloc import (CapExceededError, FollowerOracle, MixedStrategy, PureStrategy,
                         best_response, enumerate_follower, follower_oracle,
                         mixed_activation_vector)
 from stackalloc.model import BipartiteInfluenceGame
@@ -31,20 +32,13 @@ def test_enumerate_follower_counts():
 
 
 def test_enumerate_follower_cap():
-    game = BipartiteInfluenceGame.build(30, 1, [(0, 0, 0.5, 0.5)], 1, 5)
-    with pytest.raises(CapExceededError, match="k_F"):
-        enumerate_follower(game, cap=1000)
-
-
-def test_cached_oracle_still_honours_the_cap():
-    game = BipartiteInfluenceGame.build(10, 1, [(0, 0, 0.5, 0.5)], 1, 3)
-    assert len(follower_oracle(game)) == 176
-    with pytest.raises(CapExceededError) as direct:
-        enumerate_follower(game, cap=10)
-    with pytest.raises(CapExceededError) as cached:
-        follower_oracle(game, cap=10)
-    assert str(cached.value) == str(direct.value)
-    assert len(follower_oracle(game, cap=176)) == 176
+    # 1 + 200 + C(200, 2) + C(200, 3) = 1,333,501 strategies, above the cap.
+    game = BipartiteInfluenceGame.build(200, 1, [(0, 0, 0.5, 0.5)], 1, 3)
+    message = ("follower strategy set has 1333501 elements (cap 1000000); evaluating best "
+               "responses is intractable for large k_F, reduce k_F or raise the cap")
+    for build in (enumerate_follower, FollowerOracle, follower_oracle):
+        with pytest.raises(CapExceededError, match=f"^{re.escape(message)}$"):
+            build(game)
 
 
 def test_best_response_no_pure_optimum_mixture(no_pure_optimum):

@@ -3,6 +3,7 @@ import pytest
 from scipy.optimize import linprog
 
 from stackalloc import LinearProgram, LpOutcome, PivotLimitError, solve_lp
+from stackalloc import lp as lp_mod
 
 LESS, EQUAL, GREATER = "<=", "=", ">="
 
@@ -55,32 +56,35 @@ def test_degenerate_lp_terminates():
     assert out.value == pytest.approx(0.0, abs=1e-9)
 
 
-def test_pivot_cap_raises():
+def test_pivot_cap_raises(monkeypatch):
     rng = np.random.default_rng(1)
     A = rng.normal(size=(6, 8))
     x0 = np.abs(rng.normal(size=8))
     rows = [(A[i], LESS, float(A[i] @ x0) + 1.0) for i in range(6)]
     rows.append((np.ones(8), LESS, float(x0.sum()) + 5.0))
     lp = LinearProgram(objective=rng.normal(size=8), rows=rows)
+    monkeypatch.setattr(lp_mod, "MAX_PIVOTS", 1)
     with pytest.raises(PivotLimitError):
-        solve_lp(lp, max_pivots=1)
+        solve_lp(lp)
 
 
-def test_pivot_cap_holds_while_driving_out_artificials():
+def test_pivot_cap_holds_while_driving_out_artificials(monkeypatch):
     # Phase 1 takes one pivot and leaves the second row's artificial basic
     # at level 0; removing it takes one more, after which the basis is
     # already optimal for phase 2.
     lp = LinearProgram(objective=[1.0, 0.0, 0.0],
                        rows=[([1.0, 1.0, 0.0], EQUAL, 1.0),
                              ([2.0, 2.0, -1.0], EQUAL, 2.0)])
+    monkeypatch.setattr(lp_mod, "MAX_PIVOTS", 1)
     with pytest.raises(PivotLimitError):
-        solve_lp(lp, max_pivots=1)
-    out = solve_lp(lp, max_pivots=2)
+        solve_lp(lp)
+    monkeypatch.setattr(lp_mod, "MAX_PIVOTS", 2)
+    out = solve_lp(lp)
     assert out.status == "optimal"
     assert out.x == pytest.approx([1.0, 0.0, 0.0], abs=1e-12)
 
 
-def test_incentive_rows_start_on_slacks():
+def test_incentive_rows_start_on_slacks(monkeypatch):
     # The multi-LP shape: rows g(., y*) - g(., y') >= 0 for every y' plus
     # sum x = 1.  Only the simplex row needs an artificial, so every
     # candidate solves in well under 30 pivots; with one artificial per
@@ -89,11 +93,12 @@ def test_incentive_rows_start_on_slacks():
     G = rng.uniform(size=(12, 30))
     F = rng.uniform(size=(12, 30))
     statuses = []
+    monkeypatch.setattr(lp_mod, "MAX_PIVOTS", 30)
     for yi in range(30):
         rows = [(G[:, yi] - G[:, yj], GREATER, 0.0) for yj in range(30)]
         rows.append((np.ones(12), EQUAL, 1.0))
         lp = LinearProgram(objective=F[:, yi], rows=rows)
-        out = solve_lp(lp, max_pivots=30)
+        out = solve_lp(lp)
         statuses.append(out.status)
         if out.status == "optimal":
             _check_dual_certificate(lp, out)

@@ -17,8 +17,9 @@ from conftest import make_private_customers, make_no_pure_optimum, make_overfund
 
 
 def assert_rejected(message, n, m, rows, k_L, k_F):
-    """``build`` and ``from_arrays`` both raise ValueError with exactly ``message``."""
-    columns = [np.array(column) for column in zip(*rows)] or [np.zeros(0)] * 4
+    """``build`` and ``from_arrays`` (given the columns as lists) both raise
+    ValueError with exactly ``message``."""
+    columns = [list(column) for column in zip(*rows)] or [np.zeros(0)] * 4
     for construct in (lambda: BipartiteInfluenceGame.build(n, m, rows, k_L, k_F),
                       lambda: BipartiteInfluenceGame.from_arrays(n, m, *columns, k_L, k_F)):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -82,6 +83,11 @@ def test_validate_duplicate_edge_and_bad_index():
     (2, 2, [(True, 0, .5, .5)], 1, 1, "edge media must be integers, got dtype bool"),
     (2, 2, [(0, 1.0, .5, .5)], 1, 1, "edge customers must be integers, got dtype float64"),
     (2, 2, [], 1, True, "k_F must be an integer, not True"),
+    # numpy reads a list that mixes bools with ints as int64.
+    (2, 2, [(True, 0, .5, .5), (0, 1, .5, .5)], 1, 1,
+     "edge media must be integers, got a bool entry"),
+    (2, 2, [(0, np.True_, .5, .5), (1, 0, .5, .5)], 1, 1,
+     "edge customers must be integers, got a bool entry"),
 ])
 def test_validate_messages(n, m, rows, k_L, k_F, message):
     assert_rejected(message, n, m, rows, k_L, k_F)
@@ -107,6 +113,26 @@ def test_edges_are_sorted_arrays_whatever_the_input_order(no_pure_optimum):
     assert game.edges == ((0, 0), (0, 1), (1, 1), (1, 2), (2, 3))
     p, p_F = oracles.edge_maps(game)
     assert p[(2, 3)] == 0.599 and p_F[(0, 1)] == 0.5
+
+
+def test_presorted_columns_are_copied_not_sorted(monkeypatch):
+    game = generate_instance(7, 40, 2.6, (0.2, 0.5), (0.0, 0.2), seed=3, k_L=1, k_F=2)
+    columns = [np.array(getattr(game, name))
+               for name in ("edge_media", "edge_customers", "edge_p", "edge_pf")]
+    sorts = []
+    monkeypatch.setattr(np, "lexsort", lambda keys: sorts.append(keys) or np.arange(0))
+    again = BipartiteInfluenceGame.from_arrays(7, 40, *columns, 1, 2)
+    assert sorts == []
+    assert edge_rows(again) == edge_rows(game)
+    for column, kept in zip(columns, (again.edge_media, again.edge_customers, again.edge_p,
+                                      again.edge_pf)):
+        assert column.flags.writeable and not np.shares_memory(column, kept)
+    # One pair of edges out of order is enough to sort.
+    for column in columns:
+        column[[0, 1]] = column[[1, 0]]
+    monkeypatch.undo()
+    swapped = BipartiteInfluenceGame.from_arrays(7, 40, *columns, 1, 2)
+    assert edge_rows(swapped) == edge_rows(game)
 
 
 def test_game_arrays_and_views_are_read_only(no_pure_optimum):

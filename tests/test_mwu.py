@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from stackalloc import (FollowerOracle, MixedStrategy, MwuConfig, PureStrategy,
-                        activation_vector, best_response, certify, enumerate_follower,
-                        follower_oracle, generate_instance, greedy_weighted_submodular,
-                        solve_multi_lp, solve_mwu)
+from stackalloc import (BipartiteInfluenceGame, FollowerOracle, MixedStrategy, MwuConfig,
+                        PureStrategy, activation_vector, best_response, certify,
+                        enumerate_follower, follower_oracle, generate_instance,
+                        greedy_weighted_submodular, solve_multi_lp, solve_mwu)
 from stackalloc import mwu as mwu_mod
 from stackalloc.lp import LpNumericsError
 
@@ -28,7 +28,7 @@ def brute_force_weighted_value(game, weights, z):
 
 def test_greedy_uniform_weights_no_pure_optimum(no_pure_optimum):
     weights = np.full(4, 0.25)
-    z = greedy_weighted_submodular(no_pure_optimum, weights, budget=1)
+    z = greedy_weighted_submodular(no_pure_optimum, weights)
     assert z == PureStrategy.of([0])  # tied with the second medium, lower index wins
     best = max(brute_force_weighted_value(no_pure_optimum, weights, s)
                for s in oracles.subsets_up_to(no_pure_optimum.n, no_pure_optimum.k_L))
@@ -38,7 +38,7 @@ def test_greedy_uniform_weights_no_pure_optimum(no_pure_optimum):
 
 def test_greedy_concentrated_on_empty_response(no_pure_optimum):
     weights = np.array([1.0, 0.0, 0.0, 0.0])  # all mass on the empty strategy
-    z = greedy_weighted_submodular(no_pure_optimum, weights, budget=1)
+    z = greedy_weighted_submodular(no_pure_optimum, weights)
     # h_empty(z) = sum_v P_v(z) + C: plain budget allocation greedy
     p, _ = oracles.edge_maps(no_pure_optimum)
     sums = {u: sum(q for (a, _), q in p.items() if a == u) for u in range(3)}
@@ -46,19 +46,20 @@ def test_greedy_concentrated_on_empty_response(no_pure_optimum):
 
 
 def test_greedy_zero_budget(no_pure_optimum):
-    weights = np.full(4, 0.25)
-    assert greedy_weighted_submodular(no_pure_optimum, weights, budget=0) == PureStrategy.empty()
+    g = no_pure_optimum
+    unfunded = BipartiteInfluenceGame.from_arrays(g.n, g.m, g.edge_media, g.edge_customers,
+                                                  g.edge_p, g.edge_pf, 0, g.k_F)
+    assert greedy_weighted_submodular(unfunded, np.full(4, 0.25)) == PureStrategy.empty()
 
 
 def test_greedy_rejects_bad_weights(no_pure_optimum):
     with pytest.raises(ValueError):
-        greedy_weighted_submodular(no_pure_optimum, np.zeros(4), budget=1)
+        greedy_weighted_submodular(no_pure_optimum, np.zeros(4))
     with pytest.raises(ValueError):
-        greedy_weighted_submodular(no_pure_optimum, np.array([1.0, -0.5, 0.0, 0.0]), budget=1)
+        greedy_weighted_submodular(no_pure_optimum, np.array([1.0, -0.5, 0.0, 0.0]))
     for bad in (np.inf, np.nan):
         with pytest.raises(ValueError, match="finite"):
-            greedy_weighted_submodular(no_pure_optimum, np.array([bad, 0.0, 0.0, 0.0]),
-                                       budget=1)
+            greedy_weighted_submodular(no_pure_optimum, np.array([bad, 0.0, 0.0, 0.0]))
 
 
 def test_greedy_huge_weights_act_like_uniform_weights():
@@ -67,9 +68,9 @@ def test_greedy_huge_weights_act_like_uniform_weights():
     game = generate_instance(6, 30, 3.0, (0.0, 0.5), (0.0, 0.5), seed=4, k_L=2, k_F=1)
     oracle = follower_oracle(game)
     assert len(oracle) == 7
-    uniform = greedy_weighted_submodular(game, np.full(7, 1.0 / 7), game.k_L, oracle)
+    uniform = greedy_weighted_submodular(game, np.full(7, 1.0 / 7), oracle)
     assert len(uniform) == 2
-    assert greedy_weighted_submodular(game, np.full(7, 1e308), game.k_L, oracle) == uniform
+    assert greedy_weighted_submodular(game, np.full(7, 1e308), oracle) == uniform
 
 
 def _differential_games(seed, count):
@@ -87,7 +88,7 @@ def test_greedy_matches_edge_list_reference():
             w = rng.dirichlet(np.ones(len(oracle))) * (rng.uniform(size=len(oracle)) < 0.8)
             if not w.any():
                 continue
-            assert (greedy_weighted_submodular(game, w, game.k_L, oracle)
+            assert (greedy_weighted_submodular(game, w, oracle)
                     == oracles.greedy_weighted_edges(game, w, game.k_L, oracle))
 
 
@@ -97,8 +98,8 @@ def test_greedy_on_warm_tables_equals_a_fresh_call():
         tables = mwu_mod.PrefixTables(game, oracle)
         for _ in range(8):
             w = rng.dirichlet(np.full(len(oracle), 0.3))
-            warm = greedy_weighted_submodular(game, w, game.k_L, oracle, tables)
-            assert warm == greedy_weighted_submodular(game, w, game.k_L, oracle)
+            warm = greedy_weighted_submodular(game, w, oracle, tables)
+            assert warm == greedy_weighted_submodular(game, w, oracle)
         for prefix in list(tables._tables):
             fresh_r, fresh_pg = mwu_mod.PrefixTables(game, oracle).get(prefix)
             r, pg = tables.get(prefix)
@@ -114,12 +115,11 @@ def test_solve_mwu_matches_edge_list_reference(monkeypatch):
                            learning_rate=["auto", 0.3, 3.0, 30.0][int(rng.integers(4))])
         runs.append((game, config, solve_mwu(game, config)))
     monkeypatch.setattr(mwu_mod, "greedy_weighted_submodular",
-                        lambda game, w, budget, oracle, tables:
-                        oracles.greedy_weighted_edges(game, w, budget, oracle))
-    for game, config, (x, br, cert) in runs:
-        ref_x, ref_br, ref_cert = solve_mwu(game, config)
+                        lambda game, w, oracle, tables:
+                        oracles.greedy_weighted_edges(game, w, game.k_L, oracle))
+    for game, config, (x, cert) in runs:
+        ref_x, ref_cert = solve_mwu(game, config)
         assert x.weights == ref_x.weights
-        assert br == ref_br
         assert cert == ref_cert
 
 
@@ -130,7 +130,7 @@ def test_greedy_guarantee_against_brute_force():
         game = random_game(rng, n_max=6, m_max=8)
         strategies = enumerate_follower(game)
         w = rng.dirichlet(np.ones(len(strategies)))
-        z = greedy_weighted_submodular(game, w, game.k_L)
+        z = greedy_weighted_submodular(game, w)
         achieved = brute_force_weighted_value(game, w, tuple(z.media))
         best = max(brute_force_weighted_value(game, w, s)
                    for s in oracles.subsets_up_to(game.n, game.k_L))
@@ -188,17 +188,15 @@ def test_surrogate_losses_monotone_submodular():
 
 
 def test_solve_mwu_no_pure_optimum_beats_committing_to_third_medium(no_pure_optimum):
-    x, br, cert = solve_mwu(no_pure_optimum, MwuConfig(iterations=200))
-    assert br.leader_value >= 0.599 - 1e-9
+    x, cert = solve_mwu(no_pure_optimum, MwuConfig(iterations=200))
+    assert cert.value >= 0.599 - 1e-9
+    assert cert.value == best_response(no_pure_optimum, x).leader_value
     assert cert.epsilon1 >= 0.0 and cert.C == pytest.approx(1.1, abs=1e-12)
     assert cert.alpha == pytest.approx(1 - 1 / math.e - 0.5, abs=1e-15)
-    # the returned response really is a best response
-    check = best_response(no_pure_optimum, x)
-    assert check.follower_value == pytest.approx(br.follower_value, abs=1e-12)
 
 
 def test_solve_mwu_single_iteration_is_point_mass(no_pure_optimum):
-    x, _, _ = solve_mwu(no_pure_optimum, MwuConfig(iterations=1))
+    x, _ = solve_mwu(no_pure_optimum, MwuConfig(iterations=1))
     assert len(x.weights) == 1
     assert list(x.weights.values()) == [1.0]
 
@@ -208,9 +206,9 @@ def test_solve_mwu_no_follower_reduces_to_greedy():
     ratio = 1 - 1 / math.e
     for _ in range(10):
         game = random_game(rng, n_max=6, m_max=8, kf_max=0)
-        x, br, cert = solve_mwu(game, MwuConfig(iterations=5))
+        x, cert = solve_mwu(game, MwuConfig(iterations=5))
         opt = oracles.best_pure_leader_value(game)
-        assert br.leader_value >= ratio * opt - 1e-9
+        assert best_response(game, x).leader_value >= ratio * opt - 1e-9
         assert cert.epsilon1 == pytest.approx(0.0, abs=1e-12)
         assert cert.C == pytest.approx(0.0, abs=1e-12)
 
@@ -219,19 +217,29 @@ def test_solve_mwu_deterministic(no_pure_optimum):
     a = solve_mwu(no_pure_optimum, MwuConfig(iterations=50))
     b = solve_mwu(no_pure_optimum, MwuConfig(iterations=50))
     assert a[0].weights == b[0].weights
-    assert a[2] == b[2]
+    assert a[1] == b[1]
 
 
-def test_certify_requires_best_response(no_pure_optimum):
+def test_certify_scores_the_optimistic_best_response(overfunding_trap):
+    # certify's value is f_BR(x'), the value that bench and the CLI report.
+    # Against {u0} the follower is indifferent between {u1} (f = 0) and {u2}
+    # (f = 1); the optimistic response is {u2}.
     x = MixedStrategy.point_mass(PureStrategy.of([0]))
-    with pytest.raises(ValueError, match="best response"):
-        certify(no_pure_optimum, x, PureStrategy.of([0]))  # responding {u1} is not optimal
+    assert len(best_response(overfunding_trap, x).responses) == 2
+    assert certify(overfunding_trap, x).value == 1.0
+    rng = np.random.default_rng(910)
+    for _ in range(30):
+        game = random_game(rng, n_max=6, m_max=8, kf_max=3)
+        leaders = oracles.subsets_up_to(game.n, game.k_L)
+        picks = rng.choice(len(leaders), size=min(3, len(leaders)), replace=False)
+        w = rng.dirichlet(np.ones(picks.size))
+        x = MixedStrategy({PureStrategy.of(leaders[i]): float(q) for i, q in zip(picks, w)})
+        assert certify(game, x).value == best_response(game, x).leader_value
 
 
 def test_certify_exact_solution_passes_its_own_bound(no_pure_optimum):
     res = solve_multi_lp(no_pure_optimum)
-    cert = certify(no_pure_optimum, res.leader, res.follower,
-                   exact=(res.leader, res.follower), epsilon=0.5)
+    cert = certify(no_pure_optimum, res.leader, exact=(res.leader, res.follower), epsilon=0.5)
     assert cert.bound_holds
     assert cert.opt_value == pytest.approx(1.1, abs=1e-9)
     assert cert.epsilon2 == pytest.approx(cert.epsilon1, abs=1e-12)
@@ -244,7 +252,7 @@ def test_certify_zero_follower_budget_collapses_translation_terms():
     rng = np.random.default_rng(909)
     game = random_game(rng, n_max=5, m_max=6, kf_max=0)
     res = solve_multi_lp(game)
-    cert = certify(game, res.leader, res.follower, exact=(res.leader, res.follower))
+    cert = certify(game, res.leader, exact=(res.leader, res.follower))
     assert cert.epsilon1 == 0.0 and cert.epsilon2 == 0.0 and cert.C == 0.0
     assert cert.beta == pytest.approx(0.0, abs=1e-12)
 
@@ -275,9 +283,9 @@ def test_mwu_config_rejects_at_construction(kwargs):
 def test_solve_mwu_tolerates_weights_that_underflow_to_zero(private_customers):
     # At this rate some follower weights underflow to exactly 0 mid-run;
     # the greedy accepts nonnegative weights, so the run completes.
-    x, br, _ = solve_mwu(private_customers, MwuConfig(iterations=10, learning_rate=1e3))
+    x, cert = solve_mwu(private_customers, MwuConfig(iterations=10, learning_rate=1e3))
     assert max(len(s) for s in x.weights) <= private_customers.k_L
-    assert br.chosen in enumerate_follower(private_customers)
+    assert cert.value == best_response(private_customers, x).leader_value
 
 
 def test_solve_mwu_keeps_a_weight_at_a_rate_that_underflows_the_rest():
@@ -285,7 +293,7 @@ def test_solve_mwu_keeps_a_weight_at_a_rate_that_underflows_the_rest():
     # from cumulative losses keep the least-loss one at 1.
     game = generate_instance(20, 844, 3506 / 844, (0.0, 1.0), (0.1, 0.9), seed=0,
                              k_L=2, k_F=2)
-    x, br, cert = solve_mwu(game, MwuConfig(iterations=20, learning_rate=1e4))
+    x, cert = solve_mwu(game, MwuConfig(iterations=20, learning_rate=1e4))
     assert x.weights and all(len(z) <= game.k_L for z in x.weights)
     assert sum(x.weights.values()) == pytest.approx(1.0)
     assert np.isfinite(cert.empirical_regret)
@@ -302,5 +310,4 @@ def test_greedy_negative_marginal_is_a_numerics_error(no_pure_optimum):
     oracle = FollowerOracle(no_pure_optimum)
     oracle.gain = np.full_like(oracle.gain, -2.0)  # c_v = 1 - 2 < 0: not monotone
     with pytest.raises(LpNumericsError, match="negative marginal"):
-        greedy_weighted_submodular(no_pure_optimum, np.full(4, 0.25), budget=1,
-                                   oracle=oracle)
+        greedy_weighted_submodular(no_pure_optimum, np.full(4, 0.25), oracle=oracle)

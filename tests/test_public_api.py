@@ -1,3 +1,5 @@
+import inspect
+
 import stackalloc
 
 PUBLIC_NAMES = [
@@ -12,6 +14,34 @@ PUBLIC_NAMES = [
     "solve_mwu",
 ]
 
+# Parameter names of every exported function and of the oracle's constructor.
+PARAMETERS = {
+    "FollowerOracle.__init__": "self game",
+    "activation_vector": "game media",
+    "allocation_of": "x n",
+    "best_response": "game x tie_tol oracle",
+    "certify": "game x_prime exact epsilon oracle",
+    "decompose_allocation": "r k_L",
+    "dump_instance": "game stream comment",
+    "enumerate_follower": "game",
+    "enumerate_leader": "game",
+    "follower_oracle": "game",
+    "generate_instance": "n m mean_degree p_dist pf_dist seed k_L k_F",
+    "greedy_baseline": "game",
+    "greedy_weighted_submodular": "game weights oracle tables",
+    "is_disjoint": "game",
+    "load_instance": "stream",
+    "mixed_activation_vector": "game x",
+    "parse_spec": "data",
+    "parse_specs": "data",
+    "run_experiment": "spec",
+    "solve_disjoint_lp": "game",
+    "solve_heuristic": "game ell oracle",
+    "solve_lp": "lp",
+    "solve_multi_lp": "game",
+    "solve_mwu": "game config oracle",
+}
+
 
 def test_public_surface_is_pinned():
     # Adding or removing an export is a deliberate change to this list.
@@ -19,3 +49,14 @@ def test_public_surface_is_pinned():
     assert stackalloc.__all__ == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(stackalloc, name) is not None
+
+
+def test_public_parameters_are_pinned():
+    # Adding or removing a parameter is a deliberate change to this table.
+    functions = {name: getattr(stackalloc, name) for name in PUBLIC_NAMES
+                 if inspect.isfunction(getattr(stackalloc, name))}
+    functions["FollowerOracle.__init__"] = stackalloc.FollowerOracle.__init__
+    assert sorted(functions) == sorted(PARAMETERS)
+    for name, function in functions.items():
+        assert " ".join(inspect.signature(function).parameters) == PARAMETERS[name], name
+    assert sum(len(names.split()) for names in PARAMETERS.values()) == 52
