@@ -34,12 +34,8 @@ def _strategy_json(game: BipartiteInfluenceGame, x: MixedStrategy) -> dict:
 
 
 def _cert_json(cert: mwu.ApproxCertificate) -> dict:
-    out = {"epsilon1": cert.epsilon1, "C": cert.C, "alpha": cert.alpha,
-           "empirical_regret": cert.empirical_regret}
-    if cert.epsilon2 is not None:
-        out.update(epsilon2=cert.epsilon2, beta=cert.beta,
-                   opt_value=cert.opt_value, bound_holds=cert.bound_holds)
-    return out
+    return {"epsilon1": cert.epsilon1, "C": cert.C, "alpha": cert.alpha,
+            "empirical_regret": cert.empirical_regret}
 
 
 def _load(path: str) -> BipartiteInfluenceGame:
@@ -140,8 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pf", required=True, help="recapture range 'a,b'")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--kl", type=int, default=1, help="leader budget")
-    p.add_argument("--kf", type=int, default=2, help="follower budget")
+    p.add_argument("--kl", type=int, help="leader budget (default 1, at most n)")
+    p.add_argument("--kf", type=int, help="follower budget (default 2, at most n)")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("bench", help="run an experiment spec, CSV on stdout")

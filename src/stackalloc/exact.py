@@ -35,7 +35,6 @@ follower modules; LP bookkeeping is never trusted for the final value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -132,7 +131,9 @@ def solve_multi_lp(game: BipartiteInfluenceGame) -> EquilibriumResult:
     F, G = oracle.utilities(pv)                              # f(z, y), g(z, y)
 
     Gt = G.T
-    simplex_row = (np.ones(len(leaders)), "=", 1.0)
+    ones = np.ones(len(leaders))
+    sense = [">="] * len(oracle.strategies) + ["="]
+    rhs = np.r_[np.zeros(len(oracle.strategies)), 1.0]
 
     def candidate_lp(yi: int) -> LinearProgram | None:
         # Row y': g(., y*) - g(., y') >= 0; over the simplex its left side
@@ -140,9 +141,7 @@ def solve_multi_lp(game: BipartiteInfluenceGame) -> EquilibriumResult:
         diff = Gt[yi] - Gt
         if (diff.max(axis=1) < -FEAS_TOL).any():
             return None
-        rows = list(zip(diff, repeat(">="), repeat(0.0)))
-        rows.append(simplex_row)
-        return LinearProgram(objective=F[:, yi], rows=rows)
+        return LinearProgram(F[:, yi], np.vstack([diff, ones]), sense, rhs)
 
     per_y, (lp_value, yi, weights) = _best_candidate(oracle, candidate_lp)
     kept = {leaders[i]: float(w) for i, w in enumerate(weights) if w > PRUNE_TOL}
@@ -210,8 +209,8 @@ def solve_disjoint_lp(game: BipartiteInfluenceGame) -> EquilibriumResult:
                      weights=game.edge_p * (game.edge_p - game.edge_pf), minlength=n)
     ymat = np.array([y.mask(n) for y in oracle.strategies], dtype=float)
 
-    budget_row = (np.ones(n), "<=", float(game.k_L))
-    bounds = [(0.0, 1.0)] * n
+    ones = np.ones(n)
+    sense = [">="] * len(oracle.strategies) + ["<="]
     top = min(game.k_L, n)
 
     def candidate_lp(yi: int) -> LinearProgram | None:
@@ -224,9 +223,8 @@ def solve_disjoint_lp(game: BipartiteInfluenceGame) -> EquilibriumResult:
         reach = np.sort(np.maximum(coef, 0.0), axis=1)[:, n - top:].sum(axis=1)
         if (reach < rhs - FEAS_TOL * np.maximum(1.0, np.abs(rhs))).any():
             return None
-        rows = list(zip(coef, repeat(">="), rhs.tolist()))
-        rows.append(budget_row)
-        return LinearProgram(objective=a - ys * d, rows=rows, bounds=bounds)
+        return LinearProgram(a - ys * d, np.vstack([coef, ones]), sense,
+                             np.r_[rhs, game.k_L], upper=1.0)
 
     per_y, (lp_value, yi, r) = _best_candidate(oracle, candidate_lp)
     x = decompose_allocation(r, game.k_L)

@@ -1,13 +1,13 @@
 """Dense two-phase primal simplex used by the exact solvers.
 
-Problems are stated as: maximize c.x subject to rows a.x {<=,=,>=} b and
-per-variable bounds [l, u] with l finite (default 0) and u possibly
-infinite.  The rows are stacked once into a matrix, and the standard
-form is built from it with whole-array operations: x is shifted to
-x - l, finite upper bounds become extra <= rows, and every row with a
-negative rhs, or a >= row with rhs 0, is negated so that it starts on a
-slack.  Only = rows and >= rows with a positive rhs need an artificial
-variable in phase 1.
+Problems are stated as: maximize c.x subject to A x {<=,=,>=} b, one
+relation per row, and per-variable bounds [l, u] with l finite (default
+0) and u possibly infinite.  The caller passes A as a matrix, and the
+standard form is built from it with whole-array operations: x is
+shifted to x - l, finite upper bounds become extra <= rows, and every
+row with a negative rhs, or a >= row with rhs 0, is negated so that it
+starts on a slack.  Only = rows and >= rows with a positive rhs need an
+artificial variable in phase 1.
 
 The solver certifies its answer: primal feasibility of the returned
 point is re-checked from the original data, the objective is recomputed
@@ -23,7 +23,7 @@ every call), so a wrong answer is never returned silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,55 +44,53 @@ class LpNumericsError(RuntimeError):
 
 
 _SENSE = {LESS: 1, EQUAL: 0, GREATER: -1}
+_RELATION = {sense: rel for rel, sense in _SENSE.items()}
 
 
 @dataclass
 class LinearProgram:
-    """maximize objective.x subject to rows and bounds.
+    """maximize objective.x s.t. rows.x {<=,=,>=} rhs, lower <= x <= upper.
 
-    ``rows`` is the only input form.  On construction the rows are also
-    stacked into ``A``, ``sense`` (+1 for <=, 0 for =, -1 for >=) and
-    ``rhs``, and the bounds into ``lower`` and ``upper``.
+    ``rows`` is the (R, n) constraint matrix, ``sense`` names each row's
+    relation (``"<="``, ``"="`` or ``">="``; stored as +1, 0 and -1), and
+    ``rhs`` is (R,).  ``lower`` and ``upper`` are scalars, broadcast to n,
+    or length-n vectors.  Each field is converted to a float array (``sense``
+    to an int array) on construction.
     """
 
     objective: np.ndarray
-    rows: list[tuple[np.ndarray, str, float]] = field(default_factory=list)
-    bounds: list[tuple[float, float]] | None = None  # (lower, upper); default (0, inf)
-    A: np.ndarray = field(init=False, repr=False, compare=False)
-    sense: np.ndarray = field(init=False, repr=False, compare=False)
-    rhs: np.ndarray = field(init=False, repr=False, compare=False)
-    lower: np.ndarray = field(init=False, repr=False, compare=False)
-    upper: np.ndarray = field(init=False, repr=False, compare=False)
+    rows: np.ndarray
+    sense: np.ndarray
+    rhs: np.ndarray
+    lower: np.ndarray | float = 0.0
+    upper: np.ndarray | float = np.inf
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=float)
         if not np.all(np.isfinite(self.objective)):
             raise ValueError("objective has non-finite coefficients")
         n = self.objective.size
-        R = len(self.rows)
-        try:
-            A = np.array([a for a, _, _ in self.rows], dtype=float)
-        except ValueError:
-            raise ValueError("row width does not match objective") from None
-        if A.size != R * n:
-            raise ValueError("row width does not match objective")
-        self.A = A.reshape(R, n)
-        self.rhs = np.array([b for _, _, b in self.rows], dtype=float)
-        if not (np.all(np.isfinite(self.A)) and np.all(np.isfinite(self.rhs))):
+        self.rows = np.asarray(self.rows, dtype=float)
+        self.rhs = np.asarray(self.rhs, dtype=float)
+        if self.rhs.ndim != 1:
+            raise ValueError(f"rhs must be a vector, got shape {self.rhs.shape}")
+        R = self.rhs.size
+        if self.rows.shape != (R, n):
+            raise ValueError(f"row width does not match objective: rows have shape "
+                             f"{self.rows.shape}, expected ({R}, {n})")
+        if not (np.all(np.isfinite(self.rows)) and np.all(np.isfinite(self.rhs))):
             raise ValueError("row has non-finite coefficients")
-        rels = [EQUAL if rel == "==" else rel for _, rel, _ in self.rows]
-        unknown = [rel for rel in rels if rel not in _SENSE]
+        if len(self.sense) != R:
+            raise ValueError(f"sense has {len(self.sense)} entries for {R} rows")
+        unknown = [rel for rel in self.sense if rel not in _SENSE]
         if unknown:
             raise ValueError(f"unknown relation {unknown[0]!r}")
-        self.sense = np.array([_SENSE[rel] for rel in rels], dtype=int)
-        self.rows = list(zip(self.A, rels, self.rhs.tolist()))
+        self.sense = np.array([_SENSE[rel] for rel in self.sense], dtype=int)
 
-        if self.bounds is None:
-            self.bounds = [(0.0, np.inf)] * n
-        if len(self.bounds) != n:
+        bounds = [np.asarray(bound, dtype=float) for bound in (self.lower, self.upper)]
+        if any(bound.ndim and bound.shape != (n,) for bound in bounds):
             raise ValueError("bounds length does not match objective")
-        box = np.array(self.bounds, dtype=float).reshape(n, 2)
-        self.lower, self.upper = box[:, 0].copy(), box[:, 1].copy()
+        self.lower, self.upper = (np.broadcast_to(bound, n).copy() for bound in bounds)
         if not np.all(np.isfinite(self.lower)):
             raise ValueError("lower bounds must be finite")
         crossed = np.flatnonzero(self.lower > self.upper)
@@ -182,8 +180,8 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
     # after the input rows.
     unit = np.zeros((boxed.size, n))
     unit[np.arange(boxed.size), boxed] = 1.0
-    A = np.vstack([lp.A, unit])
-    b = np.concatenate([lp.rhs - lp.A @ lower, lp.upper[boxed] - lower[boxed]])
+    A = np.vstack([lp.rows, unit])
+    b = np.concatenate([lp.rhs - lp.rows @ lower, lp.upper[boxed] - lower[boxed]])
     sense = np.concatenate([lp.sense, np.ones(boxed.size, dtype=int)])
 
     # Negate rows with a negative rhs, and >= rows with rhs 0, so that the
@@ -278,7 +276,7 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
         except np.linalg.LinAlgError as exc:
             raise LpNumericsError(f"final basis is singular: {exc}") from None
     dual_value = float(y_std @ b + lp.objective @ lower)
-    dual = (sign * y_std)[:len(lp.rows)]
+    dual = (sign * y_std)[:lp.rhs.size]
     return LpOutcome(status="optimal", x=x, value=value,
                      dual=dual, dual_value=dual_value)
 
@@ -288,11 +286,11 @@ def _check_feasible(lp: LinearProgram, x: np.ndarray) -> None:
     if outside.size:
         j = outside[0]
         raise LpNumericsError(f"variable {j} outside its bounds: {x[j]}")
-    lhs = lp.A @ x
+    lhs = lp.rows @ x
     b = lp.rhs
     tol = FEAS_TOL * np.maximum(1.0, np.abs(b))
     violated = np.where(lp.sense > 0, lhs > b + tol,
                         np.where(lp.sense < 0, lhs < b - tol, np.abs(lhs - b) > tol))
     if violated.any():
         i = np.flatnonzero(violated)[0]
-        raise LpNumericsError(f"row violated: {lhs[i]} {lp.rows[i][1]} {b[i]}")
+        raise LpNumericsError(f"row violated: {lhs[i]} {_RELATION[lp.sense[i]]} {b[i]}")

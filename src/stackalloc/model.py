@@ -15,6 +15,7 @@ import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, combinations
 from typing import Iterable, Iterator, Mapping, TextIO
 
 import numpy as np
@@ -243,21 +244,11 @@ def allocation_of(x: MixedStrategy, n: int) -> np.ndarray:
     return np.clip(r, 0.0, 1.0)
 
 
-def iter_subsets(n: int, max_size: int) -> Iterator[tuple[int, ...]]:
+def iter_subsets(n: int, max_size: int) -> list[tuple[int, ...]]:
     """All subsets of range(n) with at most max_size elements, in
     lexicographic order of the sorted tuples: (), (0,), (0,1), ..."""
-    max_size = min(max_size, n)
-
-    def rec(prefix: list[int], start: int) -> Iterator[tuple[int, ...]]:
-        yield tuple(prefix)
-        if len(prefix) == max_size:
-            return
-        for u in range(start, n):
-            prefix.append(u)
-            yield from rec(prefix, u + 1)
-            prefix.pop()
-
-    return rec([], 0)
+    return sorted(chain.from_iterable(combinations(range(n), k)
+                                      for k in range(min(max_size, n) + 1)))
 
 
 def count_subsets(n: int, max_size: int) -> int:
@@ -274,7 +265,8 @@ def load_instance(stream: TextIO | Iterable[str]) -> BipartiteInfluenceGame:
     first bad line, with that line's first failing check in the order:
     token count, number, index range, duplicate edge, probability range.
     """
-    header, rows, seen = None, [], set()
+    header, seen = None, set()
+    us, vs, ps, pfs = [], [], [], []
     for line_no, raw in enumerate(stream, start=1):
         tokens = raw.split()
         if not tokens or tokens[0].startswith("#"):
@@ -306,10 +298,15 @@ def load_instance(stream: TextIO | Iterable[str]) -> BipartiteInfluenceGame:
         if not (0.0 <= p <= 1.0 and 0.0 <= pf <= 1.0):
             raise InstanceFormatError(line_no, "probability out of range")
         seen.add((u, v))
-        rows.append((u, v, p, pf))
+        us.append(u)
+        vs.append(v)
+        ps.append(p)
+        pfs.append(pf)
     if header is None:
         raise InstanceFormatError(0, "empty instance file")
-    return BipartiteInfluenceGame.build(n, m, rows, k_L, k_F)
+    # The header and line checks bound every index by n or m <= intp max.
+    return BipartiteInfluenceGame.from_arrays(n, m, np.array(us, dtype=np.intp),
+                                              np.array(vs, dtype=np.intp), ps, pfs, k_L, k_F)
 
 
 def dump_instance(game: BipartiteInfluenceGame, stream: TextIO,

@@ -6,9 +6,10 @@ enumerating the underlying success/failure events, and best responses by
 exhaustive subset enumeration; a strong equilibrium by one scipy LP per
 follower response on those brute-force tables; and the per-line instance
 loader that ``load_instance`` replaced, as the reference for its
-differential tests; and the per-customer generation loop that
-``generate_instance`` replaced, as the byte-for-byte reference for its
-raw-word sampler.
+differential tests; the recursive subset generator that ``iter_subsets``
+replaced, as the reference for its order; and the per-customer
+generation loop that ``generate_instance`` replaced, as the byte-for-byte
+reference for its raw-word sampler.
 
 The exceptions reuse package pieces on purpose, so that outcomes can be
 compared bit for bit: the reference for the exact solvers' infeasibility
@@ -40,6 +41,24 @@ def subsets_up_to(n, k):
     for size in range(min(n, k) + 1):
         out.extend(itertools.combinations(range(n), size))
     return out
+
+
+def lexicographic_subsets(n, max_size):
+    """The recursive generator ``iter_subsets`` replaced: every subset of
+    range(n) with at most max_size elements, each prefix before its
+    extensions: (), (0,), (0, 1), ..."""
+    max_size = min(max_size, n)
+
+    def rec(prefix, start):
+        yield tuple(prefix)
+        if len(prefix) == max_size:
+            return
+        for u in range(start, n):
+            prefix.append(u)
+            yield from rec(prefix, u + 1)
+            prefix.pop()
+
+    return rec([], 0)
 
 
 def _hit_probability(probs):
@@ -170,10 +189,10 @@ def candidate_lps(game, disjoint=False):
         leaders = enumerate_leader(game)
         F, G = oracle.utilities(payoff.activation_rows(game, leaders))
         Gt = G.T
+        sense = [">="] * len(Gt) + ["="]
         for yi, y_star in enumerate(oracle.strategies):
-            rows = list(zip(Gt[yi] - Gt, itertools.repeat(">="), itertools.repeat(0.0)))
-            rows.append((np.ones(len(leaders)), "=", 1.0))
-            lps[y_star] = LinearProgram(objective=F[:, yi], rows=rows)
+            rows = np.vstack([Gt[yi] - Gt, np.ones(len(leaders))])
+            lps[y_star] = LinearProgram(F[:, yi], rows, sense, np.r_[np.zeros(len(Gt)), 1.0])
         return lps
     n = game.n
     a = np.bincount(game.edge_media, weights=game.edge_p, minlength=n)
@@ -181,12 +200,12 @@ def candidate_lps(game, disjoint=False):
     bq = np.bincount(game.edge_media,
                      weights=game.edge_p * (game.edge_p - game.edge_pf), minlength=n)
     ymat = np.array([y.mask(n) for y in oracle.strategies], dtype=float)
+    sense = [">="] * len(ymat) + ["<="]
     for yi, y_star in enumerate(oracle.strategies):
         diff = ymat[yi] - ymat
-        rows = list(zip(-diff * bq, itertools.repeat(">="), (-diff @ a).tolist()))
-        rows.append((np.ones(n), "<=", float(game.k_L)))
-        lps[y_star] = LinearProgram(objective=a - ymat[yi] * d, rows=rows,
-                                    bounds=[(0.0, 1.0)] * n)
+        rows = np.vstack([-diff * bq, np.ones(n)])
+        lps[y_star] = LinearProgram(a - ymat[yi] * d, rows, sense, np.r_[-diff @ a, game.k_L],
+                                    upper=1.0)
     return lps
 
 

@@ -259,25 +259,26 @@ def test_criterion_11_lp_kernel():
         m = int(rng.integers(1, 7))
         A = rng.normal(size=(m, n))
         x0 = np.abs(rng.normal(size=n))
-        rows = []
+        senses, rhs = [], []
         for j in range(m):
             sense = ("<=", ">=", "=")[int(rng.integers(3))]
             base = float(A[j] @ x0)
+            senses.append(sense)
             if sense == "<=":
-                rows.append((A[j], sense, base + float(abs(rng.normal()))))
+                rhs.append(base + float(abs(rng.normal())))
             elif sense == ">=":
-                rows.append((A[j], sense, base - float(abs(rng.normal()))))
+                rhs.append(base - float(abs(rng.normal())))
             else:
-                rows.append((A[j], sense, base))
-        rows.append((np.ones(n), "<=", float(x0.sum() + abs(rng.normal()) + 1.0)))
-        out = sa.solve_lp(sa.LinearProgram(objective=rng.normal(size=n), rows=rows))
+                rhs.append(base)
+        senses.append("<=")
+        rhs.append(float(x0.sum() + abs(rng.normal()) + 1.0))
+        out = sa.solve_lp(sa.LinearProgram(rng.normal(size=n), np.vstack([A, np.ones(n)]),
+                                           senses, rhs))
         statuses_ok = statuses_ok and out.status == "optimal"
         worst_gap = max(worst_gap, abs(out.value - out.dual_value))
 
-    infeasible = sa.solve_lp(sa.LinearProgram(
-        objective=[1.0], rows=[([1.0], ">=", 2.0), ([1.0], "<=", 1.0)]))
-    unbounded = sa.solve_lp(sa.LinearProgram(
-        objective=[1.0, 0.0], rows=[([0.0, 1.0], "<=", 1.0)]))
+    infeasible = sa.solve_lp(sa.LinearProgram([1.0], [[1.0], [1.0]], [">=", "<="], [2.0, 1.0]))
+    unbounded = sa.solve_lp(sa.LinearProgram([1.0, 0.0], [[0.0, 1.0]], ["<="], [1.0]))
     ok = (worst_gap <= 1e-6 and statuses_ok
           and infeasible.status == "infeasible" and unbounded.status == "unbounded")
     _report(11, "duality gap <= 1e-6 on 200 random LPs; infeasible/unbounded classified",

@@ -219,6 +219,15 @@ def test_generate_rejects_a_budget_outside_the_media_count(capsys, tmp_path, bud
     assert not out.exists()
 
 
+def test_generate_clamps_default_budgets_to_the_media_count(capsys, tmp_path):
+    out = tmp_path / "x.txt"
+    code, _, _ = run_cli(capsys, "generate", "--n", "1", "--m", "5", "--mean-degree", "1",
+                         "--p", "0,0.2", "--pf", "0,0.2", "--seed", "0", "--out", str(out))
+    assert code == 0
+    header = next(line for line in out.read_text().splitlines() if not line.startswith("#"))
+    assert header == "1 5 1 1"
+
+
 def test_bench_command_csv_and_mirror(capsys, tmp_path):
     spec = {"n": 5, "m": 6, "mean_degree": 1.5, "p": [0, 0.5], "p_f": [0.1, 0.9],
             "budgets": [[1, 1]], "algorithms": ["greedy"], "trials": 1,

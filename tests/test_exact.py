@@ -188,7 +188,7 @@ def test_equilibrium_values_are_reverified(no_pure_optimum):
 
 
 def _lp_key(lp):
-    return lp.objective.tobytes(), lp.A.tobytes(), lp.rhs.tobytes()
+    return lp.objective.tobytes(), lp.rows.tobytes(), lp.rhs.tobytes()
 
 
 def _solve_recording(monkeypatch, solver, game):
@@ -206,12 +206,12 @@ def _solve_recording(monkeypatch, solver, game):
 def _scipy_status(lp):
     """HiGHS's status for an LP: 0 optimal, 2 infeasible."""
     le, ge, eq = lp.sense > 0, lp.sense < 0, lp.sense == 0
-    A_ub = np.vstack([lp.A[le], -lp.A[ge]])
+    A_ub = np.vstack([lp.rows[le], -lp.rows[ge]])
     b_ub = np.concatenate([lp.rhs[le], -lp.rhs[ge]])
     bounds = [(lo, None if np.isinf(up) else up) for lo, up in zip(lp.lower, lp.upper)]
     out = linprog(-lp.objective, A_ub=A_ub if b_ub.size else None,
                   b_ub=b_ub if b_ub.size else None,
-                  A_eq=lp.A[eq] if eq.any() else None, b_eq=lp.rhs[eq] if eq.any() else None,
+                  A_eq=lp.rows[eq] if eq.any() else None, b_eq=lp.rhs[eq] if eq.any() else None,
                   bounds=bounds, method="highs")
     return out.status
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -9,38 +11,33 @@ LESS, EQUAL, GREATER = "<=", "=", ">="
 
 
 def test_single_bounded_variable():
-    out = solve_lp(LinearProgram(objective=[1.0], rows=[([1.0], LESS, 1.0)]))
+    out = solve_lp(LinearProgram([1.0], [[1.0]], [LESS], [1.0]))
     assert out.status == "optimal"
     assert out.value == pytest.approx(1.0, abs=1e-9)
     assert out.x[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_infeasible_pair():
-    out = solve_lp(LinearProgram(objective=[1.0],
-                                 rows=[([1.0], GREATER, 2.0), ([1.0], LESS, 1.0)]))
+    out = solve_lp(LinearProgram([1.0], [[1.0], [1.0]], [GREATER, LESS], [2.0, 1.0]))
     assert out.status == "infeasible"
     assert out.x is None and out.value is None
 
 
 def test_box_and_budget_polytope():
-    out = solve_lp(LinearProgram(objective=[1.0, 1.0],
-                                 rows=[([1.0, 1.0], LESS, 1.5)],
-                                 bounds=[(0.0, 1.0), (0.0, 1.0)]))
+    out = solve_lp(LinearProgram([1.0, 1.0], [[1.0, 1.0]], [LESS], [1.5], upper=[1.0, 1.0]))
     assert out.status == "optimal"
     assert out.value == pytest.approx(1.5, abs=1e-9)
 
 
 def test_unbounded():
-    out = solve_lp(LinearProgram(objective=[1.0, 0.0],
-                                 rows=[([0.0, 1.0], LESS, 1.0)]))
+    out = solve_lp(LinearProgram([1.0, 0.0], [[0.0, 1.0]], [LESS], [1.0]))
     assert out.status == "unbounded"
 
 
 def test_equality_and_shifted_lower_bounds():
     # maximize x + 2y s.t. x + y = 3, y <= 2, x >= 1
-    out = solve_lp(LinearProgram(objective=[1.0, 2.0],
-                                 rows=[([1.0, 1.0], EQUAL, 3.0)],
-                                 bounds=[(1.0, np.inf), (0.0, 2.0)]))
+    out = solve_lp(LinearProgram([1.0, 2.0], [[1.0, 1.0]], [EQUAL], [3.0],
+                                 lower=[1.0, 0.0], upper=[np.inf, 2.0]))
     assert out.status == "optimal"
     assert out.value == pytest.approx(5.0, abs=1e-9)
     assert out.x == pytest.approx([1.0, 2.0], abs=1e-9)
@@ -49,9 +46,8 @@ def test_equality_and_shifted_lower_bounds():
 def test_degenerate_lp_terminates():
     # Klee-Minty-flavoured degeneracy: many redundant rows through one vertex.
     n = 4
-    rows = [(np.eye(n)[i], LESS, 0.0) for i in range(n)]
-    rows += [(np.ones(n), LESS, 0.0)] * 3
-    out = solve_lp(LinearProgram(objective=np.ones(n), rows=rows))
+    rows = np.vstack([np.eye(n)] + [np.ones(n)] * 3)
+    out = solve_lp(LinearProgram(np.ones(n), rows, [LESS] * (n + 3), np.zeros(n + 3)))
     assert out.status == "optimal"
     assert out.value == pytest.approx(0.0, abs=1e-9)
 
@@ -60,9 +56,9 @@ def test_pivot_cap_raises(monkeypatch):
     rng = np.random.default_rng(1)
     A = rng.normal(size=(6, 8))
     x0 = np.abs(rng.normal(size=8))
-    rows = [(A[i], LESS, float(A[i] @ x0) + 1.0) for i in range(6)]
-    rows.append((np.ones(8), LESS, float(x0.sum()) + 5.0))
-    lp = LinearProgram(objective=rng.normal(size=8), rows=rows)
+    rows = np.vstack([A, np.ones(8)])
+    rhs = np.r_[A @ x0 + 1.0, x0.sum() + 5.0]
+    lp = LinearProgram(rng.normal(size=8), rows, [LESS] * 7, rhs)
     monkeypatch.setattr(lp_mod, "MAX_PIVOTS", 1)
     with pytest.raises(PivotLimitError):
         solve_lp(lp)
@@ -72,9 +68,8 @@ def test_pivot_cap_holds_while_driving_out_artificials(monkeypatch):
     # Phase 1 takes one pivot and leaves the second row's artificial basic
     # at level 0; removing it takes one more, after which the basis is
     # already optimal for phase 2.
-    lp = LinearProgram(objective=[1.0, 0.0, 0.0],
-                       rows=[([1.0, 1.0, 0.0], EQUAL, 1.0),
-                             ([2.0, 2.0, -1.0], EQUAL, 2.0)])
+    lp = LinearProgram([1.0, 0.0, 0.0], [[1.0, 1.0, 0.0], [2.0, 2.0, -1.0]],
+                       [EQUAL, EQUAL], [1.0, 2.0])
     monkeypatch.setattr(lp_mod, "MAX_PIVOTS", 1)
     with pytest.raises(PivotLimitError):
         solve_lp(lp)
@@ -95,9 +90,8 @@ def test_incentive_rows_start_on_slacks(monkeypatch):
     statuses = []
     monkeypatch.setattr(lp_mod, "MAX_PIVOTS", 30)
     for yi in range(30):
-        rows = [(G[:, yi] - G[:, yj], GREATER, 0.0) for yj in range(30)]
-        rows.append((np.ones(12), EQUAL, 1.0))
-        lp = LinearProgram(objective=F[:, yi], rows=rows)
+        rows = np.vstack([G[:, [yi]].T - G.T, np.ones(12)])
+        lp = LinearProgram(F[:, yi], rows, [GREATER] * 30 + [EQUAL], np.r_[np.zeros(30), 1.0])
         out = solve_lp(lp)
         statuses.append(out.status)
         if out.status == "optimal":
@@ -113,35 +107,43 @@ def _random_feasible_lp(rng, box=False, zero_rhs=False):
     x0 = np.abs(rng.normal(size=n))
     if box:
         x0 = np.minimum(x0, 1.0)
-    rows = []
+    rows, senses, rhs = [], [], []
     for j in range(m):
         sense = (LESS, GREATER, EQUAL)[int(rng.integers(3))]
         base = float(A[j] @ x0)
+        rows.append(A[j])
+        senses.append(sense)
         if sense == LESS:
-            rows.append((A[j], sense, base + float(abs(rng.normal()))))
+            rhs.append(base + float(abs(rng.normal())))
         elif sense == GREATER:
-            rows.append((A[j], sense, base - float(abs(rng.normal()))))
+            rhs.append(base - float(abs(rng.normal())))
         else:
-            rows.append((A[j], sense, base))
-    rows.append((np.ones(n), LESS, float(x0.sum() + abs(rng.normal()) + 1.0)))
+            rhs.append(base)
+    rows.append(np.ones(n))
+    senses.append(LESS)
+    rhs.append(float(x0.sum() + abs(rng.normal()) + 1.0))
     if zero_rhs:
         # Rows through the origin that x0 satisfies: a.x >= 0 and a.x = 0.
         for _ in range(int(rng.integers(1, 4))):
             a = rng.normal(size=n)
-            rows.append((a if a @ x0 >= 0 else -a, GREATER, 0.0))
+            rows.append(a if a @ x0 >= 0 else -a)
+            senses.append(GREATER)
+            rhs.append(0.0)
         a = rng.normal(size=n)
-        rows.append((a - (a @ x0) / (x0 @ x0) * x0, EQUAL, 0.0))
-    bounds = [(0.0, 1.0)] * n if box else None
-    return LinearProgram(objective=rng.normal(size=n), rows=rows, bounds=bounds)
+        rows.append(a - (a @ x0) / (x0 @ x0) * x0)
+        senses.append(EQUAL)
+        rhs.append(0.0)
+    return LinearProgram(rng.normal(size=n), np.array(rows), senses, rhs,
+                         upper=1.0 if box else np.inf)
 
 
 def _scipy_value(lp):
     n = lp.objective.size
     A_ub, b_ub, A_eq, b_eq = [], [], [], []
-    for a, rel, b in lp.rows:
-        if rel == LESS:
+    for a, rel, b in zip(lp.rows, lp.sense, lp.rhs):
+        if rel > 0:  # <=
             A_ub.append(a); b_ub.append(b)
-        elif rel == GREATER:
+        elif rel < 0:  # >=
             A_ub.append(-a); b_ub.append(-b)
         else:
             A_eq.append(a); b_eq.append(b)
@@ -150,7 +152,7 @@ def _scipy_value(lp):
                   b_ub=np.array(b_ub) if b_ub else None,
                   A_eq=np.array(A_eq) if A_eq else None,
                   b_eq=np.array(b_eq) if b_eq else None,
-                  bounds=[(lo, None if np.isinf(up) else up) for lo, up in lp.bounds],
+                  bounds=[(lo, None if np.isinf(up) else up) for lo, up in zip(lp.lower, lp.upper)],
                   method="highs")
     assert ref.status == 0
     return -ref.fun
@@ -164,19 +166,18 @@ def _check_dual_certificate(lp, out):
     """
     y = out.dual
     resid = lp.objective.copy()
-    for (a, rel, b), yi in zip(lp.rows, y):
-        if rel == LESS:
+    for a, rel, yi in zip(lp.rows, lp.sense, y):
+        if rel > 0:  # <=
             assert yi >= -1e-7
-        elif rel == GREATER:
+        elif rel < 0:  # >=
             assert yi <= 1e-7
         resid = resid - yi * a
-    lower = np.array([lo for lo, _ in lp.bounds])
-    upper = np.array([up for _, up in lp.bounds])
+    lower, upper = lp.lower, lp.upper
     boxed = np.isfinite(upper)
     # A^T y >= c wherever no upper-bound multiplier can make up the difference
     assert np.all(resid[~boxed] <= 1e-7)
     w = np.maximum(resid[boxed], 0.0)
-    shifted_b = [b - float(np.dot(a, lower)) for a, _, b in lp.rows]
+    shifted_b = [b - float(np.dot(a, lower)) for a, b in zip(lp.rows, lp.rhs)]
     assert abs(out.value - out.dual_value) <= 1e-6
     assert out.dual_value == pytest.approx(
         float(np.dot(y, shifted_b) + w @ (upper - lower)[boxed] + lp.objective @ lower),
@@ -190,11 +191,11 @@ def test_duality_gap_on_random_feasible_lps():
         out = solve_lp(lp)
         assert out.status == "optimal"
         # every row re-checked from the raw data
-        for a, rel, b in lp.rows:
+        for a, rel, b in zip(lp.rows, lp.sense, lp.rhs):
             lhs = float(np.dot(a, out.x))
-            if rel == LESS:
+            if rel > 0:  # <=
                 assert lhs <= b + 1e-7
-            elif rel == GREATER:
+            elif rel < 0:  # >=
                 assert lhs >= b - 1e-7
             else:
                 assert lhs == pytest.approx(b, abs=1e-7)
@@ -216,10 +217,8 @@ def test_box_bounded_lps_match_scipy():
 def test_redundant_rows_through_a_boxed_vertex():
     # Three equalities meet at the box corner (1, 1), so phase 1 drops a
     # redundant tableau row; the dual must still be rebuilt.
-    lp = LinearProgram(objective=[-1.0, 3.0],
-                       rows=[([0.0, 1.0], EQUAL, 1.0), ([-3.0, 1.0], EQUAL, -2.0),
-                             ([3.0, 2.0], EQUAL, 5.0)],
-                       bounds=[(0.0, 1.0), (0.0, 1.0)])
+    lp = LinearProgram([-1.0, 3.0], [[0.0, 1.0], [-3.0, 1.0], [3.0, 2.0]],
+                       [EQUAL] * 3, [1.0, -2.0, 5.0], upper=1.0)
     out = solve_lp(lp)
     assert out.status == "optimal"
     assert out.x == pytest.approx([1.0, 1.0], abs=1e-9)
@@ -237,11 +236,42 @@ def test_deterministic_resolve():
 
 
 def test_rejects_bad_programs():
+    none = np.zeros((0, 1)), [], []
     with pytest.raises(ValueError):
-        LinearProgram(objective=[np.nan])
+        LinearProgram([np.nan], *none)
     with pytest.raises(ValueError):
-        LinearProgram(objective=[1.0], rows=[([1.0, 2.0], LESS, 1.0)])
+        LinearProgram([1.0], [[1.0, 2.0]], [LESS], [1.0])
     with pytest.raises(ValueError):
-        LinearProgram(objective=[1.0], bounds=[(2.0, 1.0)])
+        LinearProgram([1.0], *none, lower=2.0, upper=1.0)
     with pytest.raises(ValueError):
-        LinearProgram(objective=[1.0], rows=[([1.0], "<", 1.0)])
+        LinearProgram([1.0], [[1.0]], ["<"], [1.0])
+    cases = [
+        (([1.0, 2.0], [[1.0, 2.0]], [LESS, LESS], [1.0]), {},
+         "sense has 2 entries for 1 rows"),
+        (([1.0], [[1.0]], ["=="], [1.0]), {}, "unknown relation '=='"),
+        (([1.0, 2.0], np.ones((3, 2)), [LESS] * 2, [1.0] * 2), {},
+         "row width does not match objective: rows have shape (3, 2), expected (2, 2)"),
+        (([1.0, 2.0], np.ones((3, 2)).T, [LESS] * 3, [1.0] * 3), {},
+         "row width does not match objective: rows have shape (2, 3), expected (3, 2)"),
+        (([1.0, 2.0], [1.0, 2.0], [LESS], [1.0]), {},
+         "row width does not match objective: rows have shape (2,), expected (1, 2)"),
+        (([1.0, 2.0], np.zeros((0, 2)), [], np.zeros((0, 2))), {},
+         "rhs must be a vector, got shape (0, 2)"),
+        (([1.0, 2.0], np.zeros((0, 2)), [], []), {"lower": [0.0, 0.0, 0.0]},
+         "bounds length does not match objective"),
+        (([1.0, 2.0], np.zeros((0, 2)), [], []), {"upper": [1.0]},
+         "bounds length does not match objective"),
+    ]
+    for args, bounds, message in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            LinearProgram(*args, **bounds)
+
+
+def test_scalar_bounds_broadcast():
+    lp = LinearProgram([1.0, 1.0, 1.0], [[1.0, 1.0, 1.0]], [LESS], [2.5], lower=0.5, upper=1.0)
+    assert lp.rows.shape == (1, 3)
+    assert lp.sense.tolist() == [1] and lp.rhs.tolist() == [2.5]
+    assert lp.lower.tolist() == [0.5] * 3 and lp.upper.tolist() == [1.0] * 3
+    out = solve_lp(lp)
+    assert out.status == "optimal"
+    assert out.value == pytest.approx(2.5, abs=1e-9)

@@ -368,6 +368,9 @@ def test_subset_enumeration_order_and_count():
     assert subs == sorted(subs)
     assert count_subsets(20, 2) == 1 + 20 + math.comb(20, 2)
     assert count_subsets(3, 5) == 8  # max_size clamps at n
+    for n in range(9):
+        for max_size in range(n + 2):
+            assert iter_subsets(n, max_size) == list(oracles.lexicographic_subsets(n, max_size))
 
 
 # SHA-256 of dump_instance, recorded when generation still called
