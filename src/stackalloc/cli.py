@@ -10,6 +10,7 @@ failed its numerical re-check.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -45,14 +46,13 @@ def _load(path: str) -> BipartiteInfluenceGame:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     game = _load(args.instance)
-    tie_tol = args.tie_tolerance
     started = time.perf_counter()
     _, run = bench.ENGINES[args.algorithm]
     x, certificate = run(game, args.iters, args.epsilon, args.ell)
     solve_ms = (time.perf_counter() - started) * 1e3
 
     # Everything reported below is recomputed from the emitted strategy.
-    br = follower.best_response(game, x, tie_tol=tie_tol)
+    br = follower.best_response(game, x)
     report = {
         "algorithm": args.algorithm,
         "instance": args.instance,
@@ -109,7 +109,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="stackalloc",
         description="Leader-commitment budget-allocation game solvers "
@@ -125,7 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=100, help="MWU iterations")
     p.add_argument("--epsilon", type=float, default=0.5, help="MWU epsilon")
     p.add_argument("--ell", type=int, default=10, help="heuristic rounds")
-    p.add_argument("--tie-tolerance", type=float, default=follower.TIE_TOL)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("generate", help="write a seeded synthetic instance")
@@ -152,8 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (InstanceFormatError, FileNotFoundError, ValueError, json.JSONDecodeError) as exc:

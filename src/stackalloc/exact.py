@@ -209,8 +209,10 @@ def solve_disjoint_lp(game: BipartiteInfluenceGame) -> EquilibriumResult:
                      weights=game.edge_p * (game.edge_p - game.edge_pf), minlength=n)
     ymat = np.array([y.mask(n) for y in oracle.strategies], dtype=float)
 
-    ones = np.ones(n)
-    sense = [">="] * len(oracle.strategies) + ["<="]
+    # The budget row sum r <= k_L, then the box rows r_u <= 1.
+    q_rows = np.vstack([np.ones(n), np.eye(n)])
+    q_rhs = np.r_[game.k_L, np.ones(n)]
+    sense = [">="] * len(oracle.strategies) + ["<="] * (n + 1)
     top = min(game.k_L, n)
 
     def candidate_lp(yi: int) -> LinearProgram | None:
@@ -223,8 +225,7 @@ def solve_disjoint_lp(game: BipartiteInfluenceGame) -> EquilibriumResult:
         reach = np.sort(np.maximum(coef, 0.0), axis=1)[:, n - top:].sum(axis=1)
         if (reach < rhs - FEAS_TOL * np.maximum(1.0, np.abs(rhs))).any():
             return None
-        return LinearProgram(a - ys * d, np.vstack([coef, ones]), sense,
-                             np.r_[rhs, game.k_L], upper=1.0)
+        return LinearProgram(a - ys * d, np.vstack([coef, q_rows]), sense, np.r_[rhs, q_rhs])
 
     per_y, (lp_value, yi, r) = _best_candidate(oracle, candidate_lp)
     x = decompose_allocation(r, game.k_L)

@@ -11,7 +11,6 @@ enumerated, so the cap holds for every caller and in any call order.
 
 from __future__ import annotations
 
-import math
 import weakref
 from dataclasses import dataclass
 
@@ -77,14 +76,12 @@ class FollowerOracle:
         """
         return payoff.utilities(pvx, self.activation, self.recapture)
 
-    def best_response_values(self, pvx: np.ndarray,
-                             tie_tol: float = TIE_TOL) -> np.ndarray:
+    def best_response_values(self, pvx: np.ndarray) -> np.ndarray:
         """Optimistic leader value f_BR for each row of leader activations."""
-        return self.optimistic_values(*self.utilities(pvx), tie_tol)
+        return self.optimistic_values(*self.utilities(pvx))
 
     @staticmethod
-    def optimistic_values(f: np.ndarray, g: np.ndarray,
-                          tie_tol: float = TIE_TOL) -> np.ndarray:
+    def optimistic_values(f: np.ndarray, g: np.ndarray) -> np.ndarray:
         """Per row of (f, g) tables: the largest f among the g-maximizers.
 
         Rows are utilities over the follower set as ``utilities`` returns
@@ -92,19 +89,18 @@ class FollowerOracle:
         so callers may blend rows of tables instead of activation rows.
         """
         gmax = g.max(axis=1, keepdims=True)
-        tied = g >= gmax - tie_tol
+        tied = g >= gmax - TIE_TOL
         return np.where(tied, f, -np.inf).max(axis=1)
 
-    def best_response(self, pvx: np.ndarray,
-                      tie_tol: float = TIE_TOL) -> BestResponseResult:
+    def best_response(self, pvx: np.ndarray) -> BestResponseResult:
         f, g = self.utilities(pvx)
         f, g = f[0], g[0]
         gmax = float(g.max())
-        tied = np.nonzero(g >= gmax - tie_tol)[0]
+        tied = np.nonzero(g >= gmax - TIE_TOL)[0]
         fmax = float(f[tied].max())
         # Enumeration is lexicographic, so the first optimistic candidate
         # is the documented tie-break.
-        chosen = int(tied[np.nonzero(f[tied] >= fmax - tie_tol)[0][0]])
+        chosen = int(tied[np.nonzero(f[tied] >= fmax - TIE_TOL)[0][0]])
         return BestResponseResult(
             responses=tuple(self.strategies[i] for i in tied),
             follower_value=gmax,
@@ -126,11 +122,8 @@ def follower_oracle(game: BipartiteInfluenceGame) -> FollowerOracle:
 
 
 def best_response(game: BipartiteInfluenceGame, x: MixedStrategy,
-                  tie_tol: float = TIE_TOL,
                   oracle: FollowerOracle | None = None) -> BestResponseResult:
     """Optimistic best response to a leader mixed strategy."""
-    if not (math.isfinite(tie_tol) and tie_tol >= 0.0):
-        raise ValueError(f"tie tolerance must be finite and >= 0, got {tie_tol}")
     if oracle is None:
         oracle = follower_oracle(game)
-    return oracle.best_response(payoff.mixed_activation_vector(game, x), tie_tol)
+    return oracle.best_response(payoff.mixed_activation_vector(game, x))

@@ -1,18 +1,17 @@
 """Dense two-phase primal simplex used by the exact solvers.
 
-Problems are stated as: maximize c.x subject to A x {<=,=,>=} b, one
-relation per row, and per-variable bounds [l, u] with l finite (default
-0) and u possibly infinite.  The caller passes A as a matrix, and the
-standard form is built from it with whole-array operations: x is
-shifted to x - l, finite upper bounds become extra <= rows, and every
-row with a negative rhs, or a >= row with rhs 0, is negated so that it
-starts on a slack.  Only = rows and >= rows with a positive rhs need an
-artificial variable in phase 1.
+Problems are stated in the standard form both exact solvers pose:
+maximize c.x subject to A x {<=,=,>=} b, one relation per row, and
+x >= 0.  Any other bound on a variable is a row (the disjoint solver
+states r <= 1 as unit rows).  The caller passes A as a matrix, and the
+tableau is built from it with whole-array operations: every row with a
+negative rhs, or a >= row with rhs 0, is negated so that it starts on a
+slack.  Only = rows and >= rows with a positive rhs need an artificial
+variable in phase 1.
 
-The solver certifies its answer: primal feasibility of the returned
-point is re-checked from the original data, the objective is recomputed
-from scratch, and a dual vector is rebuilt from the final basis so
-callers can verify strong duality.
+The solver certifies its answer: the returned point is re-checked
+against x >= 0 and every row of the original data, and the objective is
+recomputed from it.
 
 Pivoting is Dantzig's rule with a deterministic ratio test; after a run
 of degenerate pivots the solver switches to Bland's rule, which cannot
@@ -49,12 +48,11 @@ _RELATION = {sense: rel for rel, sense in _SENSE.items()}
 
 @dataclass
 class LinearProgram:
-    """maximize objective.x s.t. rows.x {<=,=,>=} rhs, lower <= x <= upper.
+    """maximize objective.x s.t. rows.x {<=,=,>=} rhs, x >= 0.
 
     ``rows`` is the (R, n) constraint matrix, ``sense`` names each row's
     relation (``"<="``, ``"="`` or ``">="``; stored as +1, 0 and -1), and
-    ``rhs`` is (R,).  ``lower`` and ``upper`` are scalars, broadcast to n,
-    or length-n vectors.  Each field is converted to a float array (``sense``
+    ``rhs`` is (R,).  Each field is converted to a float array (``sense``
     to an int array) on construction.
     """
 
@@ -62,8 +60,6 @@ class LinearProgram:
     rows: np.ndarray
     sense: np.ndarray
     rhs: np.ndarray
-    lower: np.ndarray | float = 0.0
-    upper: np.ndarray | float = np.inf
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=float)
@@ -87,25 +83,12 @@ class LinearProgram:
             raise ValueError(f"unknown relation {unknown[0]!r}")
         self.sense = np.array([_SENSE[rel] for rel in self.sense], dtype=int)
 
-        bounds = [np.asarray(bound, dtype=float) for bound in (self.lower, self.upper)]
-        if any(bound.ndim and bound.shape != (n,) for bound in bounds):
-            raise ValueError("bounds length does not match objective")
-        self.lower, self.upper = (np.broadcast_to(bound, n).copy() for bound in bounds)
-        if not np.all(np.isfinite(self.lower)):
-            raise ValueError("lower bounds must be finite")
-        crossed = np.flatnonzero(self.lower > self.upper)
-        if crossed.size:
-            j = crossed[0]
-            raise ValueError(f"inconsistent bound [{self.lower[j]}, {self.upper[j]}]")
-
 
 @dataclass(frozen=True)
 class LpOutcome:
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: np.ndarray | None = None
     value: float | None = None
-    dual: np.ndarray | None = None  # one multiplier per input row, when optimal
-    dual_value: float | None = None
 
 
 def _pivot(T: np.ndarray, i: int, j: int) -> None:
@@ -173,43 +156,27 @@ def _cost_row(T: np.ndarray, basis: list[int], costs: np.ndarray) -> None:
 def solve_lp(lp: LinearProgram) -> LpOutcome:
     """Solve to a certified status; see module docstring."""
     n = lp.objective.size
-    lower = lp.lower
-    boxed = np.flatnonzero(np.isfinite(lp.upper))
-
-    # Shift to x = lower + x'; finite upper bounds become extra <= rows
-    # after the input rows.
-    unit = np.zeros((boxed.size, n))
-    unit[np.arange(boxed.size), boxed] = 1.0
-    A = np.vstack([lp.rows, unit])
-    b = np.concatenate([lp.rhs - lp.rows @ lower, lp.upper[boxed] - lower[boxed]])
-    sense = np.concatenate([lp.sense, np.ones(boxed.size, dtype=int)])
 
     # Negate rows with a negative rhs, and >= rows with rhs 0, so that the
     # rhs is nonnegative and as many rows as possible start on a slack.
-    flip = (b < 0) | ((b == 0) & (sense < 0))
-    sign = np.where(flip, -1.0, 1.0)
-    A *= sign[:, None]
-    b = np.abs(b)
-    sense = np.where(flip, -sense, sense)
+    flip = (lp.rhs < 0) | ((lp.rhs == 0) & (lp.sense < 0))
+    sense = np.where(flip, -lp.sense, lp.sense)
 
     # Columns: structural, slacks (<= rows), surpluses (>= rows), then
     # artificials (= and >= rows), each group in row order.
-    R = b.size
+    R = lp.rhs.size
     slack_rows = np.flatnonzero(sense > 0)
     surp_rows = np.flatnonzero(sense < 0)
     art_rows = np.flatnonzero(sense <= 0)
     C2 = n + slack_rows.size + surp_rows.size
     slack_cols = n + np.arange(slack_rows.size)
     art_cols = C2 + np.arange(art_rows.size)
-    A_std = np.zeros((R, C2))
-    A_std[:, :n] = A
-    A_std[slack_rows, slack_cols] = 1.0
-    A_std[surp_rows, n + slack_rows.size + np.arange(surp_rows.size)] = -1.0
-
     T = np.zeros((R + 1, C2 + art_rows.size + 1))
-    T[:R, :C2] = A_std
+    T[:R, :n] = np.where(flip[:, None], -lp.rows, lp.rows)
+    T[slack_rows, slack_cols] = 1.0
+    T[surp_rows, n + slack_rows.size + np.arange(surp_rows.size)] = -1.0
     T[art_rows, art_cols] = 1.0
-    T[:R, -1] = b
+    T[:R, -1] = np.abs(lp.rhs)
     basis_arr = np.empty(R, dtype=int)
     basis_arr[slack_rows] = slack_cols
     basis_arr[art_rows] = art_cols
@@ -256,36 +223,17 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
 
     x_std = np.zeros(C2)
     x_std[basis] = T[:-1, -1]
-    x = lower + x_std[:n]
+    x = x_std[:n]
     value = float(lp.objective @ x)
-
     _check_feasible(lp, x)
-
-    # Dual reconstruction from the final basis against the unpivoted data.
-    # Once phase 1 has dropped redundant rows, the basis has fewer columns
-    # than the data has rows; the system is still consistent, and any
-    # solution prices every column the same, so least squares is used.
-    y_std = np.zeros(R)
-    if basis:
-        B = A_std[:, basis]
-        try:
-            if len(basis) == R:
-                y_std = np.linalg.solve(B.T, costs2[basis])
-            else:
-                y_std = np.linalg.lstsq(B.T, costs2[basis], rcond=None)[0]
-        except np.linalg.LinAlgError as exc:
-            raise LpNumericsError(f"final basis is singular: {exc}") from None
-    dual_value = float(y_std @ b + lp.objective @ lower)
-    dual = (sign * y_std)[:lp.rhs.size]
-    return LpOutcome(status="optimal", x=x, value=value,
-                     dual=dual, dual_value=dual_value)
+    return LpOutcome(status="optimal", x=x, value=value)
 
 
 def _check_feasible(lp: LinearProgram, x: np.ndarray) -> None:
-    outside = np.flatnonzero((x < lp.lower - FEAS_TOL) | (x > lp.upper + FEAS_TOL))
-    if outside.size:
-        j = outside[0]
-        raise LpNumericsError(f"variable {j} outside its bounds: {x[j]}")
+    negative = np.flatnonzero(x < -FEAS_TOL)
+    if negative.size:
+        j = negative[0]
+        raise LpNumericsError(f"variable {j} is negative: {x[j]}")
     lhs = lp.rows @ x
     b = lp.rhs
     tol = FEAS_TOL * np.maximum(1.0, np.abs(b))

@@ -4,8 +4,9 @@ Everything here is deliberately independent of the package's vectorized
 paths: plain dict/loop arithmetic, activation expectations computed by
 enumerating the underlying success/failure events, and best responses by
 exhaustive subset enumeration; a strong equilibrium by one scipy LP per
-follower response on those brute-force tables; and the per-line instance
-loader that ``load_instance`` replaced, as the reference for its
+follower response on those brute-force tables; scipy's HiGHS on any
+``LinearProgram``, as the reference status and optimum for ``solve_lp``;
+and the per-line instance loader that ``load_instance`` replaced, as the reference for its
 differential tests; the recursive subset generator that ``iter_subsets``
 replaced, as the reference for its order; and the per-customer
 generation loop that ``generate_instance`` replaced, as the byte-for-byte
@@ -200,13 +201,28 @@ def candidate_lps(game, disjoint=False):
     bq = np.bincount(game.edge_media,
                      weights=game.edge_p * (game.edge_p - game.edge_pf), minlength=n)
     ymat = np.array([y.mask(n) for y in oracle.strategies], dtype=float)
-    sense = [">="] * len(ymat) + ["<="]
+    sense = [">="] * len(ymat) + ["<="] * (n + 1)
     for yi, y_star in enumerate(oracle.strategies):
         diff = ymat[yi] - ymat
-        rows = np.vstack([-diff * bq, np.ones(n)])
-        lps[y_star] = LinearProgram(a - ymat[yi] * d, rows, sense, np.r_[-diff @ a, game.k_L],
-                                    upper=1.0)
+        rows = np.vstack([-diff * bq, np.ones(n), np.eye(n)])
+        lps[y_star] = LinearProgram(a - ymat[yi] * d, rows, sense,
+                                    np.r_[-diff @ a, game.k_L, np.ones(n)])
     return lps
+
+
+def scipy_lp(lp):
+    """HiGHS on a ``LinearProgram``: (status, optimum), status 0 optimal,
+    2 infeasible, 3 unbounded; the optimum is None unless optimal."""
+    from scipy.optimize import linprog
+
+    le, ge, eq = lp.sense > 0, lp.sense < 0, lp.sense == 0
+    A_ub = np.vstack([lp.rows[le], -lp.rows[ge]])
+    b_ub = np.concatenate([lp.rhs[le], -lp.rhs[ge]])
+    out = linprog(-lp.objective, A_ub=A_ub if b_ub.size else None,
+                  b_ub=b_ub if b_ub.size else None,
+                  A_eq=lp.rows[eq] if eq.any() else None, b_eq=lp.rhs[eq] if eq.any() else None,
+                  method="highs")  # x >= 0 is linprog's default bound
+    return out.status, (-out.fun if out.status == 0 else None)
 
 
 def unscreened_outcomes(game, disjoint=False):

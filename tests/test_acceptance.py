@@ -252,7 +252,7 @@ def test_criterion_10_protocol_trend():
 
 def test_criterion_11_lp_kernel():
     rng = np.random.default_rng(5)
-    worst_gap = 0.0
+    worst_diff = 0.0
     statuses_ok = True
     for _ in range(200):
         n = int(rng.integers(2, 8))
@@ -272,14 +272,16 @@ def test_criterion_11_lp_kernel():
                 rhs.append(base)
         senses.append("<=")
         rhs.append(float(x0.sum() + abs(rng.normal()) + 1.0))
-        out = sa.solve_lp(sa.LinearProgram(rng.normal(size=n), np.vstack([A, np.ones(n)]),
-                                           senses, rhs))
-        statuses_ok = statuses_ok and out.status == "optimal"
-        worst_gap = max(worst_gap, abs(out.value - out.dual_value))
+        lp = sa.LinearProgram(rng.normal(size=n), np.vstack([A, np.ones(n)]), senses, rhs)
+        out = sa.solve_lp(lp)
+        if out.status != "optimal":
+            statuses_ok = False
+            continue
+        worst_diff = max(worst_diff, abs(out.value - oracles.scipy_lp(lp)[1]))
 
     infeasible = sa.solve_lp(sa.LinearProgram([1.0], [[1.0], [1.0]], [">=", "<="], [2.0, 1.0]))
     unbounded = sa.solve_lp(sa.LinearProgram([1.0, 0.0], [[0.0, 1.0]], ["<="], [1.0]))
-    ok = (worst_gap <= 1e-6 and statuses_ok
+    ok = (worst_diff <= 1e-6 and statuses_ok
           and infeasible.status == "infeasible" and unbounded.status == "unbounded")
-    _report(11, "duality gap <= 1e-6 on 200 random LPs; infeasible/unbounded classified",
-            ok, f"worst gap {worst_gap:.2e}")
+    _report(11, "optimum within 1e-6 of HiGHS on 200 random LPs; infeasible/unbounded classified",
+            ok, f"worst difference {worst_diff:.2e}")

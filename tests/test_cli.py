@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from stackalloc import (MixedStrategy, PureStrategy, best_response, exact, heuristic,
+from stackalloc import (MixedStrategy, PureStrategy, best_response, cli, exact, heuristic,
                         load_instance, mwu)
 from stackalloc.cli import main
 from stackalloc.lp import LpNumericsError
@@ -139,15 +139,6 @@ def test_solve_instance_too_large_for_memory_exit_code(capsys, tmp_path, algorit
     assert err.startswith("error: instance too large")
 
 
-@pytest.mark.parametrize("tolerance", ["nan", "-1", "inf"])
-def test_solve_rejects_a_bad_tie_tolerance(capsys, no_pure_optimum_path, tolerance):
-    code, out, err = run_cli(capsys, "solve", "--instance", no_pure_optimum_path,
-                             "--algorithm", "greedy", "--tie-tolerance", tolerance)
-    assert code == 2
-    assert out == ""
-    assert "tie tolerance" in err
-
-
 def test_solve_numerics_error_exit_code(capsys, monkeypatch, no_pure_optimum_path):
     def failing(game):
         raise LpNumericsError("re-evaluated value disagrees with LP value")
@@ -242,6 +233,33 @@ def test_bench_command_csv_and_mirror(capsys, tmp_path):
     assert lines[0].startswith("dist,kL,kF")
     assert len(lines) == 2
     assert json.loads(mirror.read_text())["rows"][0]["cells"]["greedy"]["status"] == "ok"
+
+
+@pytest.mark.parametrize("degree", ["nan", "inf", "-inf"])
+def test_generate_rejects_a_non_finite_mean_degree(capsys, tmp_path, degree):
+    out = tmp_path / "g.txt"
+    code, _, err = run_cli(capsys, "generate", "--n", "3", "--m", "5", f"--mean-degree={degree}",
+                           "--p", "0,0.2", "--pf", "0,0.2", "--seed", "0", "--out", str(out))
+    assert code == 2
+    assert "mean degree" in err
+
+
+@pytest.mark.parametrize("degree", [float("nan"), float("inf"), float("-inf")])
+def test_bench_rejects_a_non_finite_mean_degree(capsys, tmp_path, degree):
+    spec = {"n": 5, "m": 6, "mean_degree": degree, "p": [0, 0.5], "p_f": [0.1, 0.9],
+            "budgets": [[1, 1]], "algorithms": ["greedy"], "trials": 1}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))  # written as NaN, Infinity, -Infinity
+    code, out, err = run_cli(capsys, "bench", "--spec", str(spec_path))
+    assert code == 2 and out == ""
+    assert "mean degree" in err
+
+
+def test_parser_is_built_once(capsys, no_pure_optimum_path):
+    cli.build_parser.cache_clear()
+    for _ in range(3):
+        assert run_cli(capsys, "validate", "--instance", no_pure_optimum_path)[0] == 0
+    assert cli.build_parser.cache_info().misses == 1
 
 
 def test_bench_malformed_spec(capsys, tmp_path):

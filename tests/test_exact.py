@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.optimize import linprog
 
 from stackalloc import (BipartiteInfluenceGame, CapExceededError, MixedStrategy,
                         PureStrategy, allocation_of, best_response,
@@ -203,19 +202,6 @@ def _solve_recording(monkeypatch, solver, game):
     return solver(game), reached
 
 
-def _scipy_status(lp):
-    """HiGHS's status for an LP: 0 optimal, 2 infeasible."""
-    le, ge, eq = lp.sense > 0, lp.sense < 0, lp.sense == 0
-    A_ub = np.vstack([lp.rows[le], -lp.rows[ge]])
-    b_ub = np.concatenate([lp.rhs[le], -lp.rhs[ge]])
-    bounds = [(lo, None if np.isinf(up) else up) for lo, up in zip(lp.lower, lp.upper)]
-    out = linprog(-lp.objective, A_ub=A_ub if b_ub.size else None,
-                  b_ub=b_ub if b_ub.size else None,
-                  A_eq=lp.rows[eq] if eq.any() else None, b_eq=lp.rhs[eq] if eq.any() else None,
-                  bounds=bounds, method="highs")
-    return out.status
-
-
 def _check_against_unscreened(monkeypatch, game, disjoint):
     """The audit trail equals the screen-free one; returns the screened count."""
     solver = solve_disjoint_lp if disjoint else solve_multi_lp
@@ -224,7 +210,7 @@ def _check_against_unscreened(monkeypatch, game, disjoint):
     screened = [lp for lp in oracles.candidate_lps(game, disjoint).values()
                 if _lp_key(lp) not in reached]
     for lp in screened:
-        assert _scipy_status(lp) == 2
+        assert oracles.scipy_lp(lp)[0] == 2
     return len(screened)
 
 

@@ -236,6 +236,14 @@ def test_generate_instance_rejects_bad_arguments():
         generate_instance(3, 5, 1.0, (0.5, 0.1), (0.0, 0.5), seed=0)
 
 
+@pytest.mark.parametrize("m", [0, 4])
+@pytest.mark.parametrize("degree", [float("nan"), float("inf"), float("-inf")])
+def test_generate_instance_rejects_a_non_finite_mean_degree(m, degree):
+    # Rejected before rounding, and also when m = 0, where no degree is used.
+    with pytest.raises(ValueError, match=f"^mean degree must be finite, got {degree}$"):
+        generate_instance(3, m, degree, (0.0, 0.5), (0.0, 0.5), seed=0)
+
+
 @pytest.mark.parametrize("overrides,message", [
     (dict(n=3.5), "n must be an integer, not 3.5"),
     (dict(m=4.5), "m must be an integer, not 4.5"),
