@@ -14,6 +14,33 @@ the weights, so one run memoizes them by that ordered prefix
 (``PrefixTables``): at the default learning rate the rounds replay
 one or two strategies, and each step then costs one n x |D_F|
 matrix-vector product.
+
+Most runs replay one strategy z in every round, so ``solve_mwu``
+accepts replayed rounds in batches instead of running the greedy for
+each.  Once z has held for ``needed`` rounds in a row (2 at first,
+doubled after each batch that stops early, so that a run that switches
+often rarely pays for a guess), it guesses that the next
+K = min(streak, rounds left) rounds play z too.  Their cumulative
+losses are one ``cumsum`` down [cum_losses, h, ..., h], which adds as
+the loop's ``+=`` does, and their weights are the loop's expression
+with a 1-D sum per row: every round's weights are the loop's, bit for
+bit.  Each greedy step along z's picks scores all K rounds with one
+product W @ PG(S).T, which rounds differently from the loop's
+matrix-vector product, but either evaluation of gain u lies within
+gamma_k (total r_u + total max_j |PG(S)_uj|) of the exact sum of the
+same floats, with gamma_k = k u / (1 - k u), u the unit roundoff and
+k = |D_F| + 2 (Higham, *Accuracy and Stability of Numerical
+Algorithms*, section 3.1).  E_u is twice that bound, which covers
+total against the exact weight sum and the rounding of the checks.  A
+round is certified when at every step each gain minus 2 E_u is at
+least -GAIN_TOL, the pick's gain minus 2 E is positive and above every
+other unfunded gain plus 2 E, and, where z stops short of the budget,
+no unfunded gain plus 2 E is positive: the loop's checks, argmax and
+stop then come out as the batch's.  Rounds are accepted up to the
+first one not certified (an exact tie never is), and counts, losses,
+weights and ``played`` advance as in the loop; that round runs through
+the loop.  With eta = 0 or H = 0, or a cumulative-loss row that is not
+finite, only the loop runs.
 """
 
 from __future__ import annotations
@@ -76,6 +103,9 @@ def _surrogate_losses(oracle: FollowerOracle, pvz: np.ndarray, C: float) -> np.n
     return pvz.sum() - g[0] + C
 
 
+GAIN_TOL = 1e-12  # a marginal gain below -GAIN_TOL is a numerics error
+
+
 class PrefixTables:
     """The greedy's per-step tables, memoized by the ordered prefix S.
 
@@ -108,16 +138,14 @@ class PrefixTables:
 
 
 def greedy_weighted_submodular(game: BipartiteInfluenceGame, weights,
-                               oracle: FollowerOracle | None = None,
-                               tables: PrefixTables | None = None) -> PureStrategy:
+                               oracle: FollowerOracle | None = None) -> PureStrategy:
     """Greedy maximizer of sum_y w_y h_y(z) under the leader's budget |z| <= k_L.
 
     The weighted objective collapses to sum_v c_v P_v(z) + const with
     c_v = sum_y w_y (1 - P_{F,v}(y) + P_v(y)) >= 0, so adding u to S
     gains sum_v c_v s_S(v) p_uv = w.sum() * r(S)[u] + (PG(S) @ w)[u]
-    (see ``PrefixTables``).  ``tables`` carries those tables between the
-    calls of one MWU run; without it the call builds its own.  Weights
-    are scaled to sum 1 first.  Ties go to the smallest medium index.
+    (see ``PrefixTables``).  Weights are scaled to sum 1 first.  Ties go
+    to the smallest medium index.
     """
     if oracle is None:
         oracle = follower_oracle(game)
@@ -126,26 +154,61 @@ def greedy_weighted_submodular(game: BipartiteInfluenceGame, weights,
             or not w.max() > 0):
         raise ValueError("weights must be finite and nonnegative over the follower set, "
                          "not all zero")
+    return PureStrategy.of(_greedy(PrefixTables(game, oracle), w, min(game.k_L, game.n)))
+
+
+def _greedy(tables: PrefixTables, w: np.ndarray, budget: int) -> list[int]:
+    """The greedy's media in pick order, for finite weights w >= 0 with a
+    positive entry; ``budget`` is min(k_L, n)."""
     w = w / w.max()  # the sum below cannot overflow
     w = w / w.sum()
     total = w.sum()
-    if tables is None:
-        tables = PrefixTables(game, oracle)
     chosen: list[int] = []
-    blocked = np.zeros(game.n, dtype=bool)
-    for _ in range(min(game.k_L, game.n)):
+    for _ in range(budget):
         r, pg = tables.get(tuple(chosen))
         gains = total * r + pg @ w
-        if gains.min() < -1e-12:
+        if gains.min() < -GAIN_TOL:
             raise LpNumericsError(
                 f"monotone objective produced a negative marginal gain {gains.min()}")
-        gains[blocked] = -np.inf
+        gains[chosen] = -np.inf
         u = int(np.argmax(gains))
         if gains[u] <= 0.0:
             break
         chosen.append(u)
-        blocked[u] = True
-    return PureStrategy.of(chosen)
+    return chosen
+
+
+def _replayed_rounds(tables: PrefixTables, picks: list[int], budget: int,
+                     weights: np.ndarray) -> int:
+    """How many leading rows of ``weights`` the greedy certainly answers
+    with ``picks``.
+
+    Each row is the weight vector of one round, scaled as ``_greedy``
+    scales it, so every row's inputs are the greedy's bit for bit; only
+    the products are rounded differently.  A row is certified when, at
+    every step, the margins of the greedy's checks exceed twice the
+    forward error bound of either evaluation (see the module docstring).
+    """
+    g = weights / weights.max(axis=1, keepdims=True)
+    g = g / np.array([row.sum() for row in g])[:, None]
+    totals = np.array([row.sum() for row in g])[:, None]
+    ku = (weights.shape[1] + 2) * np.finfo(float).eps / 2  # k u, u the unit roundoff
+    gamma = ku / (1.0 - ku)
+    ok = np.ones(len(g), dtype=bool)
+    for i in range(min(len(picks) + 1, budget)):
+        r, pg = tables.get(tuple(picks[:i]))
+        gains = totals * r + g @ pg.T
+        err = 2.0 * gamma * totals * (r + np.abs(pg).max(axis=1))
+        low, high = gains - 2.0 * err, gains + 2.0 * err
+        ok &= low.min(axis=1) >= -GAIN_TOL
+        high[:, picks[:i]] = -np.inf
+        if i < len(picks):
+            chosen = low[:, picks[i]]
+            high[:, picks[i]] = -np.inf
+            ok &= (chosen > 0.0) & (chosen > high.max(axis=1))
+        else:
+            ok &= high.max(axis=1) <= 0.0
+    return len(g) if ok.all() else int(np.argmin(ok))
 
 
 def solve_mwu(game: BipartiteInfluenceGame, config: MwuConfig = MwuConfig(),
@@ -169,8 +232,14 @@ def solve_mwu(game: BipartiteInfluenceGame, config: MwuConfig = MwuConfig(),
     cum_losses = np.zeros(len(oracle))
     played = 0.0
     tables = PrefixTables(game, oracle)
-    for _ in range(T):
-        z = greedy_weighted_submodular(game, w, oracle, tables)
+    budget = min(game.k_L, game.n)
+    last, streak, needed = None, 0, 2  # replay z once it has held `needed` rounds
+    t = 0
+    while t < T:
+        picks = _greedy(tables, w, budget)
+        z = PureStrategy.of(picks)
+        streak = streak + 1 if z == last else 1
+        last = z
         counts[z] = counts.get(z, 0) + 1
         h = losses.get(z)
         if h is None:
@@ -184,6 +253,33 @@ def solve_mwu(game: BipartiteInfluenceGame, config: MwuConfig = MwuConfig(),
             # vanish; the others may underflow to 0 (the greedy takes w >= 0).
             w = np.exp(-eta * (cum_losses - cum_losses.min()) / H)
         w = w / w.sum()
+        t += 1
+        # Guess that the next rounds replay z, and keep those the greedy
+        # certainly plays so: their state is the loop's, bit for bit.
+        while H > 0 and eta > 0 and streak >= needed and t < T:
+            rounds = min(streak, T - t)
+            # Row j is cum_losses after j more plays of z, summed as the loop
+            # sums it.  Every array here is C-ordered, so that each weight
+            # row's product with h is the loop's.
+            cums = np.empty((rounds + 1, h.size))
+            cums[0], cums[1:] = cum_losses, h
+            np.cumsum(cums, axis=0, out=cums)
+            if not np.isfinite(cums).all():
+                needed *= 2  # the loop raises when its own sum stops being finite
+                break
+            e = np.exp(-eta * (cums[1:] - cums[1:].min(axis=1, keepdims=True)) / H)
+            weights = np.empty_like(cums)
+            weights[0], weights[1:] = w, e / np.array([row.sum() for row in e])[:, None]
+            accepted = _replayed_rounds(tables, picks, budget, weights[:rounds])
+            for row in weights[:accepted]:
+                played += float(row @ h)
+            counts[z] += accepted
+            cum_losses, w = cums[accepted], weights[accepted]
+            t += accepted
+            streak += accepted
+            if accepted < rounds:
+                needed *= 2
+                break
 
     x_prime = MixedStrategy({z: k / T for z, k in counts.items()})
     regret = (played - float(cum_losses.min())) / T

@@ -18,18 +18,22 @@ screen (every candidate LP built as the solvers build it and solved with
 ``solve_lp`` and no screen), and the MWU greedy and heuristic kernels as
 they scored each step before their per-prefix memoization (an edge
 gather plus ``bincount`` per greedy step; ``best_response_values`` on
-every blended candidate row).
+every blended candidate row), and the MWU loop before it accepted
+replayed rounds in batches (one greedy call per round, with the
+package's losses and certificate).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import math
 import weakref
 
 import numpy as np
 
 from stackalloc import BipartiteInfluenceGame, InstanceFormatError, MixedStrategy, PureStrategy
-from stackalloc import payoff
+from stackalloc import mwu, payoff
 from stackalloc.exact import enumerate_leader
 from stackalloc.follower import follower_oracle
 from stackalloc.heuristic import ACCEPT_TOL
@@ -268,6 +272,36 @@ def greedy_weighted_edges(game, weights, budget, oracle):
         blocked[u] = True
         _fund(game, survival, u)
     return PureStrategy.of(chosen)
+
+
+def mwu_reference(game, config):
+    """``solve_mwu`` as a plain per-round loop: one ``greedy_weighted_edges``
+    call per round, and no batches.  Losses and the certificate come from
+    the package, so that the outputs compare bit for bit."""
+    oracle = follower_oracle(game)
+    T = config.iterations
+    C = float(oracle.activation_sums.max(initial=0.0))
+    H = game.m + C
+    if config.learning_rate == "auto":
+        eta = math.sqrt(math.log(len(oracle)) / T) if len(oracle) > 1 else 0.0
+    else:
+        eta = float(config.learning_rate)
+    w = np.full(len(oracle), 1.0 / len(oracle))
+    counts = {}
+    cum_losses = np.zeros(len(oracle))
+    played = 0.0
+    for _ in range(T):
+        z = greedy_weighted_edges(game, w, game.k_L, oracle)
+        counts[z] = counts.get(z, 0) + 1
+        h = mwu._surrogate_losses(oracle, payoff.activation_vector(game, z), C)
+        cum_losses += h
+        played += float(w @ h)
+        if H > 0 and eta > 0:
+            w = np.exp(-eta * (cum_losses - cum_losses.min()) / H)
+        w = w / w.sum()
+    x = MixedStrategy({z: k / T for z, k in counts.items()})
+    cert = mwu.certify(game, x, epsilon=config.epsilon, oracle=oracle)
+    return x, dataclasses.replace(cert, empirical_regret=(played - float(cum_losses.min())) / T)
 
 
 def solve_heuristic_blended(game, ell, oracle):

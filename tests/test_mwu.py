@@ -98,7 +98,7 @@ def test_greedy_on_warm_tables_equals_a_fresh_call():
         tables = mwu_mod.PrefixTables(game, oracle)
         for _ in range(8):
             w = rng.dirichlet(np.full(len(oracle), 0.3))
-            warm = greedy_weighted_submodular(game, w, oracle, tables)
+            warm = PureStrategy.of(mwu_mod._greedy(tables, w, min(game.k_L, game.n)))
             assert warm == greedy_weighted_submodular(game, w, oracle)
         for prefix in list(tables._tables):
             fresh_r, fresh_pg = mwu_mod.PrefixTables(game, oracle).get(prefix)
@@ -106,21 +106,86 @@ def test_greedy_on_warm_tables_equals_a_fresh_call():
             assert np.array_equal(r, fresh_r) and np.array_equal(pg, fresh_pg)
 
 
-def test_solve_mwu_matches_edge_list_reference(monkeypatch):
+def test_solve_mwu_matches_edge_list_reference():
     # Only the greedy's choices feed the rest of the run, so every output
-    # must agree exactly, not just to rounding.
-    runs = []
+    # must agree exactly, not just to rounding.  The reference runs the
+    # greedy every round; at rate 300 the runs switch strategies often.
     for rng, game in _differential_games(614, 80):
         config = MwuConfig(iterations=int(rng.integers(1, 60)),
-                           learning_rate=["auto", 0.3, 3.0, 30.0][int(rng.integers(4))])
-        runs.append((game, config, solve_mwu(game, config)))
-    monkeypatch.setattr(mwu_mod, "greedy_weighted_submodular",
-                        lambda game, w, oracle, tables:
-                        oracles.greedy_weighted_edges(game, w, game.k_L, oracle))
-    for game, config, (x, cert) in runs:
-        ref_x, ref_cert = solve_mwu(game, config)
+                           learning_rate=["auto", 0.3, 3.0, 30.0, 300.0][int(rng.integers(5))])
+        x, cert = solve_mwu(game, config)
+        ref_x, ref_cert = oracles.mwu_reference(game, config)
         assert x.weights == ref_x.weights
         assert cert == ref_cert
+
+
+def test_replayed_rounds_certify_only_what_the_greedy_plays():
+    # Every certified row must be one that the greedy answers with the
+    # picks.  In the two-medium game the greedy stops after u0 when all the
+    # weight is on the follower's {u0} (it recaptures customer 1) and goes
+    # on to u1 otherwise.
+    two_media = BipartiteInfluenceGame.build(
+        2, 2, [(0, 0, 0.5, 0.0), (0, 1, 0.0, 1.0), (1, 1, 0.4, 0.0)], k_L=2, k_F=1)
+    cases = [(two_media, np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]))]
+    for rng, game in _differential_games(615, 60):
+        base = rng.dirichlet(np.ones(len(follower_oracle(game))))
+        cases.append((game, np.vstack([base, base * rng.uniform(0.5, 1.5, (6, base.size))])))
+    certified = 0
+    for game, rows in cases:
+        tables = mwu_mod.PrefixTables(game, follower_oracle(game))
+        budget = min(game.k_L, game.n)
+        picks = mwu_mod._greedy(tables, rows[0], budget)
+        accepted = mwu_mod._replayed_rounds(tables, picks, budget, rows)
+        certified += accepted
+        for row in rows[:accepted]:
+            assert mwu_mod._greedy(tables, row, budget) == picks
+    assert certified > 0
+
+
+def _count_greedy_calls(monkeypatch):
+    calls = []
+    kernel = mwu_mod._greedy
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(mwu_mod, "_greedy", counted)
+    return calls
+
+
+def test_solve_mwu_replays_a_repeated_strategy_in_batches(monkeypatch):
+    # This paper cell plays one strategy in all 100 rounds; the batches
+    # accept nearly all of them, and the answer is the per-round loop's.
+    game = generate_instance(20, 844, 3506 / 844, (0.0, 0.2), (0.1, 0.9), seed=0,
+                             k_L=2, k_F=2)
+    calls = _count_greedy_calls(monkeypatch)
+    x, cert = solve_mwu(game, MwuConfig(iterations=100))
+    assert len(x.weights) == 1 and len(calls) < 10
+    monkeypatch.setattr(mwu_mod, "_replayed_rounds", lambda *args: 0)
+    del calls[:]
+    loop_x, loop_cert = solve_mwu(game, MwuConfig(iterations=100))
+    assert len(calls) == 100
+    assert x.weights == loop_x.weights and cert == loop_cert
+
+
+@pytest.mark.parametrize("copy_p", [0.5, 0.5 + 1e-15], ids=["exact", "within-rounding"])
+def test_solve_mwu_never_certifies_a_tie(monkeypatch, copy_p):
+    # Medium 1 copies medium 0, exactly or up to 1e-15 on one edge, so
+    # their gains tie within rounding in every round: no batch is
+    # certified, and the loop decides each round (the exact tie by its
+    # smallest-index rule).
+    rows = [(0, 0, 0.5, 0.3), (0, 1, 0.4, 0.2), (1, 0, copy_p, 0.3), (1, 1, 0.4, 0.2),
+            (2, 2, 0.2, 0.1)]
+    game = BipartiteInfluenceGame.build(3, 3, rows, k_L=1, k_F=1)
+    calls = _count_greedy_calls(monkeypatch)
+    config = MwuConfig(iterations=40)
+    x, cert = solve_mwu(game, config)
+    assert len(calls) == 40
+    ref_x, ref_cert = oracles.mwu_reference(game, config)
+    assert x.weights == ref_x.weights and cert == ref_cert
+    if copy_p == 0.5:
+        assert x.weights == {PureStrategy.of([0]): 1.0}
 
 
 def test_greedy_guarantee_against_brute_force():
