@@ -53,9 +53,10 @@ class FollowerOracle:
     for each enumerated y, so utilities against any leader activation
     vector reduce to matrix-vector products (``payoff.utilities``);
     ``gain`` holds their difference P_v(y) - P_{F,v}(y), the per-customer
-    coefficient of the MWU greedy's objective.  Built once per instance
-    (by prefix products, see ``payoff.activation_rows``) and shared by
-    every solver.
+    coefficient of the MWU greedy's objective, and ``C`` = max_y sum_v
+    P_v(y) the shift that makes the MWU surrogate nonnegative.  Built once
+    per instance (by prefix products, see ``payoff.activation_rows``) and
+    shared by every solver through ``follower_oracle``.
     """
 
     def __init__(self, game: BipartiteInfluenceGame):
@@ -63,7 +64,7 @@ class FollowerOracle:
         self.activation = payoff.activation_rows(game, self.strategies)
         self.recapture = payoff.activation_rows(game, self.strategies, game.pf_table)
         self.gain = self.activation - self.recapture
-        self.activation_sums = self.activation.sum(axis=1)
+        self.C = float(self.activation.sum(axis=1).max(initial=0.0))
 
     def __len__(self) -> int:
         return len(self.strategies)
@@ -121,9 +122,6 @@ def follower_oracle(game: BipartiteInfluenceGame) -> FollowerOracle:
     return oracle
 
 
-def best_response(game: BipartiteInfluenceGame, x: MixedStrategy,
-                  oracle: FollowerOracle | None = None) -> BestResponseResult:
+def best_response(game: BipartiteInfluenceGame, x: MixedStrategy) -> BestResponseResult:
     """Optimistic best response to a leader mixed strategy."""
-    if oracle is None:
-        oracle = follower_oracle(game)
-    return oracle.best_response(payoff.mixed_activation_vector(game, x))
+    return follower_oracle(game).best_response(payoff.mixed_activation_vector(game, x))

@@ -22,20 +22,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from .follower import FollowerOracle, follower_oracle
+from .follower import follower_oracle
 from .model import BipartiteInfluenceGame, MixedStrategy, PureStrategy, require_integer
 
 ACCEPT_TOL = 1e-12  # slack for the "at least as good" acceptance test
 
 
-def solve_heuristic(game: BipartiteInfluenceGame, ell: int,
-                    oracle: FollowerOracle | None = None) -> MixedStrategy:
+def solve_heuristic(game: BipartiteInfluenceGame, ell: int) -> MixedStrategy:
     """Run the ell-round fictitious-play heuristic; returns the best mix."""
     require_integer("ell", ell)
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    if oracle is None:
-        oracle = follower_oracle(game)
+    oracle = follower_oracle(game)
     weights: dict[PureStrategy, float] = {PureStrategy.empty(): 1.0}
     pvx = np.zeros(game.m)
     fx, gx = oracle.utilities(pvx)

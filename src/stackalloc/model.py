@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Mapping, TextIO
 
 import numpy as np
 
-# Default comparison tolerance used across the package.
+# How far a mixed strategy's weights may sum from 1.
 FEASIBILITY_TOL = 1e-9
 
 Edge = tuple[int, int]
@@ -34,7 +34,8 @@ def require_integer(name: str, value) -> None:
 
 
 class CapExceededError(RuntimeError):
-    """A strategy enumeration would exceed its configured size cap."""
+    """A strategy enumeration would exceed its size cap:
+    ``exact.DEFAULT_LEADER_CAP`` or ``follower.DEFAULT_FOLLOWER_CAP``."""
 
 
 class InstanceFormatError(ValueError):
@@ -73,7 +74,14 @@ class PureStrategy:
     def __iter__(self) -> Iterator[int]:
         return iter(self.media)
 
+    def require_within(self, n: int) -> None:
+        """Raise ValueError unless every medium lies in [0, n)."""
+        if self.media and (self.media[0] < 0 or self.media[-1] >= n):
+            bad = self.media[0] if self.media[0] < 0 else self.media[-1]
+            raise ValueError(f"medium {bad} is out of range for a game of n={n} media")
+
     def mask(self, n: int) -> np.ndarray:
+        self.require_within(n)
         out = np.zeros(n, dtype=bool)
         out[list(self.media)] = True
         return out
@@ -91,6 +99,8 @@ class MixedStrategy:
     def __post_init__(self):
         total = 0.0
         for s, w in self.weights.items():
+            if not isinstance(s, PureStrategy):
+                raise TypeError(f"support element {s!r} is not a PureStrategy")
             if not w > 0.0:  # NaN too
                 raise ValueError(f"non-positive weight {w} on {s}")
             total += w
@@ -239,6 +249,7 @@ def allocation_of(x: MixedStrategy, n: int) -> np.ndarray:
     """Aggregate a mixed strategy: r_u = total probability of funding u, in [0, 1]."""
     r = np.zeros(n)
     for s, w in x.weights.items():
+        s.require_within(n)
         for u in s:
             r[u] += w
     return np.clip(r, 0.0, 1.0)

@@ -137,8 +137,7 @@ class PrefixTables:
         return tables[0], tables[1]
 
 
-def greedy_weighted_submodular(game: BipartiteInfluenceGame, weights,
-                               oracle: FollowerOracle | None = None) -> PureStrategy:
+def greedy_weighted_submodular(game: BipartiteInfluenceGame, weights) -> PureStrategy:
     """Greedy maximizer of sum_y w_y h_y(z) under the leader's budget |z| <= k_L.
 
     The weighted objective collapses to sum_v c_v P_v(z) + const with
@@ -147,8 +146,7 @@ def greedy_weighted_submodular(game: BipartiteInfluenceGame, weights,
     (see ``PrefixTables``).  Weights are scaled to sum 1 first.  Ties go
     to the smallest medium index.
     """
-    if oracle is None:
-        oracle = follower_oracle(game)
+    oracle = follower_oracle(game)
     w = np.asarray(weights, dtype=float)
     if (w.size != len(oracle) or not np.isfinite(w).all() or np.any(w < 0)
             or not w.max() > 0):
@@ -211,16 +209,13 @@ def _replayed_rounds(tables: PrefixTables, picks: list[int], budget: int,
     return len(g) if ok.all() else int(np.argmin(ok))
 
 
-def solve_mwu(game: BipartiteInfluenceGame, config: MwuConfig = MwuConfig(),
-              oracle: FollowerOracle | None = None,
-              ) -> tuple[MixedStrategy, ApproxCertificate]:
+def solve_mwu(game: BipartiteInfluenceGame,
+              config: MwuConfig = MwuConfig()) -> tuple[MixedStrategy, ApproxCertificate]:
     """Run T rounds of exponential weights against the greedy oracle;
     returns the uniform mix of the leader's iterates and its certificate."""
-    if oracle is None:
-        oracle = follower_oracle(game)
+    oracle = follower_oracle(game)
     T = config.iterations
-    C = float(oracle.activation_sums.max(initial=0.0))
-    H = game.m + C  # upper bound on every h_y
+    H = game.m + oracle.C  # upper bound on every h_y
     if config.learning_rate == "auto":
         eta = math.sqrt(math.log(len(oracle)) / T) if len(oracle) > 1 else 0.0
     else:
@@ -243,7 +238,7 @@ def solve_mwu(game: BipartiteInfluenceGame, config: MwuConfig = MwuConfig(),
         counts[z] = counts.get(z, 0) + 1
         h = losses.get(z)
         if h is None:
-            h = losses[z] = _surrogate_losses(oracle, payoff.activation_vector(game, z), C)
+            h = losses[z] = _surrogate_losses(oracle, payoff.activation_vector(game, z), oracle.C)
         cum_losses += h
         played += float(w @ h)
         if not np.isfinite(cum_losses).all():
@@ -283,35 +278,32 @@ def solve_mwu(game: BipartiteInfluenceGame, config: MwuConfig = MwuConfig(),
 
     x_prime = MixedStrategy({z: k / T for z, k in counts.items()})
     regret = (played - float(cum_losses.min())) / T
-    cert = certify(game, x_prime, epsilon=config.epsilon, oracle=oracle)
+    cert = certify(game, x_prime, epsilon=config.epsilon)
     return x_prime, replace(cert, empirical_regret=regret)
 
 
 def certify(game: BipartiteInfluenceGame, x_prime: MixedStrategy,
             exact: tuple[MixedStrategy, PureStrategy] | None = None,
-            epsilon: float = 0.5,
-            oracle: FollowerOracle | None = None) -> ApproxCertificate:
+            epsilon: float = 0.5) -> ApproxCertificate:
     """Evaluate the translation terms at (x', y'), with y' the follower's
     optimistic best response to x'; ``value`` is f(x', y'), the leader's
     value f_BR.  With an exact optimum supplied, also check
     f(x', y') >= (1 - 1/e - eps) OPT - beta and record it."""
-    if oracle is None:
-        oracle = follower_oracle(game)
+    oracle = follower_oracle(game)
     pvx = payoff.mixed_activation_vector(game, x_prime)
     br = oracle.best_response(pvx)
     value = br.leader_value
     eps1 = float((1.0 - pvx) @ payoff.activation_vector(game, br.chosen))
-    C = float(oracle.activation_sums.max(initial=0.0))
     alpha = 1.0 - 1.0 / math.e - epsilon
     if exact is None:
-        return ApproxCertificate(epsilon1=eps1, C=C, alpha=alpha, value=value)
+        return ApproxCertificate(epsilon1=eps1, C=oracle.C, alpha=alpha, value=value)
     x_star, y_star = exact
     pv_star = payoff.mixed_activation_vector(game, x_star)
     eps2 = float((1.0 - pv_star) @ payoff.activation_vector(game, y_star))
-    beta = (1.0 - 1.0 / math.e) * eps2 - eps1 + (1.0 / math.e + epsilon) * C
+    beta = (1.0 - 1.0 / math.e) * eps2 - eps1 + (1.0 / math.e + epsilon) * oracle.C
     f_star, _ = oracle.utilities(pv_star)
     opt_value = float(f_star[0, oracle.strategies.index(y_star)])
     holds = value >= alpha * opt_value - beta - 1e-9
-    return ApproxCertificate(epsilon1=eps1, C=C, alpha=alpha, epsilon2=eps2,
+    return ApproxCertificate(epsilon1=eps1, C=oracle.C, alpha=alpha, epsilon2=eps2,
                              beta=beta, value=value, opt_value=opt_value,
                              bound_holds=holds)

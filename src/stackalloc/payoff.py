@@ -61,8 +61,11 @@ def activation_rows(game: BipartiteInfluenceGame, strategies: list[PureStrategy]
 
 
 def activation_vector(game: BipartiteInfluenceGame, media) -> np.ndarray:
-    """P_v(z) for every customer v; ``media`` lists z's medium indices."""
-    return 1.0 - np.prod(1.0 - game.p_table[list(PureStrategy.of(media))], axis=0)
+    """P_v(z) for every customer v; ``media`` lists z's medium indices, each
+    in [0, n)."""
+    z = PureStrategy.of(media)
+    z.require_within(game.n)
+    return 1.0 - np.prod(1.0 - game.p_table[list(z)], axis=0)
 
 
 def mixed_activation_vector(game: BipartiteInfluenceGame, x: MixedStrategy) -> np.ndarray:

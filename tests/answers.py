@@ -3,14 +3,17 @@
     PYTHONPATH=src python tests/answers.py > answers.json
     python tests/answers.py --against REV
 
-The dump covers MWU on the 60 paper cells (n=20, m=844, mean degree
-3506/844, p~U(0,0.2), k_F=2; seeds 0-9 x k_L in {1, 2, 4} x p_F~U(0.1,0.9)
-and U(0,0.2)) at learning rates "auto", 30 and 300: the mix, and every
-field of the certificate.  Floats are written with ``float.hex``, so
-two dumps are equal only when every bit is.
+The dump covers the 60 paper cells (n=20, m=844, mean degree 3506/844,
+p~U(0,0.2), k_F=2; seeds 0-9 x k_L in {1, 2, 4} x p_F~U(0.1,0.9) and
+U(0,0.2)).  On each it holds MWU at learning rates "auto", 30 and 300
+(the mix, and every field of the certificate), the greedy baseline's
+media and the ell=10 heuristic's mix, and for these two the follower's
+best response (chosen, responses and both values).  Floats are written
+with ``float.hex``, so two dumps are equal only when every bit is.
 
-``--against REV`` checks out git revision REV in a temporary worktree,
-runs the same dump on its ``src/`` and on this checkout's, and prints
+``--against REV`` extracts ``src/`` of git revision REV with
+``git archive`` into a temporary directory, runs the same dump on it
+and on this checkout's ``src/``, and prints
 every entry that differs; the exit status is 1 if any does.  BLAS runs
 on one thread in every dump, since the thread count can move the last
 bit of a product.
@@ -20,14 +23,16 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import json
 import os
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
-# Set before numpy loads (stackalloc is imported in ``mwu_answers``); the
+# Set before numpy loads (stackalloc is imported in ``answers``); the
 # dumps that ``--against`` starts inherit it.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
@@ -43,9 +48,21 @@ def _hex(value):
     return value.hex() if isinstance(value, float) else value
 
 
-def mwu_answers() -> dict:
-    """Every MWU answer of the grid, keyed by its cell."""
-    from stackalloc import MwuConfig, generate_instance, solve_mwu
+def _mix(x) -> list:
+    return sorted([list(z.media), q.hex()] for z, q in x.weights.items())
+
+
+def _response(br) -> dict:
+    return {"chosen": list(br.chosen.media),
+            "responses": [list(y.media) for y in br.responses],
+            "leader_value": br.leader_value.hex(),
+            "follower_value": br.follower_value.hex()}
+
+
+def answers() -> dict:
+    """Every answer of the grid, keyed by engine and cell."""
+    from stackalloc import (MixedStrategy, MwuConfig, best_response, generate_instance,
+                            greedy_baseline, solve_heuristic, solve_mwu)
 
     out = {}
     for seed in SEEDS:
@@ -53,14 +70,22 @@ def mwu_answers() -> dict:
             for pf in PF_RANGES:
                 game = generate_instance(20, 844, 3506 / 844, (0.0, 0.2), pf, seed=seed,
                                          k_L=k_L, k_F=2)
+                cell = f"seed={seed} k_L={k_L} pf={pf[0]}-{pf[1]}"
                 for rate in LEARNING_RATES:
                     x, cert = solve_mwu(game, MwuConfig(learning_rate=rate))
-                    key = f"mwu seed={seed} k_L={k_L} pf={pf[0]}-{pf[1]} rate={rate}"
-                    out[key] = {
-                        "mix": sorted([list(z.media), q.hex()] for z, q in x.weights.items()),
+                    out[f"mwu {cell} rate={rate}"] = {
+                        "mix": _mix(x),
                         "certificate": {k: _hex(v)
                                         for k, v in dataclasses.asdict(cert).items()},
                     }
+                z = greedy_baseline(game)
+                out[f"greedy {cell}"] = {
+                    "media": list(z.media),
+                    "response": _response(best_response(game, MixedStrategy.point_mass(z))),
+                }
+                x = solve_heuristic(game, 10)
+                out[f"heuristic {cell}"] = {"mix": _mix(x),
+                                            "response": _response(best_response(game, x))}
     return out
 
 
@@ -74,15 +99,12 @@ def _dump(src: Path) -> dict:
 def against(rev: str) -> int:
     """Diff this checkout's dump with revision ``rev``'s; 1 if they differ."""
     here = _dump(ROOT / "src")
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
+                             capture_output=True, check=True).stdout
     with tempfile.TemporaryDirectory() as tmp:
-        tree = Path(tmp) / "tree"
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "-q",
-                        str(tree), rev], check=True)
-        try:
-            there = _dump(tree / "src")
-        finally:
-            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force",
-                            str(tree)], check=True)
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp, filter="data")
+        there = _dump(Path(tmp) / "src")
     differ = sorted(k for k in here.keys() | there.keys() if here.get(k) != there.get(k))
     for key in differ:
         print(f"{key}\n  {rev}: {there.get(key)}\n  here: {here.get(key)}")
@@ -97,7 +119,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.against:
         return against(args.against)
-    json.dump(mwu_answers(), sys.stdout, indent=1, sort_keys=True)
+    json.dump(answers(), sys.stdout, indent=1, sort_keys=True)
     print()
     return 0
 

@@ -280,7 +280,7 @@ def mwu_reference(game, config):
     the package, so that the outputs compare bit for bit."""
     oracle = follower_oracle(game)
     T = config.iterations
-    C = float(oracle.activation_sums.max(initial=0.0))
+    C = float(oracle.activation.sum(axis=1).max(initial=0.0))
     H = game.m + C
     if config.learning_rate == "auto":
         eta = math.sqrt(math.log(len(oracle)) / T) if len(oracle) > 1 else 0.0
@@ -300,7 +300,7 @@ def mwu_reference(game, config):
             w = np.exp(-eta * (cum_losses - cum_losses.min()) / H)
         w = w / w.sum()
     x = MixedStrategy({z: k / T for z, k in counts.items()})
-    cert = mwu.certify(game, x, epsilon=config.epsilon, oracle=oracle)
+    cert = mwu.certify(game, x, epsilon=config.epsilon)
     return x, dataclasses.replace(cert, empirical_regret=(played - float(cum_losses.min())) / T)
 
 

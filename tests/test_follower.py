@@ -6,9 +6,11 @@ import weakref
 import numpy as np
 import pytest
 
-from stackalloc import (CapExceededError, FollowerOracle, MixedStrategy, PureStrategy,
-                        best_response, enumerate_follower, follower_oracle,
-                        mixed_activation_vector)
+from stackalloc import (CapExceededError, FollowerOracle, MixedStrategy, MwuConfig,
+                        PureStrategy, best_response, certify, enumerate_follower,
+                        follower_oracle, generate_instance, greedy_weighted_submodular,
+                        mixed_activation_vector, solve_disjoint_lp, solve_heuristic,
+                        solve_multi_lp, solve_mwu)
 from stackalloc.model import BipartiteInfluenceGame
 
 import oracles
@@ -127,12 +129,43 @@ def test_follower_value_monotone_in_response_size():
 def test_oracle_evaluation_count(monkeypatch, no_pure_optimum):
     oracle = follower_oracle(no_pure_optimum)
     scored = count_scored_rows(monkeypatch, oracle)
-    best_response(no_pure_optimum, point([0]), oracle=oracle)
+    best_response(no_pure_optimum, point([0]))
     assert scored[0] == 1  # one activation row per f_BR call
 
 
 def test_oracle_is_shared_per_instance(no_pure_optimum):
     assert follower_oracle(no_pure_optimum) is follower_oracle(no_pure_optimum)
+
+
+def test_every_engine_reads_the_cached_oracle(monkeypatch, no_pure_optimum, private_customers):
+    # Each game's oracle is built once, however many engines and scorers
+    # read it: none of them builds or keeps one of its own.
+    built = []
+    init = FollowerOracle.__init__
+
+    def counting(self, game):
+        built.append(game)
+        init(self, game)
+
+    monkeypatch.setattr(FollowerOracle, "__init__", counting)
+    game = no_pure_optimum
+    greedy_weighted_submodular(game, np.full(4, 0.25))
+    x, _ = solve_mwu(game, MwuConfig(iterations=5))
+    certify(game, x)
+    solve_heuristic(game, 3)
+    best_response(game, x)
+    solve_multi_lp(game)
+    solve_disjoint_lp(private_customers)
+    assert len(built) == 2 and built[0] is game and built[1] is private_customers
+
+
+@pytest.mark.parametrize("medium", [-1, 5])
+def test_best_response_rejects_a_medium_out_of_range(medium):
+    # -1 used to index p_table's last row and score the mix as if on {u4}.
+    game = generate_instance(5, 20, 2.0, (0, 0.2), (0.1, 0.9), seed=0)
+    with pytest.raises(ValueError, match=rf"^medium {medium} is out of range for a game "
+                                         r"of n=5 media$"):
+        best_response(game, point([medium]))
 
 
 def test_oracle_cache_frees_solved_games():

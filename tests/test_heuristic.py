@@ -91,7 +91,7 @@ def test_evaluation_count_scales_with_budget_and_rounds(monkeypatch):
     oracle = follower_oracle(game)
     ell = 4
     scored = count_scored_rows(monkeypatch, oracle)
-    solve_heuristic(game, ell, oracle=oracle)
+    solve_heuristic(game, ell)
     # n candidates per greedy step, k_L steps, ell rounds, plus the
     # initial mix and one round-end score each round
     assert scored[0] <= game.n * game.k_L * ell + ell + 1
@@ -128,10 +128,10 @@ def test_heuristic_matches_blended_reference(monkeypatch):
         oracle = follower_oracle(game)
         ell = int(rng.integers(1, 12))
         x, picks = _with_round_picks(
-            monkeypatch, heuristic_mod, lambda: solve_heuristic(game, ell, oracle))
+            monkeypatch, heuristic_mod, lambda: solve_heuristic(game, ell))
         ref_x, ref_picks = _with_round_picks(
             monkeypatch, oracles, lambda: oracles.solve_heuristic_blended(game, ell, oracle))
-        br, ref_br = (best_response(game, mix, oracle=oracle) for mix in (x, ref_x))
+        br, ref_br = (best_response(game, mix) for mix in (x, ref_x))
         assert br.leader_value == pytest.approx(ref_br.leader_value, abs=1e-12)
         if continuous:
             assert picks == ref_picks  # every accept and reject decision
@@ -146,7 +146,7 @@ def test_heuristic_scores_each_prefix_once(monkeypatch, no_pure_optimum):
     oracle = follower_oracle(no_pure_optimum)
     ell = 10
     scored = count_scored_rows(monkeypatch, oracle)
-    solve_heuristic(no_pure_optimum, ell, oracle=oracle)
+    solve_heuristic(no_pure_optimum, ell)
     assert scored[0] == no_pure_optimum.n + 1 + ell
 
 

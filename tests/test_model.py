@@ -340,6 +340,17 @@ def test_allocation_of_three_atom_mixture():
     assert np.allclose(allocation_of(x, 4), [1.0, third, third, 1.0], atol=1e-15)
 
 
+@pytest.mark.parametrize("medium", [-1, 5])
+def test_allocation_and_mask_reject_a_medium_out_of_range(medium):
+    # -1 used to credit its weight, and its mask entry, to the last medium, u4.
+    z = PureStrategy.of([medium])
+    message = rf"^medium {medium} is out of range for a game of n=5 media$"
+    with pytest.raises(ValueError, match=message):
+        allocation_of(MixedStrategy.point_mass(z), 5)
+    with pytest.raises(ValueError, match=message):
+        z.mask(5)
+
+
 def test_allocation_respects_budget_for_capped_mixes():
     rng = np.random.default_rng(3)
     for _ in range(50):
@@ -362,6 +373,8 @@ def test_mixed_strategy_validation():
         MixedStrategy({PureStrategy.of([0]): 1.2, PureStrategy.of([1]): -0.2})
     with pytest.raises(ValueError, match="non-positive weight nan"):
         MixedStrategy({PureStrategy.of([0]): math.nan})
+    with pytest.raises(TypeError, match=r"^support element \(1, 0\) is not a PureStrategy$"):
+        MixedStrategy({(1, 0): 1.0})
 
 
 def test_pure_strategy_ordering_is_lexicographic():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from stackalloc import (BipartiteInfluenceGame, FollowerOracle, MixedStrategy, MwuConfig,
+from stackalloc import (BipartiteInfluenceGame, MixedStrategy, MwuConfig,
                         PureStrategy, activation_vector, best_response, certify,
                         enumerate_follower, follower_oracle, generate_instance,
                         greedy_weighted_submodular, solve_multi_lp, solve_mwu)
@@ -68,9 +68,9 @@ def test_greedy_huge_weights_act_like_uniform_weights():
     game = generate_instance(6, 30, 3.0, (0.0, 0.5), (0.0, 0.5), seed=4, k_L=2, k_F=1)
     oracle = follower_oracle(game)
     assert len(oracle) == 7
-    uniform = greedy_weighted_submodular(game, np.full(7, 1.0 / 7), oracle)
+    uniform = greedy_weighted_submodular(game, np.full(7, 1.0 / 7))
     assert len(uniform) == 2
-    assert greedy_weighted_submodular(game, np.full(7, 1e308), oracle) == uniform
+    assert greedy_weighted_submodular(game, np.full(7, 1e308)) == uniform
 
 
 def _differential_games(seed, count):
@@ -88,7 +88,7 @@ def test_greedy_matches_edge_list_reference():
             w = rng.dirichlet(np.ones(len(oracle))) * (rng.uniform(size=len(oracle)) < 0.8)
             if not w.any():
                 continue
-            assert (greedy_weighted_submodular(game, w, oracle)
+            assert (greedy_weighted_submodular(game, w)
                     == oracles.greedy_weighted_edges(game, w, game.k_L, oracle))
 
 
@@ -99,7 +99,7 @@ def test_greedy_on_warm_tables_equals_a_fresh_call():
         for _ in range(8):
             w = rng.dirichlet(np.full(len(oracle), 0.3))
             warm = PureStrategy.of(mwu_mod._greedy(tables, w, min(game.k_L, game.n)))
-            assert warm == greedy_weighted_submodular(game, w, oracle)
+            assert warm == greedy_weighted_submodular(game, w)
         for prefix in list(tables._tables):
             fresh_r, fresh_pg = mwu_mod.PrefixTables(game, oracle).get(prefix)
             r, pg = tables.get(prefix)
@@ -371,8 +371,9 @@ def test_solve_mwu_rejects_non_finite_weights(no_pure_optimum, monkeypatch):
         solve_mwu(no_pure_optimum, MwuConfig(iterations=3))
 
 
-def test_greedy_negative_marginal_is_a_numerics_error(no_pure_optimum):
-    oracle = FollowerOracle(no_pure_optimum)
-    oracle.gain = np.full_like(oracle.gain, -2.0)  # c_v = 1 - 2 < 0: not monotone
+def test_greedy_negative_marginal_is_a_numerics_error(no_pure_optimum, monkeypatch):
+    oracle = follower_oracle(no_pure_optimum)
+    # c_v = 1 - 2 < 0: not monotone
+    monkeypatch.setattr(oracle, "gain", np.full_like(oracle.gain, -2.0))
     with pytest.raises(LpNumericsError, match="negative marginal"):
-        greedy_weighted_submodular(no_pure_optimum, np.full(4, 0.25), oracle=oracle)
+        greedy_weighted_submodular(no_pure_optimum, np.full(4, 0.25))

@@ -146,9 +146,9 @@ def test_phi_identities_and_empty_response():
 
 
 def test_phi_constant_no_pure_optimum(no_pure_optimum):
-    # MWU takes C from the oracle's activation sums.
+    # MWU takes C from the oracle.
     assert oracles.phi_constant(no_pure_optimum) == pytest.approx(1.1, abs=1e-12)
-    assert follower_oracle(no_pure_optimum).activation_sums.max() == pytest.approx(1.1, abs=1e-12)
+    assert follower_oracle(no_pure_optimum).C == pytest.approx(1.1, abs=1e-12)
 
 
 def test_phi_lower_bound_via_constant():
