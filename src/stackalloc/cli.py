@@ -17,9 +17,8 @@ import time
 
 from . import bench, follower, mwu
 from .lp import LpNumericsError, PivotLimitError
-from .model import (BipartiteInfluenceGame, CapExceededError, InstanceFormatError,
-                    MixedStrategy, allocation_of, dump_instance, generate_instance,
-                    load_instance)
+from .model import (BipartiteInfluenceGame, CapExceededError, MixedStrategy, allocation_of,
+                    dump_instance, generate_instance, load_instance)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -156,7 +155,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InstanceFormatError, FileNotFoundError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (CapExceededError, PivotLimitError) as exc:

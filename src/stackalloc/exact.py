@@ -73,14 +73,15 @@ def enumerate_leader(game: BipartiteInfluenceGame) -> list[PureStrategy]:
     return [PureStrategy(s) for s in iter_subsets(game.n, game.k_L)]
 
 
-def _finish(game: BipartiteInfluenceGame, x: MixedStrategy, y_star: PureStrategy,
+def _finish(game: BipartiteInfluenceGame, x: MixedStrategy, yi: int,
             lp_value: float, oracle: follower_mod.FollowerOracle,
             per_y: dict[PureStrategy, tuple[str, float | None]]) -> EquilibriumResult:
-    """Re-verify a candidate equilibrium from scratch and package it."""
+    """Re-verify the candidate equilibrium (x, y*), y* the oracle's
+    strategy ``yi``, from scratch and package it."""
     pvx = payoff.mixed_activation_vector(game, x)
     f_all, g_all = oracle.utilities(pvx)
     f_all, g_all = f_all[0], g_all[0]
-    yi = oracle.strategies.index(y_star)
+    y_star = oracle.strategies[yi]
     if g_all[yi] < g_all.max() - REVERIFY_TOL:
         raise LpNumericsError(
             f"recovered strategy does not induce {y_star} as a best response "
@@ -147,7 +148,7 @@ def solve_multi_lp(game: BipartiteInfluenceGame) -> EquilibriumResult:
     kept = {leaders[i]: float(w) for i, w in enumerate(weights) if w > PRUNE_TOL}
     total = sum(kept.values())
     x = MixedStrategy({s: w / total for s, w in kept.items()})
-    return _finish(game, x, oracle.strategies[yi], lp_value, oracle, per_y)
+    return _finish(game, x, yi, lp_value, oracle, per_y)
 
 
 def decompose_allocation(r, k_L: int) -> MixedStrategy:
@@ -192,22 +193,21 @@ def decompose_allocation(r, k_L: int) -> MixedStrategy:
 def solve_disjoint_lp(game: BipartiteInfluenceGame) -> EquilibriumResult:
     """Exact equilibrium for disjoint customers via the n-variable LPs.
 
-    For each candidate y* the LP maximizes
-    sum_u sum_{v in N_u} p_uv (1 - p_F,uv y*_u) r_u over r in Q subject
-    to, for every follower y,
-    sum_u sum_{v in N_u} p_uv (y*_u - y_u)(1 - (p_uv - p_F,uv) r_u) >= 0.
-    The optimal allocation is decomposed back into a mixed strategy.
+    P_v(x) = sum_u r_u P_v({u}) when every customer has at most one
+    medium, so f(r, y) = sum_u r_u f({u}, y) (f({}, y) = 0) and
+    g(r, y) = g({}, y) + sum_u r_u (g({u}, y) - g({}, y)), with the
+    coefficients read from one kernel call on the rows {}, {u0}, ...
+    For each candidate y* the LP maximizes f(r, y*) over r in Q subject
+    to g(r, y*) - g(r, y) >= 0 for every follower y.  The optimal
+    allocation is decomposed back into a mixed strategy.
     """
     if not is_disjoint(game):
         raise ValueError("instance has a customer with several media; use solve_multi_lp")
     oracle = follower_mod.follower_oracle(game)
     n = game.n
-    # Per-medium aggregates over its customers.
-    a = np.bincount(game.edge_media, weights=game.edge_p, minlength=n)
-    d = np.bincount(game.edge_media, weights=game.edge_p * game.edge_pf, minlength=n)
-    bq = np.bincount(game.edge_media,
-                     weights=game.edge_p * (game.edge_p - game.edge_pf), minlength=n)
-    ymat = np.array([y.mask(n) for y in oracle.strategies], dtype=float)
+    singles = [PureStrategy(s) for s in iter_subsets(n, 1)]  # {}, {u0}, {u1}, ...
+    F, G = oracle.utilities(payoff.activation_rows(game, singles))
+    G0, St = G[0], (G[1:] - G[0]).T  # g({}, y), and row y holds g's slope in r
 
     # The budget row sum r <= k_L, then the box rows r_u <= 1.
     q_rows = np.vstack([np.ones(n), np.eye(n)])
@@ -216,17 +216,15 @@ def solve_disjoint_lp(game: BipartiteInfluenceGame) -> EquilibriumResult:
     top = min(game.k_L, n)
 
     def candidate_lp(yi: int) -> LinearProgram | None:
-        ys = ymat[yi]
-        # Row y: g(r, y*) - g(r, y) = sum_u diff_u * (a_u - bq_u r_u) >= 0.
-        diff = ys - ymat
-        coef, rhs = -diff * bq, -diff @ a
+        # Row y: g(r, y*) - g(r, y) >= 0, i.e. (St[y*] - St[y]) . r >= G0[y] - G0[y*].
+        coef, rhs = St[yi] - St, G0 - G0[yi]
         # Over Q, coef.r is at most the sum of the k_L largest positive
         # coefficients.
         reach = np.sort(np.maximum(coef, 0.0), axis=1)[:, n - top:].sum(axis=1)
         if (reach < rhs - FEAS_TOL * np.maximum(1.0, np.abs(rhs))).any():
             return None
-        return LinearProgram(a - ys * d, np.vstack([coef, q_rows]), sense, np.r_[rhs, q_rhs])
+        return LinearProgram(F[1:, yi], np.vstack([coef, q_rows]), sense, np.r_[rhs, q_rhs])
 
     per_y, (lp_value, yi, r) = _best_candidate(oracle, candidate_lp)
     x = decompose_allocation(r, game.k_L)
-    return _finish(game, x, oracle.strategies[yi], lp_value, oracle, per_y)
+    return _finish(game, x, yi, lp_value, oracle, per_y)

@@ -78,16 +78,11 @@ def solve_heuristic(game: BipartiteInfluenceGame, ell: int) -> MixedStrategy:
 def greedy_baseline(game: BipartiteInfluenceGame) -> PureStrategy:
     """Fill the budget greedily on expected activations sum_v P_v(z)."""
     survival = np.ones(game.m)
-    blocked = np.zeros(game.n, dtype=bool)
     selected: list[int] = []
     for _ in range(min(game.k_L, game.n)):
-        contrib = survival[game.edge_customers] * game.edge_p
-        # bincount returns int64 when there are no edges.
-        gains = np.bincount(game.edge_media, weights=contrib,
-                            minlength=game.n).astype(float, copy=False)
-        gains[blocked] = -np.inf
+        gains = (game.p_table * survival).sum(axis=1)  # r(S), as in mwu.PrefixTables
+        gains[selected] = -np.inf
         u = int(np.argmax(gains))  # the objective is monotone: never stop early
         selected.append(u)
-        blocked[u] = True
         survival *= 1.0 - game.p_table[u]
     return PureStrategy.of(selected)

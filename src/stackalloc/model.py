@@ -80,12 +80,6 @@ class PureStrategy:
             bad = self.media[0] if self.media[0] < 0 else self.media[-1]
             raise ValueError(f"medium {bad} is out of range for a game of n={n} media")
 
-    def mask(self, n: int) -> np.ndarray:
-        self.require_within(n)
-        out = np.zeros(n, dtype=bool)
-        out[list(self.media)] = True
-        return out
-
     def __repr__(self) -> str:
         return "{" + ",".join(f"u{u}" for u in self.media) + "}" if self.media else "{}"
 

@@ -301,8 +301,13 @@ def certify(game: BipartiteInfluenceGame, x_prime: MixedStrategy,
     pv_star = payoff.mixed_activation_vector(game, x_star)
     eps2 = float((1.0 - pv_star) @ payoff.activation_vector(game, y_star))
     beta = (1.0 - 1.0 / math.e) * eps2 - eps1 + (1.0 / math.e + epsilon) * oracle.C
+    try:
+        yi = oracle.strategies.index(y_star)
+    except ValueError:
+        raise ValueError(f"y* = {y_star} is not a follower strategy of this game "
+                         f"(n={game.n}, k_F={game.k_F})") from None
     f_star, _ = oracle.utilities(pv_star)
-    opt_value = float(f_star[0, oracle.strategies.index(y_star)])
+    opt_value = float(f_star[0, yi])
     holds = value >= alpha * opt_value - beta - 1e-9
     return ApproxCertificate(epsilon1=eps1, C=oracle.C, alpha=alpha, epsilon2=eps2,
                              beta=beta, value=value, opt_value=opt_value,

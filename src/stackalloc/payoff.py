@@ -17,8 +17,10 @@ below by -C where C = max_y sum_v P_v(y).
 
 f and g are written out once, in ``utilities``: it scores stacked rows
 of leader activations against stacked follower tables of P_v(y) and
-P_{F,v}(y).  The follower oracle, the exact multi-LP and the MWU losses
-all go through it.
+P_{F,v}(y).  The follower oracle, both exact LPs and the MWU losses all
+go through it; the disjoint LP reads its coefficients from the rows of
+{} and the singletons {u}, since on disjoint games f is linear and g
+affine in the allocation r.
 
 Every survival product reads the game's dense tables ``p_table`` and
 ``pf_table`` (p or p_F on the edges, exactly 0 elsewhere, so an

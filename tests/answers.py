@@ -8,8 +8,11 @@ p~U(0,0.2), k_F=2; seeds 0-9 x k_L in {1, 2, 4} x p_F~U(0.1,0.9) and
 U(0,0.2)).  On each it holds MWU at learning rates "auto", 30 and 300
 (the mix, and every field of the certificate), the greedy baseline's
 media and the ell=10 heuristic's mix, and for these two the follower's
-best response (chosen, responses and both values).  Floats are written
-with ``float.hex``, so two dumps are equal only when every bit is.
+best response (chosen, responses and both values).  It also covers the
+exact grid: ``solve_multi_lp`` and ``solve_disjoint_lp`` on four shapes
+(p~U(0,0.2), k_F=2, seeds 0-5 x both p_F ranges), with the value, the
+follower, the mix and every candidate's status and LP value.  Floats are
+written with ``float.hex``, so two dumps are equal only when every bit is.
 
 ``--against REV`` extracts ``src/`` of git revision REV with
 ``git archive`` into a temporary directory, runs the same dump on it
@@ -42,6 +45,10 @@ SEEDS = range(10)
 K_LS = (1, 2, 4)
 PF_RANGES = ((0.1, 0.9), (0.0, 0.2))
 LEARNING_RATES = ("auto", 30.0, 300.0)
+# (engine, n, m, mean degree, k_L): the shapes of the exact-lp benchmark.
+EXACT_SHAPES = (("multi", 10, 200, 3.0, 1), ("multi", 10, 100, 3.0, 2),
+                ("disjoint", 12, 400, 1.0, 2), ("disjoint", 15, 300, 1.0, 2))
+EXACT_SEEDS = range(6)
 
 
 def _hex(value):
@@ -59,10 +66,19 @@ def _response(br) -> dict:
             "follower_value": br.follower_value.hex()}
 
 
+def _equilibrium(res) -> dict:
+    return {"value": res.value.hex(),
+            "follower": list(res.follower.media),
+            "mix": _mix(res.leader),
+            "per_y_values": sorted([list(y.media), status, _hex(value)]
+                                   for y, (status, value) in res.per_y_values.items())}
+
+
 def answers() -> dict:
     """Every answer of the grid, keyed by engine and cell."""
     from stackalloc import (MixedStrategy, MwuConfig, best_response, generate_instance,
-                            greedy_baseline, solve_heuristic, solve_mwu)
+                            greedy_baseline, solve_disjoint_lp, solve_heuristic, solve_multi_lp,
+                            solve_mwu)
 
     out = {}
     for seed in SEEDS:
@@ -86,6 +102,14 @@ def answers() -> dict:
                 x = solve_heuristic(game, 10)
                 out[f"heuristic {cell}"] = {"mix": _mix(x),
                                             "response": _response(best_response(game, x))}
+    solvers = {"multi": solve_multi_lp, "disjoint": solve_disjoint_lp}
+    for engine, n, m, degree, k_L in EXACT_SHAPES:
+        for seed in EXACT_SEEDS:
+            for pf in PF_RANGES:
+                game = generate_instance(n, m, degree, (0.0, 0.2), pf, seed=seed,
+                                         k_L=k_L, k_F=2)
+                cell = f"n={n} m={m} k_L={k_L} seed={seed} pf={pf[0]}-{pf[1]}"
+                out[f"exact-{engine} {cell}"] = _equilibrium(solvers[engine](game))
     return out
 
 

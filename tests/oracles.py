@@ -200,17 +200,14 @@ def candidate_lps(game, disjoint=False):
             lps[y_star] = LinearProgram(F[:, yi], rows, sense, np.r_[np.zeros(len(Gt)), 1.0])
         return lps
     n = game.n
-    a = np.bincount(game.edge_media, weights=game.edge_p, minlength=n)
-    d = np.bincount(game.edge_media, weights=game.edge_p * game.edge_pf, minlength=n)
-    bq = np.bincount(game.edge_media,
-                     weights=game.edge_p * (game.edge_p - game.edge_pf), minlength=n)
-    ymat = np.array([y.mask(n) for y in oracle.strategies], dtype=float)
-    sense = [">="] * len(ymat) + ["<="] * (n + 1)
+    singles = [PureStrategy(s) for s in subsets_up_to(n, 1)]
+    F, G = oracle.utilities(payoff.activation_rows(game, singles))
+    St, G0 = (G[1:] - G[0]).T, G[0]
+    sense = [">="] * len(St) + ["<="] * (n + 1)
     for yi, y_star in enumerate(oracle.strategies):
-        diff = ymat[yi] - ymat
-        rows = np.vstack([-diff * bq, np.ones(n), np.eye(n)])
-        lps[y_star] = LinearProgram(a - ymat[yi] * d, rows, sense,
-                                    np.r_[-diff @ a, game.k_L, np.ones(n)])
+        rows = np.vstack([St[yi] - St, np.ones(n), np.eye(n)])
+        lps[y_star] = LinearProgram(F[1:, yi], rows, sense,
+                                    np.r_[G0 - G0[yi], game.k_L, np.ones(n)])
     return lps
 
 

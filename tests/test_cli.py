@@ -165,6 +165,20 @@ def test_solve_missing_file(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("solve", "--instance", "{dir}", "--algorithm", "greedy"),
+    ("validate", "--instance", "{dir}"),
+    ("generate", "--n", "3", "--m", "2", "--mean-degree", "1", "--p", "0,1", "--pf", "0,1",
+     "--seed", "0", "--out", "{dir}"),
+    ("bench", "--spec", "{dir}"),
+], ids=["solve", "validate", "generate", "bench"])
+def test_a_directory_in_place_of_a_file_is_an_input_error(capsys, tmp_path, argv):
+    # Each used to end in an IsADirectoryError traceback with exit 1.
+    code, out, err = run_cli(capsys, *(arg.format(dir=tmp_path) for arg in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_generate_is_deterministic_and_loadable(capsys, tmp_path):
     out_a, out_b = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
     for out in (out_a, out_b):

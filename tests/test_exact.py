@@ -179,6 +179,24 @@ def test_bilinearity_on_disjoint_instances():
         np.testing.assert_allclose(g1, g2, rtol=0.0, atol=1e-9)
 
 
+def test_disjoint_candidate_lps_state_f_and_g_of_the_brute_force_model():
+    # At any r in Q, each candidate's objective is f(x, y*) and each
+    # follower row's slack is g(x, y*) - g(x, y), for x decomposed from r.
+    rng = np.random.default_rng(707)
+    for _ in range(25):
+        game = random_game(rng, n_max=6, m_max=10, kf_max=3, disjoint=True)
+        r = random_allocation(rng, game.n, game.k_L)
+        x = oracles.weights_of(decompose_allocation(r, game.k_L))
+        ys = follower_oracle(game).strategies
+        for y_star, lp in oracles.candidate_lps(game, disjoint=True).items():
+            assert lp.objective @ r == pytest.approx(
+                oracles.f_mixed(game, x, y_star.media), abs=1e-9)
+            g_star = oracles.g_mixed(game, x, y_star.media)
+            for i, y in enumerate(ys):
+                assert lp.rows[i] @ r - lp.rhs[i] == pytest.approx(
+                    g_star - oracles.g_mixed(game, x, y.media), abs=1e-9)
+
+
 def test_equilibrium_values_are_reverified(no_pure_optimum):
     res = solve_multi_lp(no_pure_optimum)
     leader = oracles.f_mixed(no_pure_optimum, oracles.weights_of(res.leader), res.follower.media)

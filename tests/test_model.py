@@ -341,14 +341,12 @@ def test_allocation_of_three_atom_mixture():
 
 
 @pytest.mark.parametrize("medium", [-1, 5])
-def test_allocation_and_mask_reject_a_medium_out_of_range(medium):
-    # -1 used to credit its weight, and its mask entry, to the last medium, u4.
+def test_allocation_rejects_a_medium_out_of_range(medium):
+    # -1 used to credit its weight to the last medium, u4.
     z = PureStrategy.of([medium])
     message = rf"^medium {medium} is out of range for a game of n=5 media$"
     with pytest.raises(ValueError, match=message):
         allocation_of(MixedStrategy.point_mass(z), 5)
-    with pytest.raises(ValueError, match=message):
-        z.mask(5)
 
 
 def test_allocation_respects_budget_for_capped_mixes():

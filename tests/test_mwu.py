@@ -313,6 +313,15 @@ def test_certify_exact_solution_passes_its_own_bound(no_pure_optimum):
         abs=1e-12)
 
 
+def test_certify_names_an_exact_response_outside_the_follower_set(no_pure_optimum):
+    # k_F = 1, so {u0,u1} is no follower strategy; the error used to be
+    # "{u0,u1} is not in list".
+    res = solve_multi_lp(no_pure_optimum)
+    with pytest.raises(ValueError, match=r"^y\* = \{u0,u1\} is not a follower strategy of "
+                                         r"this game \(n=3, k_F=1\)$"):
+        certify(no_pure_optimum, res.leader, exact=(res.leader, PureStrategy.of([0, 1])))
+
+
 def test_certify_zero_follower_budget_collapses_translation_terms():
     rng = np.random.default_rng(909)
     game = random_game(rng, n_max=5, m_max=6, kf_max=0)

@@ -244,7 +244,7 @@ def sparse_game(rng, k):
 def scatter_survival(game, y, probs):
     """The per-strategy scatter the prefix products replace."""
     s = np.ones(game.m)
-    sel = y.mask(game.n)[game.edge_media]
+    sel = np.isin(game.edge_media, y.media)
     np.multiply.at(s, game.edge_customers[sel], 1.0 - probs[sel])
     return s
 
@@ -277,7 +277,7 @@ def test_vectors_reject_a_mask_in_place_of_indices(uniform_overlap):
     assert np.array_equal(activation_vector(uniform_overlap, np.array([2])),
                           activation_vector(uniform_overlap, z))
     with pytest.raises(TypeError):
-        activation_vector(uniform_overlap, z.mask(uniform_overlap.n))
+        activation_vector(uniform_overlap, np.arange(uniform_overlap.n) == 2)
 
 
 def test_tables_equal_the_edge_maps():
