@@ -28,6 +28,17 @@ infeasibility, and no point it could return would pass its feasibility
 check.  Rows that only tie (largest value exactly at the rhs) still go
 to the LP.
 
+The screen runs in two passes.  The first tests every candidate at once
+against the rows of B, the follower's pure best responses to the
+utility rows the solver already holds (the leader's pure strategies for
+the multi-LP, {}, {u0}, ... for the disjoint LP), one row of B at a
+time, so no step holds more than one array of the utility table's size.
+At the paper's shape B's rows caught every candidate that the screen
+rules out.  Only the candidates that pass build their full incentive
+block, for the second pass and the LP.  Row b of a candidate's block is
+computed from the same floats in both passes, so the verdicts, the LPs
+and the answers are the same as with the full block alone.
+
 Every reported equilibrium is re-verified through the payoff and
 follower modules; LP bookkeeping is never trusted for the final value.
 """
@@ -93,17 +104,27 @@ def _finish(game: BipartiteInfluenceGame, x: MixedStrategy, yi: int,
     return EquilibriumResult(leader=x, follower=y_star, value=value, per_y_values=per_y)
 
 
-def _best_candidate(oracle: follower_mod.FollowerOracle, candidate_lp):
-    """Solve each candidate's LP; return the audit trail and the winner.
+def _best_candidate(oracle: follower_mod.FollowerOracle, G: np.ndarray, row_fails,
+                    candidate_lp):
+    """Screen and solve each candidate; return the audit trail and the winner.
 
-    ``candidate_lp(yi)`` gives candidate yi's LP, or None when the screen
-    rules it out.  The winner ``(value, yi, x)`` is the first candidate
-    that no later one beats by more than ``VALUE_TIE_TOL``.
+    The best-response pass comes first: B holds the follower's best
+    responses to the rows of the utility table G, and ``row_fails(b)``
+    screens incentive row b of every candidate at once.  A candidate
+    that a row of B rules out is recorded as infeasible without building
+    its LP; that row is a row of its full block, from the same floats,
+    so the full screen would rule it out too.  For the others
+    ``candidate_lp(yi)`` gives the LP, or None when the full block's
+    screen rules it out.  The winner ``(value, yi, x)`` is the first
+    candidate that no later one beats by more than ``VALUE_TIE_TOL``.
     """
+    ruled_out = np.zeros(G.shape[1], dtype=bool)
+    for b in np.flatnonzero(np.bincount(G.argmax(axis=1), minlength=G.shape[1])):
+        ruled_out |= row_fails(b)
     per_y: dict[PureStrategy, tuple[str, float | None]] = {}
     best: tuple[float, int, np.ndarray] | None = None
     for yi, y_star in enumerate(oracle.strategies):
-        lp = candidate_lp(yi)
+        lp = None if ruled_out[yi] else candidate_lp(yi)
         if lp is None:
             per_y[y_star] = ("infeasible", None)
             continue
@@ -136,15 +157,22 @@ def solve_multi_lp(game: BipartiteInfluenceGame) -> EquilibriumResult:
     sense = [">="] * len(oracle.strategies) + ["="]
     rhs = np.r_[np.zeros(len(oracle.strategies)), 1.0]
 
+    def fails(diff: np.ndarray) -> np.ndarray:
+        # Over the simplex a row's left side is at most its largest entry.
+        return diff.max(axis=1) < -FEAS_TOL
+
     def candidate_lp(yi: int) -> LinearProgram | None:
-        # Row y': g(., y*) - g(., y') >= 0; over the simplex its left side
-        # is at most the row's largest entry.
+        # Row y': g(., y*) - g(., y') >= 0.
         diff = Gt[yi] - Gt
-        if (diff.max(axis=1) < -FEAS_TOL).any():
+        if fails(diff).any():
             return None
         return LinearProgram(F[:, yi], np.vstack([diff, ones]), sense, rhs)
 
-    per_y, (lp_value, yi, weights) = _best_candidate(oracle, candidate_lp)
+    def row_fails(b: int) -> np.ndarray:
+        # Row b of every candidate y* at once: g(., y*) - g(., b).
+        return fails(Gt - Gt[b])
+
+    per_y, (lp_value, yi, weights) = _best_candidate(oracle, G, row_fails, candidate_lp)
     kept = {leaders[i]: float(w) for i, w in enumerate(weights) if w > PRUNE_TOL}
     total = sum(kept.values())
     x = MixedStrategy({s: w / total for s, w in kept.items()})
@@ -215,16 +243,23 @@ def solve_disjoint_lp(game: BipartiteInfluenceGame) -> EquilibriumResult:
     sense = [">="] * len(oracle.strategies) + ["<="] * (n + 1)
     top = min(game.k_L, n)
 
-    def candidate_lp(yi: int) -> LinearProgram | None:
-        # Row y: g(r, y*) - g(r, y) >= 0, i.e. (St[y*] - St[y]) . r >= G0[y] - G0[y*].
-        coef, rhs = St[yi] - St, G0 - G0[yi]
+    def fails(coef: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         # Over Q, coef.r is at most the sum of the k_L largest positive
         # coefficients.
         reach = np.sort(np.maximum(coef, 0.0), axis=1)[:, n - top:].sum(axis=1)
-        if (reach < rhs - FEAS_TOL * np.maximum(1.0, np.abs(rhs))).any():
+        return reach < rhs - FEAS_TOL * np.maximum(1.0, np.abs(rhs))
+
+    def candidate_lp(yi: int) -> LinearProgram | None:
+        # Row y: g(r, y*) - g(r, y) >= 0, i.e. (St[y*] - St[y]) . r >= G0[y] - G0[y*].
+        coef, rhs = St[yi] - St, G0 - G0[yi]
+        if fails(coef, rhs).any():
             return None
         return LinearProgram(F[1:, yi], np.vstack([coef, q_rows]), sense, np.r_[rhs, q_rhs])
 
-    per_y, (lp_value, yi, r) = _best_candidate(oracle, candidate_lp)
+    def row_fails(b: int) -> np.ndarray:
+        # Row b of every candidate y* at once.
+        return fails(St - St[b], G0[b] - G0)
+
+    per_y, (lp_value, yi, r) = _best_candidate(oracle, G, row_fails, candidate_lp)
     x = decompose_allocation(r, game.k_L)
     return _finish(game, x, yi, lp_value, oracle, per_y)

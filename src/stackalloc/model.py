@@ -476,6 +476,8 @@ def generate_instance(n: int, m: int, mean_degree: float,
             raise ValueError(f"{name} distribution bounds must satisfy 0 <= a <= b <= 1, got ({a}, {b})")
     if not math.isfinite(mean_degree):
         raise ValueError(f"mean degree must be finite, got {mean_degree}")
+    if mean_degree < 0:
+        raise ValueError(f"mean degree must be non-negative, got {mean_degree}")
     if mean_degree > n:
         raise ValueError(f"mean degree {mean_degree} exceeds media count {n}")
     if n <= 0 and m > 0:

@@ -11,7 +11,9 @@ media and the ell=10 heuristic's mix, and for these two the follower's
 best response (chosen, responses and both values).  It also covers the
 exact grid: ``solve_multi_lp`` and ``solve_disjoint_lp`` on four shapes
 (p~U(0,0.2), k_F=2, seeds 0-5 x both p_F ranges), with the value, the
-follower, the mix and every candidate's status and LP value.  Floats are
+follower, the mix and every candidate's status and LP value, and the
+paper-scale ``solve_multi_lp`` cells of seed 0 (k_L in {1, 2} with both
+p_F ranges, and k_L=4 with p_F~U(0,0.2)) with the same fields.  Floats are
 written with ``float.hex``, so two dumps are equal only when every bit is.
 
 ``--against REV`` extracts ``src/`` of git revision REV with
@@ -49,6 +51,9 @@ LEARNING_RATES = ("auto", 30.0, 300.0)
 EXACT_SHAPES = (("multi", 10, 200, 3.0, 1), ("multi", 10, 100, 3.0, 2),
                 ("disjoint", 12, 400, 1.0, 2), ("disjoint", 15, 300, 1.0, 2))
 EXACT_SEEDS = range(6)
+# (k_L, p_F range) of the paper-scale multi-LP cells, seed 0.
+PAPER_EXACT = ((1, (0.1, 0.9)), (1, (0.0, 0.2)), (2, (0.1, 0.9)), (2, (0.0, 0.2)),
+               (4, (0.0, 0.2)))
 
 
 def _hex(value):
@@ -110,6 +115,9 @@ def answers() -> dict:
                                          k_L=k_L, k_F=2)
                 cell = f"n={n} m={m} k_L={k_L} seed={seed} pf={pf[0]}-{pf[1]}"
                 out[f"exact-{engine} {cell}"] = _equilibrium(solvers[engine](game))
+    for k_L, pf in PAPER_EXACT:
+        game = generate_instance(20, 844, 3506 / 844, (0.0, 0.2), pf, seed=0, k_L=k_L, k_F=2)
+        out[f"exact-multi paper k_L={k_L} pf={pf[0]}-{pf[1]}"] = _equilibrium(solve_multi_lp(game))
     return out
 
 

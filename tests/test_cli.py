@@ -258,6 +258,15 @@ def test_generate_rejects_a_non_finite_mean_degree(capsys, tmp_path, degree):
     assert "mean degree" in err
 
 
+def test_generate_rejects_a_negative_mean_degree(capsys, tmp_path):
+    out = tmp_path / "g.txt"
+    code, _, err = run_cli(capsys, "generate", "--n", "5", "--m", "10", "--mean-degree", "-3",
+                           "--p", "0,0.2", "--pf", "0,0.2", "--seed", "0", "--out", str(out))
+    assert code == 2
+    assert "mean degree must be non-negative, got -3.0" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("degree", [float("nan"), float("inf"), float("-inf")])
 def test_bench_rejects_a_non_finite_mean_degree(capsys, tmp_path, degree):
     spec = {"n": 5, "m": 6, "mean_degree": degree, "p": [0, 0.5], "p_f": [0.1, 0.9],

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from stackalloc import (BipartiteInfluenceGame, CapExceededError, MixedStrategy,
-                        PureStrategy, allocation_of, best_response,
+                        PureStrategy, allocation_of, best_response, certify,
                         decompose_allocation, enumerate_leader, exact,
-                        follower_oracle, generate_instance, mixed_activation_vector,
-                        solve_disjoint_lp, solve_multi_lp)
+                        follower_oracle, generate_instance, greedy_baseline,
+                        mixed_activation_vector, solve_disjoint_lp, solve_heuristic,
+                        solve_multi_lp, solve_mwu)
 from stackalloc import lp as lp_mod
 
 import oracles
@@ -299,6 +300,18 @@ def test_paper_scale_multi_lp():
     assert len(statuses) == 211 and statuses.count("optimal") == 3
 
 
+def test_paper_scale_multi_lp_at_budget_four():
+    # 6,196 leader strategies; the best-response pass rules out all 207
+    # infeasible candidates before any incentive block is built.
+    game = generate_instance(20, 844, 3506 / 844, PAPER_P, PAPER_P, seed=0, k_L=4, k_F=2)
+    res = solve_multi_lp(game)
+    assert res.value == pytest.approx(71.11737586203878, abs=1e-9)
+    assert res.follower == PureStrategy.of([9, 19])
+    statuses = [status for status, _ in res.per_y_values.values()]
+    assert len(statuses) == 211
+    assert statuses.count("optimal") == 4 and statuses.count("infeasible") == 207
+
+
 def test_paper_scale_disjoint_lp():
     game = generate_instance(20, 844, 1.0, PAPER_P, PAPER_P, seed=0, k_L=2, k_F=2)
     res = solve_disjoint_lp(game)
@@ -306,3 +319,27 @@ def test_paper_scale_disjoint_lp():
     assert res.follower == PureStrategy.of([0, 11])
     statuses = [status for status, _ in res.per_y_values.values()]
     assert len(statuses) == 211 and statuses.count("optimal") == 2
+
+
+def test_every_engine_against_brute_force():
+    # The exact solvers reach the brute-force equilibrium value; no mix an
+    # approximate engine returns is worth more to the leader, and MWU's
+    # certificate holds against the exact optimum.
+    rng = np.random.default_rng(1111)
+    checked = 0
+    while checked < 15:
+        disjoint = checked % 2 == 1
+        game = random_game(rng, n_max=4, m_max=6, kl_max=3, kf_max=2, disjoint=disjoint)
+        if game.k_L == 0 or game.k_F == 0:  # a player with no move
+            continue
+        checked += 1
+        opt = oracles.strong_equilibrium_value(game)
+        res = solve_multi_lp(game)
+        assert res.value == pytest.approx(opt, abs=1e-7)
+        if disjoint:
+            assert solve_disjoint_lp(game).value == pytest.approx(opt, abs=1e-7)
+        x_mwu, _ = solve_mwu(game)
+        mixes = [MixedStrategy.point_mass(greedy_baseline(game)), x_mwu, solve_heuristic(game, 3)]
+        for x in mixes:
+            assert oracles.best_response_value(game, oracles.weights_of(x)) <= opt + 1e-7
+        assert certify(game, x_mwu, exact=(res.leader, res.follower)).bound_holds

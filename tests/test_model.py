@@ -244,6 +244,12 @@ def test_generate_instance_rejects_a_non_finite_mean_degree(m, degree):
         generate_instance(3, m, degree, (0.0, 0.5), (0.0, 0.5), seed=0)
 
 
+def test_generate_instance_rejects_a_negative_mean_degree():
+    # It used to round up to degree 1 and build an instance.
+    with pytest.raises(ValueError, match=r"^mean degree must be non-negative, got -3\.0$"):
+        generate_instance(5, 10, -3.0, (0.0, 0.5), (0.0, 0.5), seed=0)
+
+
 @pytest.mark.parametrize("overrides,message", [
     (dict(n=3.5), "n must be an integer, not 3.5"),
     (dict(m=4.5), "m must be an integer, not 4.5"),
