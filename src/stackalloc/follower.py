@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,20 +52,28 @@ class FollowerOracle:
 
     Rows of ``activation`` and ``recapture`` hold P_v(y) and P_{F,v}(y)
     for each enumerated y, so utilities against any leader activation
-    vector reduce to matrix-vector products (``payoff.utilities``);
-    ``gain`` holds their difference P_v(y) - P_{F,v}(y), the per-customer
-    coefficient of the MWU greedy's objective, and ``C`` = max_y sum_v
-    P_v(y) the shift that makes the MWU surrogate nonnegative.  Built once
-    per instance (by prefix products, see ``payoff.activation_rows``) and
-    shared by every solver through ``follower_oracle``.
+    vector reduce to matrix-vector products (``payoff.utilities``).
+    Built once per instance (by prefix products, see
+    ``payoff.activation_rows``) and shared by every solver through
+    ``follower_oracle``.  Only MWU reads ``gain`` and ``C``, so they are
+    computed on first read.
     """
 
     def __init__(self, game: BipartiteInfluenceGame):
         self.strategies = enumerate_follower(game)
         self.activation = payoff.activation_rows(game, self.strategies)
         self.recapture = payoff.activation_rows(game, self.strategies, game.pf_table)
-        self.gain = self.activation - self.recapture
-        self.C = float(self.activation.sum(axis=1).max(initial=0.0))
+
+    @cached_property
+    def gain(self) -> np.ndarray:
+        """P_v(y) - P_{F,v}(y), the per-customer coefficient of the MWU
+        greedy's objective."""
+        return self.activation - self.recapture
+
+    @cached_property
+    def C(self) -> float:
+        """max_y sum_v P_v(y), the shift that makes the MWU surrogate nonnegative."""
+        return float(self.activation.sum(axis=1).max(initial=0.0))
 
     def __len__(self) -> int:
         return len(self.strategies)

@@ -9,10 +9,12 @@ ell = 1 the blend collapses to the pure strategy itself.
 
 The scoring splits along the blend.  f is linear and g affine in the
 leader's activations and (i-1)/i + 1/i = 1, so the utility tables of
-the blended rows are (i-1)/i * u(x) + u(S + u)/i: u(x) is scored once
-per round (and doubles as the round-end score), and the tables u(S + u)
+the blended rows are (i-1)/i * u(x) + u(S + u)/i.  The tables u(S + u)
 of every candidate depend only on the ordered prefix S, so one run
 scores each prefix's candidate rows once, however many rounds replay it.
+u(x) is never scored after the empty start: the next round's u(x) is
+the blended row of the round's last accepted candidate, or, if it
+accepted none, (i-1)/i * u(x) + u({})/i.
 
 The baseline ignores the follower entirely: it greedily fills the whole
 budget to maximize the expected number of activated customers.
@@ -35,8 +37,8 @@ def solve_heuristic(game: BipartiteInfluenceGame, ell: int) -> MixedStrategy:
         raise ValueError("ell must be >= 1")
     oracle = follower_oracle(game)
     weights: dict[PureStrategy, float] = {PureStrategy.empty(): 1.0}
-    pvx = np.zeros(game.m)
-    fx, gx = oracle.utilities(pvx)
+    fx, gx = oracle.utilities(np.zeros(game.m))
+    g_empty = gx  # g({}, y); f({}, y) is 0
     fbr_x = 0.0  # the empty mix never activates anyone
     scored: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
@@ -46,6 +48,7 @@ def solve_heuristic(game: BipartiteInfluenceGame, ell: int) -> MixedStrategy:
         keep = (i - 1) / i
         selected: list[int] = []
         survival = np.ones(game.m)
+        accepted = None  # the blended tables and value of the last accepted candidate
         for _ in range(min(game.k_L, game.n)):
             prefix = tuple(selected)
             entry = scored.get(prefix)
@@ -55,19 +58,23 @@ def solve_heuristic(game: BipartiteInfluenceGame, ell: int) -> MixedStrategy:
                 rows = (1.0 - survival) + survival * game.p_table[candidates]
                 entry = scored[prefix] = (candidates, *oracle.utilities(rows))
             candidates, f_rows, g_rows = entry
-            values = oracle.optimistic_values(keep * fx + f_rows / i, keep * gx + g_rows / i)
+            bf, bg = keep * fx + f_rows / i, keep * gx + g_rows / i
+            values = oracle.optimistic_values(bf, bg)
             r = int(np.argmax(values))  # ties fall to the smallest index
             if values[r] < fbr_x - ACCEPT_TOL:
                 break
             u = int(candidates[r])
             selected.append(u)
             survival *= 1.0 - game.p_table[u]
+            accepted = bf[r:r + 1], bg[r:r + 1], float(values[r])
         chosen = PureStrategy.of(selected)
         weights = {s: w * keep for s, w in weights.items() if w * keep > 0.0}
         weights[chosen] = weights.get(chosen, 0.0) + 1.0 / i
-        pvx = keep * pvx + (1.0 - survival) / i
-        fx, gx = oracle.utilities(pvx)
-        fbr_x = float(oracle.optimistic_values(fx, gx)[0])
+        if accepted is None:  # x blended with {}
+            fx, gx = keep * fx, keep * gx + g_empty / i
+            fbr_x = float(oracle.optimistic_values(fx, gx)[0])
+        else:
+            fx, gx, fbr_x = accepted
         if best_value < fbr_x:
             best_value = fbr_x
             best_weights = dict(weights)

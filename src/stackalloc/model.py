@@ -15,7 +15,7 @@ import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 from typing import Iterable, Iterator, Mapping, TextIO
 
 import numpy as np
@@ -260,6 +260,10 @@ def count_subsets(n: int, max_size: int) -> int:
     return sum(math.comb(n, i) for i in range(min(max_size, n) + 1))
 
 
+# Edge lines are parsed this many at a time, which bounds the tokens held.
+_CHUNK_LINES = 512
+
+
 def load_instance(stream: TextIO | Iterable[str]) -> BipartiteInfluenceGame:
     """Parse the line-oriented instance format.
 
@@ -269,49 +273,108 @@ def load_instance(stream: TextIO | Iterable[str]) -> BipartiteInfluenceGame:
     file, so a save/load round trip is exact.  A bad file raises on its
     first bad line, with that line's first failing check in the order:
     token count, number, index range, duplicate edge, probability range.
+
+    Edge lines are read in chunks of ``_CHUNK_LINES`` and converted a
+    column at a time; the checks run on the resulting arrays, and only a
+    chunk that fails to convert is searched line by line.
     """
-    header, seen = None, set()
-    us, vs, ps, pfs = [], [], [], []
-    for line_no, raw in enumerate(stream, start=1):
+    lines = iter(stream)
+    line_no, header = 0, None
+    for line_no, raw in enumerate(lines, start=1):
         tokens = raw.split()
-        if not tokens or tokens[0].startswith("#"):
-            continue
-        if header is None:
-            if len(tokens) != 4:
-                raise InstanceFormatError(line_no, "header must be 'n m k_L k_F'")
-            try:
-                n, m, k_L, k_F = header = tuple(int(t) for t in tokens)
-            except ValueError:
-                raise InstanceFormatError(line_no, f"bad integer in header {tokens!r}") from None
-            if n < 0 or m < 0:
-                raise InstanceFormatError(line_no, "negative size in header")
-            if max(n, m) > np.iinfo(np.intp).max:
-                raise InstanceFormatError(line_no, "size too large in header")
-            if not (0 <= k_L <= n and 0 <= k_F <= n):
-                raise InstanceFormatError(line_no, "budget outside [0, n]")
-            continue
-        if len(tokens) != 4:
-            raise InstanceFormatError(line_no, "edge line must be 'u v p pF'")
-        try:
-            u, v, p, pf = int(tokens[0]), int(tokens[1]), float(tokens[2]), float(tokens[3])
-        except ValueError:
-            raise InstanceFormatError(line_no, f"bad number in edge line {tokens!r}") from None
-        if not (0 <= u < n and 0 <= v < m):
-            raise InstanceFormatError(line_no, f"edge index out of range ({u}, {v})")
-        if (u, v) in seen:
-            raise InstanceFormatError(line_no, f"duplicate edge ({u}, {v})")
-        if not (0.0 <= p <= 1.0 and 0.0 <= pf <= 1.0):
-            raise InstanceFormatError(line_no, "probability out of range")
-        seen.add((u, v))
-        us.append(u)
-        vs.append(v)
-        ps.append(p)
-        pfs.append(pf)
+        if tokens and not tokens[0].startswith("#"):
+            header = _header(tokens, line_no)
+            break
     if header is None:
         raise InstanceFormatError(0, "empty instance file")
-    # The header and line checks bound every index by n or m <= intp max.
-    return BipartiteInfluenceGame.from_arrays(n, m, np.array(us, dtype=np.intp),
-                                              np.array(vs, dtype=np.intp), ps, pfs, k_L, k_F)
+    n, m, k_L, k_F = header
+    parts = [_edge_columns([])]  # per chunk, its edge columns
+    numbers: list[Iterable[int]] = [()]  # per chunk, the line number of each edge
+    while chunk := list(islice(lines, _CHUNK_LINES)):
+        rows = list(map(str.split, chunk))
+        lines_here = range(line_no + 1, line_no + 1 + len(rows))
+        line_no += len(rows)
+        columns = _edge_columns(rows)
+        if columns is None:  # comments, blank lines or a bad line
+            kept = [i for i, row in enumerate(rows) if row and not row[0].startswith("#")]
+            rows, lines_here = [rows[i] for i in kept], [lines_here[i] for i in kept]
+            columns = _edge_columns(rows)
+        if columns is None:
+            bad = next(i for i, row in enumerate(rows) if _edge_columns([row]) is None)
+            parts.append(_edge_columns(rows[:bad]))
+            numbers.append(lines_here[:bad])
+            _checked_columns(n, m, parts, numbers)  # an earlier bad edge wins
+            raise InstanceFormatError(lines_here[bad], _line_error(rows[bad]))
+        parts.append(columns)
+        numbers.append(lines_here)
+    return BipartiteInfluenceGame.from_arrays(n, m, *_checked_columns(n, m, parts, numbers),
+                                              k_L, k_F)
+
+
+def _header(tokens: list[str], line_no: int) -> tuple[int, int, int, int]:
+    if len(tokens) != 4:
+        raise InstanceFormatError(line_no, "header must be 'n m k_L k_F'")
+    try:
+        n, m, k_L, k_F = header = tuple(int(t) for t in tokens)
+    except ValueError:
+        raise InstanceFormatError(line_no, f"bad integer in header {tokens!r}") from None
+    if n < 0 or m < 0:
+        raise InstanceFormatError(line_no, "negative size in header")
+    if max(n, m) > np.iinfo(np.intp).max:
+        raise InstanceFormatError(line_no, "size too large in header")
+    if not (0 <= k_L <= n and 0 <= k_F <= n):
+        raise InstanceFormatError(line_no, "budget outside [0, n]")
+    return header
+
+
+def _edge_columns(rows: list[list[str]]) -> tuple[np.ndarray, ...] | None:
+    """The u, v, p and p_F columns of edge token rows, or None if a row is
+    not four numbers or an index does not fit in an intp."""
+    if not rows:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0)
+    try:
+        u, v, p, pf = zip(*rows, strict=True)
+        return (np.fromiter(map(int, u), np.intp, len(u)), np.fromiter(map(int, v), np.intp, len(v)),
+                np.fromiter(map(float, p), float, len(p)), np.fromiter(map(float, pf), float, len(pf)))
+    except (ValueError, OverflowError):
+        return None
+
+
+def _line_error(tokens: list[str]) -> str:
+    """Why an edge line that ``_edge_columns`` rejects is bad."""
+    if len(tokens) != 4:
+        return "edge line must be 'u v p pF'"
+    try:
+        u, v, _, _ = int(tokens[0]), int(tokens[1]), float(tokens[2]), float(tokens[3])
+    except ValueError:
+        return f"bad number in edge line {tokens!r}"
+    return f"edge index out of range ({u}, {v})"  # beyond intp, so beyond n or m
+
+
+def _checked_columns(n: int, m: int, parts: list[tuple[np.ndarray, ...]],
+                     numbers: list[Iterable[int]]) -> list[np.ndarray]:
+    """The edge columns of all ``parts`` joined, once no edge is out of
+    range, repeats an earlier edge or has a probability outside [0, 1].
+
+    Raises on the first bad edge in file order; that order also decides
+    between the checks one edge fails.
+    """
+    u, v, p, pf = columns = list(map(np.concatenate, zip(*parts)))
+    out_of_range = (u < 0) | (u >= n) | (v < 0) | (v >= m)
+    repeated = np.zeros(u.size, dtype=bool)
+    if not ((u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] > v[:-1]))).all():
+        order = np.lexsort((v, u))  # stable: a repeat sorts after the edge it repeats
+        su, sv = u[order], v[order]
+        repeated[order[1:][(su[1:] == su[:-1]) & (sv[1:] == sv[:-1])]] = True
+    bad_p = ~((0.0 <= p) & (p <= 1.0) & (0.0 <= pf) & (pf <= 1.0))  # NaN fails
+    if (i := _first(out_of_range | repeated | bad_p)) is None:
+        return columns
+    line_no = list(chain.from_iterable(numbers))[i]
+    if out_of_range[i]:
+        raise InstanceFormatError(line_no, f"edge index out of range ({u[i]}, {v[i]})")
+    if repeated[i]:
+        raise InstanceFormatError(line_no, f"duplicate edge ({u[i]}, {v[i]})")
+    raise InstanceFormatError(line_no, "probability out of range")
 
 
 def dump_instance(game: BipartiteInfluenceGame, stream: TextIO,

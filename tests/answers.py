@@ -8,7 +8,10 @@ p~U(0,0.2), k_F=2; seeds 0-9 x k_L in {1, 2, 4} x p_F~U(0.1,0.9) and
 U(0,0.2)).  On each it holds MWU at learning rates "auto", 30 and 300
 (the mix, and every field of the certificate), the greedy baseline's
 media and the ell=10 heuristic's mix, and for these two the follower's
-best response (chosen, responses and both values).  It also covers the
+best response (chosen, responses and both values).  Each paper cell is
+also written with ``dump_instance`` and read back with ``load_instance``,
+and the sha256 of each of the four edge columns is kept, so a change to
+the loader's output shows too.  It also covers the
 exact grid: ``solve_multi_lp`` and ``solve_disjoint_lp`` on four shapes
 (p~U(0,0.2), k_F=2, seeds 0-5 x both p_F ranges), with the value, the
 follower, the mix and every candidate's status and LP value, and the
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -81,9 +85,9 @@ def _equilibrium(res) -> dict:
 
 def answers() -> dict:
     """Every answer of the grid, keyed by engine and cell."""
-    from stackalloc import (MixedStrategy, MwuConfig, best_response, generate_instance,
-                            greedy_baseline, solve_disjoint_lp, solve_heuristic, solve_multi_lp,
-                            solve_mwu)
+    from stackalloc import (MixedStrategy, MwuConfig, best_response, dump_instance,
+                            generate_instance, greedy_baseline, load_instance, solve_disjoint_lp,
+                            solve_heuristic, solve_multi_lp, solve_mwu)
 
     out = {}
     for seed in SEEDS:
@@ -92,6 +96,12 @@ def answers() -> dict:
                 game = generate_instance(20, 844, 3506 / 844, (0.0, 0.2), pf, seed=seed,
                                          k_L=k_L, k_F=2)
                 cell = f"seed={seed} k_L={k_L} pf={pf[0]}-{pf[1]}"
+                text = io.StringIO()
+                dump_instance(game, text)
+                loaded = load_instance(io.StringIO(text.getvalue()))
+                out[f"loader {cell}"] = {
+                    name: hashlib.sha256(getattr(loaded, name).tobytes()).hexdigest()
+                    for name in ("edge_media", "edge_customers", "edge_p", "edge_pf")}
                 for rate in LEARNING_RATES:
                     x, cert = solve_mwu(game, MwuConfig(learning_rate=rate))
                     out[f"mwu {cell} rate={rate}"] = {

@@ -9,7 +9,7 @@ from stackalloc import (MixedStrategy, PureStrategy, best_response, cli, exact, 
 from stackalloc.cli import main
 from stackalloc.lp import LpNumericsError
 
-from conftest import make_no_pure_optimum, make_overfunding_trap
+from conftest import make_no_pure_optimum, make_overfunding_trap, make_private_customers
 from stackalloc.model import dump_instance
 
 
@@ -26,6 +26,14 @@ def overfunding_trap_path(tmp_path):
     path = tmp_path / "overfunding_trap.txt"
     with open(path, "w") as fh:
         dump_instance(make_overfunding_trap(), fh)
+    return str(path)
+
+
+@pytest.fixture
+def private_customers_path(tmp_path):
+    path = tmp_path / "private_customers.txt"
+    with open(path, "w") as fh:
+        dump_instance(make_private_customers(), fh)
     return str(path)
 
 
@@ -125,6 +133,33 @@ def test_solve_cap_error_exit_code(capsys, tmp_path):
                            "--algorithm", "exact")
     assert code == 3
     assert "cap" in err
+
+
+@pytest.mark.parametrize("algorithm,option", [("heuristic", "--ell"), ("mwu", "--iters")])
+def test_solve_reports_the_follower_cap_before_a_bad_option(capsys, tmp_path, algorithm, option):
+    # The oracle is built before any engine checks its options, so a game
+    # over the follower cap exits 3 even where the option alone exits 2.
+    path = tmp_path / "big.txt"
+    path.write_text("40 1 1 10\n")
+    code, out, err = run_cli(capsys, "solve", "--instance", str(path),
+                             "--algorithm", algorithm, option, "0")
+    assert code == 3
+    assert out == "" and "cap" in err
+    path.write_text("40 1 1 2\n")
+    code, _, err = run_cli(capsys, "solve", "--instance", str(path),
+                           "--algorithm", algorithm, option, "0")
+    assert code == 2
+    assert "must be >= 1" in err
+
+
+@pytest.mark.parametrize("algorithm", ["greedy", "mwu", "heuristic", "exact", "exact-disjoint"])
+def test_solve_times_load_oracle_and_solve_apart(capsys, private_customers_path, algorithm):
+    code, out, _ = run_cli(capsys, "solve", "--instance", private_customers_path,
+                           "--algorithm", algorithm)
+    assert code == 0
+    timings = json.loads(out)["timings"]
+    assert list(timings) == ["load_ms", "oracle_ms", "solve_ms"]
+    assert all(ms > 0 for ms in timings.values())
 
 
 @pytest.mark.parametrize("algorithm", ["greedy", "exact"])

@@ -8,9 +8,9 @@ import pytest
 
 from stackalloc import (CapExceededError, FollowerOracle, MixedStrategy, MwuConfig,
                         PureStrategy, best_response, certify, enumerate_follower,
-                        follower_oracle, generate_instance, greedy_weighted_submodular,
-                        mixed_activation_vector, solve_disjoint_lp, solve_heuristic,
-                        solve_multi_lp, solve_mwu)
+                        follower_oracle, generate_instance, greedy_baseline,
+                        greedy_weighted_submodular, mixed_activation_vector, solve_disjoint_lp,
+                        solve_heuristic, solve_multi_lp, solve_mwu)
 from stackalloc.model import BipartiteInfluenceGame
 
 import oracles
@@ -157,6 +157,22 @@ def test_every_engine_reads_the_cached_oracle(monkeypatch, no_pure_optimum, priv
     solve_multi_lp(game)
     solve_disjoint_lp(private_customers)
     assert len(built) == 2 and built[0] is game and built[1] is private_customers
+
+
+def test_only_mwu_reads_the_oracles_gain_and_c(private_customers):
+    # gain and C are computed on first read; the other engines never read them.
+    game = private_customers
+    oracle = follower_oracle(game)
+    greedy_baseline(game)
+    solve_heuristic(game, 3)
+    solve_multi_lp(game)
+    solve_disjoint_lp(game)
+    best_response(game, point([0]))
+    assert "gain" not in vars(oracle) and "C" not in vars(oracle)
+    solve_mwu(game, MwuConfig(iterations=5))
+    assert {"gain", "C"} <= vars(oracle).keys()
+    assert np.array_equal(oracle.gain, oracle.activation - oracle.recapture)
+    assert oracle.C == float(oracle.activation.sum(axis=1).max())
 
 
 @pytest.mark.parametrize("medium", [-1, 5])

@@ -142,12 +142,30 @@ def test_heuristic_matches_blended_reference(monkeypatch):
 def test_heuristic_scores_each_prefix_once(monkeypatch, no_pure_optimum):
     # With k_L = 1 every round's greedy starts from, and stops after, the
     # empty prefix: its n candidate rows are scored once, not once per
-    # round.  Add the initial mix and one round-end mix per round.
+    # round.  Add the initial mix; a round's end is never scored.
     oracle = follower_oracle(no_pure_optimum)
     ell = 10
     scored = count_scored_rows(monkeypatch, oracle)
     solve_heuristic(no_pure_optimum, ell)
-    assert scored[0] == no_pure_optimum.n + 1 + ell
+    assert scored[0] == no_pure_optimum.n + 1
+
+
+def test_heuristic_scores_only_prefix_rows_at_budget_two(monkeypatch):
+    # At k_L = 2 a round scores the empty prefix and, once it accepts a
+    # medium u, the prefix (u,): n and n - 1 candidate rows, each distinct
+    # prefix once per run.  Besides these only the initial mix is scored.
+    rng = np.random.default_rng(447)
+    for _ in range(10):
+        game = random_game(rng, n_max=6, m_max=8)
+        game = BipartiteInfluenceGame.from_arrays(
+            game.n, game.m, game.edge_media, game.edge_customers, game.edge_p, game.edge_pf,
+            min(2, game.n), game.k_F)
+        ell = int(rng.integers(1, 8))
+        with monkeypatch.context() as patch:
+            scored = count_scored_rows(patch, follower_oracle(game))
+            _, picks = _with_round_picks(patch, heuristic_mod, lambda: solve_heuristic(game, ell))
+        prefixes = {()} | {round_picks[:game.k_L - 1] for round_picks in picks}
+        assert scored[0] == 1 + sum(game.n - len(prefix) for prefix in prefixes)
 
 
 def test_heuristic_rejects_bad_ell(no_pure_optimum):

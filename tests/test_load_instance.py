@@ -189,3 +189,86 @@ def test_paper_shaped_round_trip_matches_reference():
     buf = io.StringIO()
     dump_instance(game, buf, comment="paper shape")
     assert assert_agrees(buf.getvalue())[0] == "game"
+
+
+def paper_lines():
+    """A paper-shaped file, one string per line: the header, then 3,376
+    edge lines, so its edges span seven chunks of the loader."""
+    game = generate_instance(20, 844, 3506 / 844, (0.0, 0.2), (0.1, 0.9), seed=3)
+    buf = io.StringIO()
+    dump_instance(game, buf)
+    return buf.getvalue().splitlines()
+
+
+def edited(lines, edits):
+    """``lines`` with the 1-based line numbers in ``edits`` replaced, joined as a file."""
+    lines = list(lines)
+    for line_no, text in edits.items():
+        lines[line_no - 1] = text
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("last,message", [
+    ("0 1 x 0.5", "bad number in edge line ['0', '1', 'x', '0.5']"),
+    ("{line2}", "duplicate edge ({u2}, {v2})"),
+    ("20 0 0.5 0.5", "edge index out of range (20, 0)"),
+    ("{u} {v} 1.5 0.5", "probability out of range"),
+], ids=["number", "duplicate", "range", "probability"])
+def test_paper_shaped_file_whose_last_line_is_bad(last, message):
+    lines = paper_lines()
+    u, v = lines[-1].split()[:2]
+    u2, v2 = lines[1].split()[:2]
+    fields = dict(line2=lines[1], u=u, v=v, u2=u2, v2=v2)
+    text = edited(lines, {len(lines): last.format(**fields)})
+    assert assert_agrees(text) == ("error", len(lines),
+                                   f"line {len(lines)}: {message.format(**fields)}")
+
+
+@pytest.mark.parametrize("edits,line_no,message", [
+    ({100: "0 0 1.5 0.5", 600: "0 1 x 0.5"}, 100, "probability out of range"),
+    ({100: "0 0 0.5", 600: "20 0 0.5 0.5"}, 100, "edge line must be 'u v p pF'"),
+    ({100: "99999999999999999999999 0 0.5 0.5", 3000: "0 0"}, 100,
+     "edge index out of range (99999999999999999999999, 0)"),
+    ({520: "{line3}", 1100: "0 1 x 0.5"}, 520, "duplicate edge ({u3}, {v3})"),
+    ({1100: "0 1 x 0.5", 3300: "{line3}"}, 1100, "bad number in edge line ['0', '1', 'x', '0.5']"),
+], ids=["probability-then-number", "tokens-then-range", "overflow-then-tokens",
+        "duplicate-then-number", "number-then-duplicate"])
+def test_bad_lines_in_two_chunks_the_earlier_wins(edits, line_no, message):
+    lines = paper_lines()
+    u3, v3 = lines[2].split()[:2]
+    fields = dict(line3=lines[2], u3=u3, v3=v3)
+    text = edited(lines, {k: e.format(**fields) for k, e in edits.items()})
+    assert assert_agrees(text) == ("error", line_no, f"line {line_no}: {message.format(**fields)}")
+
+
+@pytest.mark.parametrize("bad", [None, "0 1 x 0.5", "0 0 1.5 0.5"], ids=["good", "number", "probability"])
+def test_comments_and_blank_lines_across_chunks(bad):
+    # Every 97th line turned into a comment or a blank line: chunks that
+    # skip lines must still number the rest as the file does.
+    lines = paper_lines()
+    for i in range(5, len(lines), 97):
+        lines.insert(i, "# note" if i % 2 else "   ")
+    if bad is not None:
+        lines[2900] = bad
+    expected = assert_agrees("\n".join(lines) + "\n")
+    assert expected[0] == ("game" if bad is None else "error")
+    if bad is not None:
+        assert expected[1] == 2901
+
+
+@pytest.mark.parametrize("last", [None, "0 0 0.5", "20 0 0.5 0.5"], ids=["good", "tokens", "range"])
+def test_lines_without_trailing_newlines(last):
+    # A stream may be any iterable of lines, here a generator whose lines
+    # carry no newline.
+    lines = paper_lines()
+    if last is not None:
+        lines[-1] = last
+
+    def read(loader):
+        try:
+            return described(loader(line for line in lines))
+        except InstanceFormatError as err:
+            return "error", err.line_no, str(err)
+
+    assert read(load_instance) == read(oracles.load_instance)
+    assert read(load_instance) == outcome(load_instance, "\n".join(lines))
