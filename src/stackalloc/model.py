@@ -114,9 +114,9 @@ class MixedStrategy:
 class BipartiteInfluenceGame:
     """One valid game instance; immutable after construction.
 
-    Every constructor (``build``, ``from_arrays``, ``load_instance`` and
-    ``generate_instance``) ends in ``_keep``, which checks the instance
-    invariants, so every game satisfies them.  Edges live only in four
+    Every constructor (``build``, ``load_instance`` and
+    ``generate_instance``) ends in ``from_arrays``, which checks the
+    instance invariants, so every game satisfies them.  Edges live only in four
     aligned arrays sorted by (medium, customer); they are read-only
     because games are shared through the follower-oracle cache.
     ``edges`` is a tuple view of the (u, v) pairs, and ``p_table`` and
@@ -137,21 +137,8 @@ class BipartiteInfluenceGame:
     @classmethod
     def from_arrays(cls, n: int, m: int, edge_media, edge_customers, edge_p, edge_pf,
                     k_L: int, k_F: int) -> "BipartiteInfluenceGame":
-        """Construct from the four edge columns, in any edge order."""
-        game = cls.__new__(cls)
-        game._keep(n, m, k_L, k_F, [edge_media, edge_customers, edge_p, edge_pf])
-        return game
-
-    @classmethod
-    def build(cls, n: int, m: int, edge_rows: Iterable[tuple[int, int, float, float]],
-              k_L: int, k_F: int) -> "BipartiteInfluenceGame":
-        """Construct from ``(u, v, p, p_F)`` rows."""
-        return cls.from_arrays(n, m, *(tuple(zip(*edge_rows)) or ((),) * 4), k_L, k_F)
-
-    def _keep(self, n, m, k_L, k_F, given: list) -> None:
-        """Check every instance invariant, then keep fresh copies of the
-        edge columns ``given`` (u, v, p, p_F) in (u, v) order; columns
-        already in that order are copied, not sorted.
+        """Construct from the four edge columns, in any edge order; the game
+        keeps fresh copies of them in (u, v) order.
 
         Raises ValueError on the first violation: columns that are not 1-D
         or not of one length, sizes and budgets that are not integers, index
@@ -160,8 +147,9 @@ class BipartiteInfluenceGame:
         read as an integer, sizes, budgets, then edges in (u, v) order for
         index range and duplicates, then for p and p_F.
         """
-        columns = [np.asarray(given[0]), np.asarray(given[1]),
-                   np.asarray(given[2], dtype=float), np.asarray(given[3], dtype=float)]
+        given = (edge_media, edge_customers)
+        columns = [*map(np.asarray, given), np.asarray(edge_p, dtype=float),
+                   np.asarray(edge_pf, dtype=float)]
         if any(column.ndim != 1 for column in columns) or len({c.size for c in columns}) > 1:
             raise ValueError("edge columns must be 1-D and of equal length, got shapes "
                              + ", ".join(str(column.shape) for column in columns))
@@ -173,7 +161,6 @@ class BipartiteInfluenceGame:
                 raise ValueError(f"edge {name} must be integers, got dtype {column.dtype}")
             if isinstance(entries, (list, tuple)) and not _BOOLS.isdisjoint(map(type, entries)):
                 raise ValueError(f"edge {name} must be integers, got a bool entry")
-        columns[:2] = (column.astype(np.intp, copy=False) for column in columns[:2])
         n, m, k_L, k_F = sizes = tuple(int(value) for value in (n, m, k_L, k_F))
         if n < 0 or m < 0:
             raise ValueError("negative media or customer count")
@@ -182,27 +169,30 @@ class BipartiteInfluenceGame:
                 raise ValueError(f"{who} budget exceeds media count ({name}={k}, n={n})")
             if k < 0:
                 raise ValueError(f"negative {who} budget {name}={k}")
-        u, v = columns[:2]
-        if ((u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] >= v[:-1]))).all():
-            columns = [column.copy() for column in columns]
-        else:
-            order = np.lexsort((v, u))
-            columns = [column[order] for column in columns]
-        u, v, p, pf = columns
-        out_of_range = (u < 0) | (u >= n) | (v < 0) | (v >= m)
-        repeated = np.r_[False, (u[1:] == u[:-1]) & (v[1:] == v[:-1])]
-        if (i := _first(out_of_range | repeated)) is not None:
-            kind = "edge index out of range" if out_of_range[i] else "duplicate edge"
-            raise ValueError(f"{kind} ({u[i]}, {v[i]})")
-        p_ok, pf_ok = ((0.0 <= q) & (q <= 1.0) for q in (p, pf))  # NaN fails
-        if (i := _first(~(p_ok & pf_ok))) is not None:
-            name, q = ("p", p) if not p_ok[i] else ("p_F", pf)
+        u, v = (column.astype(np.intp, copy=False) for column in columns[:2])
+        order, out_of_range, repeated, bad_p = _edge_faults(n, m, u, v, *columns[2:])
+        order = slice(None) if order is None else order  # indexes the edges in (u, v) order
+        if (i := _first((out_of_range | repeated)[order])) is not None:
+            kind = "edge index out of range" if out_of_range[order][i] else "duplicate edge"
+            # Named as given: a uint64 index beyond intp has wrapped negative in u or v.
+            raise ValueError(f"{kind} ({columns[0][order][i]}, {columns[1][order][i]})")
+        u, v, p, pf = columns = [column[order].copy() for column in (u, v, *columns[2:])]
+        if (i := _first(bad_p[order])) is not None:
+            name, q = ("p", p) if not _in_unit(p[i]) else ("p_F", pf)
             raise ValueError(f"probability out of range: {name}({u[i]}, {v[i]}) = {float(q[i])}")
+        game = cls.__new__(cls)
         for name, value in zip(names, sizes):
-            object.__setattr__(self, name, value)
+            object.__setattr__(game, name, value)
         for name, column in zip(("edge_media", "edge_customers", "edge_p", "edge_pf"), columns):
             column.flags.writeable = False
-            object.__setattr__(self, name, column)
+            object.__setattr__(game, name, column)
+        return game
+
+    @classmethod
+    def build(cls, n: int, m: int, edge_rows: Iterable[tuple[int, int, float, float]],
+              k_L: int, k_F: int) -> "BipartiteInfluenceGame":
+        """Construct from ``(u, v, p, p_F)`` rows."""
+        return cls.from_arrays(n, m, *(tuple(zip(*edge_rows)) or ((),) * 4), k_L, k_F)
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
@@ -228,6 +218,23 @@ class BipartiteInfluenceGame:
 def _first(mask: np.ndarray) -> int | None:
     """Index of the first True entry, or None."""
     return next(iter(np.flatnonzero(mask).tolist()), None)
+
+
+def _edge_faults(n: int, m: int, u, v, p, pf) -> tuple[np.ndarray | None, ...]:
+    """The order that sorts the edges by (u, v), or None if they are strictly
+    sorted already, and per edge, in the given order, three flags: out of
+    range, repeat of an earlier edge, and p or p_F outside [0, 1]."""
+    order, repeated = None, np.zeros(u.size, dtype=bool)
+    if not ((u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] > v[:-1]))).all():
+        order = np.lexsort((v, u))  # stable: a repeat sorts after the edge it repeats
+        su, sv = u[order], v[order]
+        repeated[order[1:][(su[1:] == su[:-1]) & (sv[1:] == sv[:-1])]] = True
+    out_of_range = (u < 0) | (u >= n) | (v < 0) | (v >= m)
+    return order, out_of_range, repeated, ~(_in_unit(p) & _in_unit(pf))
+
+
+def _in_unit(q):
+    return (0.0 <= q) & (q <= 1.0)  # NaN is not in [0, 1]
 
 
 def is_disjoint(game: BipartiteInfluenceGame) -> bool:
@@ -274,9 +281,10 @@ def load_instance(stream: TextIO | Iterable[str]) -> BipartiteInfluenceGame:
     first bad line, with that line's first failing check in the order:
     token count, number, index range, duplicate edge, probability range.
 
-    Edge lines are read in chunks of ``_CHUNK_LINES`` and converted a
-    column at a time; the checks run on the resulting arrays, and only a
-    chunk that fails to convert is searched line by line.
+    Edge lines are read in chunks of ``_CHUNK_LINES``, converted a column
+    at a time and joined for ``from_arrays``.  Only a chunk that fails to
+    convert is searched line by line, and the edges are checked in file
+    order only to name a bad line.
     """
     lines = iter(stream)
     line_no, header = 0, None
@@ -303,12 +311,15 @@ def load_instance(stream: TextIO | Iterable[str]) -> BipartiteInfluenceGame:
             bad = next(i for i, row in enumerate(rows) if _edge_columns([row]) is None)
             parts.append(_edge_columns(rows[:bad]))
             numbers.append(lines_here[:bad])
-            _checked_columns(n, m, parts, numbers)  # an earlier bad edge wins
-            raise InstanceFormatError(lines_here[bad], _line_error(rows[bad]))
+            raise (_bad_edge(n, m, parts, numbers)  # an earlier bad edge wins
+                   or InstanceFormatError(lines_here[bad], _line_error(rows[bad])))
         parts.append(columns)
         numbers.append(lines_here)
-    return BipartiteInfluenceGame.from_arrays(n, m, *_checked_columns(n, m, parts, numbers),
-                                              k_L, k_F)
+    try:
+        return BipartiteInfluenceGame.from_arrays(n, m, *map(np.concatenate, zip(*parts)),
+                                                  k_L, k_F)
+    except ValueError as error:
+        raise _bad_edge(n, m, parts, numbers) or error from None
 
 
 def _header(tokens: list[str], line_no: int) -> tuple[int, int, int, int]:
@@ -351,30 +362,19 @@ def _line_error(tokens: list[str]) -> str:
     return f"edge index out of range ({u}, {v})"  # beyond intp, so beyond n or m
 
 
-def _checked_columns(n: int, m: int, parts: list[tuple[np.ndarray, ...]],
-                     numbers: list[Iterable[int]]) -> list[np.ndarray]:
-    """The edge columns of all ``parts`` joined, once no edge is out of
-    range, repeats an earlier edge or has a probability outside [0, 1].
-
-    Raises on the first bad edge in file order; that order also decides
-    between the checks one edge fails.
-    """
-    u, v, p, pf = columns = list(map(np.concatenate, zip(*parts)))
-    out_of_range = (u < 0) | (u >= n) | (v < 0) | (v >= m)
-    repeated = np.zeros(u.size, dtype=bool)
-    if not ((u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] > v[:-1]))).all():
-        order = np.lexsort((v, u))  # stable: a repeat sorts after the edge it repeats
-        su, sv = u[order], v[order]
-        repeated[order[1:][(su[1:] == su[:-1]) & (sv[1:] == sv[:-1])]] = True
-    bad_p = ~((0.0 <= p) & (p <= 1.0) & (0.0 <= pf) & (pf <= 1.0))  # NaN fails
+def _bad_edge(n: int, m: int, parts: list[tuple[np.ndarray, ...]],
+              numbers: list[Iterable[int]]) -> InstanceFormatError | None:
+    """The error naming the line of the first bad edge in file order, or
+    None; within one edge, range goes before repeat before probability."""
+    u, v, p, pf = map(np.concatenate, zip(*parts))
+    _, out_of_range, repeated, bad_p = _edge_faults(n, m, u, v, p, pf)
     if (i := _first(out_of_range | repeated | bad_p)) is None:
-        return columns
+        return None
     line_no = list(chain.from_iterable(numbers))[i]
-    if out_of_range[i]:
-        raise InstanceFormatError(line_no, f"edge index out of range ({u[i]}, {v[i]})")
-    if repeated[i]:
-        raise InstanceFormatError(line_no, f"duplicate edge ({u[i]}, {v[i]})")
-    raise InstanceFormatError(line_no, "probability out of range")
+    if out_of_range[i] or repeated[i]:
+        kind = "edge index out of range" if out_of_range[i] else "duplicate edge"
+        return InstanceFormatError(line_no, f"{kind} ({u[i]}, {v[i]})")
+    return InstanceFormatError(line_no, "probability out of range")
 
 
 def dump_instance(game: BipartiteInfluenceGame, stream: TextIO,

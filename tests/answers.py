@@ -41,11 +41,6 @@ import tarfile
 import tempfile
 from pathlib import Path
 
-# Set before numpy loads (stackalloc is imported in ``answers``); the
-# dumps that ``--against`` starts inherit it.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = range(10)
 K_LS = (1, 2, 4)
@@ -83,8 +78,14 @@ def _equilibrium(res) -> dict:
                                    for y, (status, value) in res.per_y_values.items())}
 
 
-def answers() -> dict:
-    """Every answer of the grid, keyed by engine and cell."""
+def answers(engine_seeds=SEEDS, exact_seeds=EXACT_SEEDS, paper_exact=PAPER_EXACT) -> dict:
+    """Every answer of the grid, keyed by engine and cell.
+
+    The loader entries cover every paper cell; the engines run on the
+    paper cells of ``engine_seeds``, on the exact grid's ``exact_seeds``
+    and on the ``paper_exact`` cells, so a smaller grid is a subset of
+    the full dump's entries.
+    """
     from stackalloc import (MixedStrategy, MwuConfig, best_response, dump_instance,
                             generate_instance, greedy_baseline, load_instance, solve_disjoint_lp,
                             solve_heuristic, solve_multi_lp, solve_mwu)
@@ -102,6 +103,8 @@ def answers() -> dict:
                 out[f"loader {cell}"] = {
                     name: hashlib.sha256(getattr(loaded, name).tobytes()).hexdigest()
                     for name in ("edge_media", "edge_customers", "edge_p", "edge_pf")}
+                if seed not in engine_seeds:
+                    continue
                 for rate in LEARNING_RATES:
                     x, cert = solve_mwu(game, MwuConfig(learning_rate=rate))
                     out[f"mwu {cell} rate={rate}"] = {
@@ -119,13 +122,13 @@ def answers() -> dict:
                                             "response": _response(best_response(game, x))}
     solvers = {"multi": solve_multi_lp, "disjoint": solve_disjoint_lp}
     for engine, n, m, degree, k_L in EXACT_SHAPES:
-        for seed in EXACT_SEEDS:
+        for seed in exact_seeds:
             for pf in PF_RANGES:
                 game = generate_instance(n, m, degree, (0.0, 0.2), pf, seed=seed,
                                          k_L=k_L, k_F=2)
                 cell = f"n={n} m={m} k_L={k_L} seed={seed} pf={pf[0]}-{pf[1]}"
                 out[f"exact-{engine} {cell}"] = _equilibrium(solvers[engine](game))
-    for k_L, pf in PAPER_EXACT:
+    for k_L, pf in paper_exact:
         game = generate_instance(20, 844, 3506 / 844, (0.0, 0.2), pf, seed=0, k_L=k_L, k_F=2)
         out[f"exact-multi paper k_L={k_L} pf={pf[0]}-{pf[1]}"] = _equilibrium(solve_multi_lp(game))
     return out
@@ -159,6 +162,10 @@ def main(argv=None) -> int:
     parser.add_argument("--against", metavar="REV",
                         help="diff against the dump of git revision REV")
     args = parser.parse_args(argv)
+    # Set before numpy loads (stackalloc is imported in ``answers``); the
+    # dumps that ``--against`` starts inherit it.
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
     if args.against:
         return against(args.against)
     json.dump(answers(), sys.stdout, indent=1, sort_keys=True)

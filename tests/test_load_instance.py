@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stackalloc import (BipartiteInfluenceGame, InstanceFormatError, dump_instance,
-                        generate_instance, load_instance)
+                        generate_instance, load_instance, model)
 
 import oracles
 from conftest import random_game
@@ -272,3 +272,53 @@ def test_lines_without_trailing_newlines(last):
 
     assert read(load_instance) == read(oracles.load_instance)
     assert read(load_instance) == outcome(load_instance, "\n".join(lines))
+
+
+def counted_checks(monkeypatch):
+    """From now on, record each call of the edge checker and of ``np.lexsort``."""
+    calls = {"check": 0, "lexsort": 0}
+    check, lexsort = model._edge_faults, np.lexsort
+
+    def counting_check(*args):
+        calls["check"] += 1
+        return check(*args)
+
+    def counting_lexsort(keys):
+        calls["lexsort"] += 1
+        return lexsort(keys)
+
+    monkeypatch.setattr(model, "_edge_faults", counting_check)
+    monkeypatch.setattr(np, "lexsort", counting_lexsort)
+    return calls
+
+
+def test_a_good_load_checks_its_edges_once(monkeypatch):
+    text = "\n".join(paper_lines()) + "\n"
+    calls = counted_checks(monkeypatch)
+    game = load_instance(io.StringIO(text))
+    # The file is in (u, v) order, so nothing is sorted either.
+    assert calls == {"check": 1, "lexsort": 0}
+    monkeypatch.undo()
+    assert described(game) == outcome(oracles.load_instance, text)
+
+
+# A bad edge costs the game's check and one in file order to name its
+# line; a bad number costs only the second, on the edges before it.
+@pytest.mark.parametrize("third,message,checks", [
+    ("{line2}", "duplicate edge ({u2}, {v2})", 2),
+    ("20 0 0.5 0.5", "edge index out of range (20, 0)", 2),
+    ("{u4} {v4} 0.5 -0.5", "probability out of range", 2),
+    ("0 1 x 0.5", "bad number in edge line ['0', '1', 'x', '0.5']", 1),
+], ids=["duplicate", "range", "probability", "number"])
+def test_a_bad_third_edge_line_is_named(monkeypatch, third, message, checks):
+    lines = paper_lines()
+    (u2, v2), (u4, v4) = lines[1].split()[:2], lines[3].split()[:2]
+    fields = dict(line2=lines[1], u2=u2, v2=v2, u4=u4, v4=v4)
+    text = edited(lines, {4: third.format(**fields)})
+    calls = counted_checks(monkeypatch)
+    with pytest.raises(InstanceFormatError) as raised:
+        load_instance(io.StringIO(text))
+    assert (raised.value.line_no, str(raised.value)) == (4, f"line 4: {message.format(**fields)}")
+    assert calls["check"] == checks
+    monkeypatch.undo()
+    assert_agrees(text)

@@ -88,6 +88,17 @@ def test_validate_duplicate_edge_and_bad_index():
      "edge media must be integers, got a bool entry"),
     (2, 2, [(0, np.True_, .5, .5), (1, 0, .5, .5)], 1, 1,
      "edge customers must be integers, got a bool entry"),
+    # numpy reads these as uint64, which wraps negative as an intp; the
+    # message names the index as given.
+    (2, 2, [(2**64 - 1, 0, .5, .5)], 1, 1, "edge index out of range (18446744073709551615, 0)"),
+    (2, 2, [(2**63, 1, .5, .5)], 1, 1, "edge index out of range (9223372036854775808, 1)"),
+    (2, 2, [(0, 2**64 - 1, .5, .5)], 1, 1, "edge index out of range (0, 18446744073709551615)"),
+    # Edges are reported in (u, v) order, not in input order.
+    (3, 2, [(2, 5, .5, .5), (0, 7, .5, .5)], 1, 1, "edge index out of range (0, 7)"),
+    (3, 3, [(2, 1, .5, .5), (2, 1, .5, .5), (0, 2, .5, .5), (0, 2, .5, .5)], 1, 1,
+     "duplicate edge (0, 2)"),
+    (3, 2, [(2, 0, 1.5, .5), (0, 1, .5, -1.0)], 1, 1,
+     "probability out of range: p_F(0, 1) = -1.0"),
 ])
 def test_validate_messages(n, m, rows, k_L, k_F, message):
     assert_rejected(message, n, m, rows, k_L, k_F)

@@ -1,4 +1,5 @@
 import inspect
+from pathlib import Path
 
 import stackalloc
 
@@ -13,6 +14,9 @@ PUBLIC_NAMES = [
     "run_experiment", "solve_disjoint_lp", "solve_heuristic", "solve_lp", "solve_multi_lp",
     "solve_mwu",
 ]
+
+# Lines of ``src/stackalloc/*.py``, counted as ``wc -l`` counts them.
+SOURCE_LINES = 2215
 
 # Parameter names of every exported function and of the oracle's constructor.
 PARAMETERS = {
@@ -60,3 +64,9 @@ def test_public_parameters_are_pinned():
     for name, function in functions.items():
         assert " ".join(inspect.signature(function).parameters) == PARAMETERS[name], name
     assert sum(len(names.split()) for names in PARAMETERS.values()) == 45
+
+
+def test_source_lines_are_capped():
+    # Adding lines is a deliberate change to this ceiling.
+    sources = Path(stackalloc.__file__).parent.glob("*.py")
+    assert sum(path.read_bytes().count(b"\n") for path in sources) <= SOURCE_LINES
