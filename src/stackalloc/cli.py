@@ -15,27 +15,15 @@ import json
 import sys
 import time
 
-from . import bench, follower, mwu
+from . import bench, follower
 from .lp import LpNumericsError, PivotLimitError
-from .model import (BipartiteInfluenceGame, CapExceededError, MixedStrategy, allocation_of,
-                    dump_instance, generate_instance, load_instance)
+from .model import (BipartiteInfluenceGame, CapExceededError, allocation_of, dump_instance,
+                    generate_instance, load_instance)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_CAP = 3
 EXIT_NUMERICS = 4
-
-
-def _strategy_json(game: BipartiteInfluenceGame, x: MixedStrategy) -> dict:
-    return {
-        "support": [{"media": list(s.media), "prob": w} for s, w in x],
-        "allocation": [float(v) for v in allocation_of(x, game.n)],
-    }
-
-
-def _cert_json(cert: mwu.ApproxCertificate) -> dict:
-    return {"epsilon1": cert.epsilon1, "C": cert.C, "alpha": cert.alpha,
-            "empirical_regret": cert.empirical_regret}
 
 
 def _load(path: str) -> BipartiteInfluenceGame:
@@ -60,7 +48,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "algorithm": args.algorithm,
         "instance": args.instance,
         "n": game.n, "m": game.m, "k_L": game.k_L, "k_F": game.k_F,
-        "leader": _strategy_json(game, x),
+        "leader": {"support": [{"media": list(s.media), "prob": w} for s, w in x],
+                   "allocation": [float(v) for v in allocation_of(x, game.n)]},
         "follower_best_response": list(br.chosen.media),
         "value": br.leader_value,
         "follower_value": br.follower_value,
@@ -68,7 +57,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
                     "solve_ms": (solved - built) * 1e3},
     }
     if certificate is not None:
-        report["certificate"] = _cert_json(certificate)
+        report["certificate"] = {"epsilon1": certificate.epsilon1, "C": certificate.C,
+                                 "alpha": certificate.alpha,
+                                 "empirical_regret": certificate.empirical_regret}
     json.dump(report, sys.stdout, indent=2)
     sys.stdout.write("\n")
     return EXIT_OK

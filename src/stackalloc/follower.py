@@ -54,21 +54,30 @@ class FollowerOracle:
     for each enumerated y, so utilities against any leader activation
     vector reduce to matrix-vector products (``payoff.utilities``).
     Built once per instance (by prefix products, see
-    ``payoff.activation_rows``) and shared by every solver through
-    ``follower_oracle``.  Only MWU reads ``gain`` and ``C``, so they are
+    ``payoff.activation_rows``) into the two slabs of one array and
+    shared by every solver through ``follower_oracle``, so every table
+    is read-only.  Only MWU reads ``gain`` and ``C``, so they are
     computed on first read.
     """
 
     def __init__(self, game: BipartiteInfluenceGame):
         self.strategies = enumerate_follower(game)
-        self.activation = payoff.activation_rows(game, self.strategies)
-        self.recapture = payoff.activation_rows(game, self.strategies, game.pf_table)
+        # One block, not two: glibc sets its trim threshold to twice the largest mmap
+        # block freed (mallopt(3)), so one block of both tables keeps a game's freed
+        # tables on the heap for the next game instead of trimming and refaulting them.
+        tables = np.empty((2, len(self.strategies), game.m))
+        for out, table in zip(tables, (game.p_table, game.pf_table)):
+            payoff.activation_rows(game, self.strategies, table, out)
+        tables.flags.writeable = False
+        self.activation, self.recapture = tables
 
     @cached_property
     def gain(self) -> np.ndarray:
         """P_v(y) - P_{F,v}(y), the per-customer coefficient of the MWU
         greedy's objective."""
-        return self.activation - self.recapture
+        gain = self.activation - self.recapture
+        gain.flags.writeable = False
+        return gain
 
     @cached_property
     def C(self) -> float:
@@ -104,6 +113,8 @@ class FollowerOracle:
 
     def best_response(self, pvx: np.ndarray) -> BestResponseResult:
         f, g = self.utilities(pvx)
+        if len(f) != 1:
+            raise ValueError(f"best_response takes one activation vector, not {len(f)} rows")
         f, g = f[0], g[0]
         gmax = float(g.max())
         tied = np.nonzero(g >= gmax - TIE_TOL)[0]

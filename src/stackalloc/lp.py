@@ -31,8 +31,6 @@ FEAS_TOL = 1e-7
 MAX_PIVOTS = 10 ** 6
 STALL_LIMIT = 100  # degenerate pivots before switching to Bland's rule
 
-LESS, EQUAL, GREATER = "<=", "=", ">="
-
 
 class PivotLimitError(RuntimeError):
     """The pivot cap was exceeded; no answer is returned."""
@@ -42,7 +40,7 @@ class LpNumericsError(RuntimeError):
     """An answer failed an independent numerical re-check."""
 
 
-_SENSE = {LESS: 1, EQUAL: 0, GREATER: -1}
+_SENSE = {"<=": 1, "=": 0, ">=": -1}
 _RELATION = {sense: rel for rel, sense in _SENSE.items()}
 
 

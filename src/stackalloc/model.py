@@ -68,9 +68,6 @@ class PureStrategy:
     def __len__(self) -> int:
         return len(self.media)
 
-    def __contains__(self, u: int) -> bool:
-        return u in self.media
-
     def __iter__(self) -> Iterator[int]:
         return iter(self.media)
 

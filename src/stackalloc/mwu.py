@@ -289,6 +289,7 @@ def certify(game: BipartiteInfluenceGame, x_prime: MixedStrategy,
     optimistic best response to x'; ``value`` is f(x', y'), the leader's
     value f_BR.  With an exact optimum supplied, also check
     f(x', y') >= (1 - 1/e - eps) OPT - beta and record it."""
+    MwuConfig(epsilon=epsilon)  # rejects an epsilon outside (0, 1) as a config does
     oracle = follower_oracle(game)
     pvx = payoff.mixed_activation_vector(game, x_prime)
     br = oracle.best_response(pvx)

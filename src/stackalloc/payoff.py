@@ -40,20 +40,22 @@ from .model import BipartiteInfluenceGame, MixedStrategy, PureStrategy
 
 
 def activation_rows(game: BipartiteInfluenceGame, strategies: list[PureStrategy],
-                    table: np.ndarray | None = None) -> np.ndarray:
+                    table: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """Rows 1 - prod_{u in y} (1 - table[u]), one per strategy y.
 
     ``strategies`` must list every y[:-1] before y, as the lexicographic
     enumerations of ``iter_subsets`` do.  With the default
     ``game.p_table`` the rows are P_v(y); with ``game.pf_table`` they are
     P_{F,v}(y).  Equal, bit for bit, to stacking ``activation_vector``.
+    Fills and returns ``out``, of shape (|strategies|, m), if given.
     """
-    survival = np.ones((len(strategies), game.m))
+    survival = np.empty((len(strategies), game.m)) if out is None else out
     factors = 1.0 - (game.p_table if table is None else table)
     row_of: dict[tuple[int, ...], int] = {}
     for i, y in enumerate(strategies):
         row_of[y.media] = i
         if not y.media:
+            survival[i] = 1.0
             continue
         parent = row_of.get(y.media[:-1])
         if parent is None:

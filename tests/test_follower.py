@@ -12,6 +12,7 @@ from stackalloc import (CapExceededError, FollowerOracle, MixedStrategy, MwuConf
                         greedy_weighted_submodular, mixed_activation_vector, solve_disjoint_lp,
                         solve_heuristic, solve_multi_lp, solve_mwu)
 from stackalloc.model import BipartiteInfluenceGame
+from stackalloc.payoff import activation_rows
 
 import oracles
 from conftest import count_scored_rows, random_game
@@ -182,6 +183,46 @@ def test_best_response_rejects_a_medium_out_of_range(medium):
     with pytest.raises(ValueError, match=rf"^medium {medium} is out of range for a game "
                                          r"of n=5 media$"):
         best_response(game, point([medium]))
+
+
+def test_oracle_tables_are_two_slabs_of_one_read_only_block():
+    game = generate_instance(6, 40, 3.0, (0, 0.4), (0.1, 0.9), seed=3, k_F=2)
+    oracle = follower_oracle(game)
+    block = oracle.activation.base
+    assert block is oracle.recapture.base and block.shape == (2, len(oracle), game.m)
+    assert np.shares_memory(block, oracle.activation) and np.shares_memory(block, oracle.recapture)
+    expected = (activation_rows(game, oracle.strategies),
+                activation_rows(game, oracle.strategies, game.pf_table))
+    for table, rows in zip((oracle.activation, oracle.recapture), expected):
+        assert table.flags.c_contiguous and not table.flags.writeable
+        assert np.array_equal(table, rows)
+    with pytest.raises(ValueError, match="before its prefix"):
+        activation_rows(game, oracle.strategies[::-1], out=np.empty_like(expected[0]))
+
+
+def test_oracle_tables_reject_in_place_writes():
+    # A write used to succeed and corrupt every later best response on the
+    # game: the oracle is shared through the per-game cache.
+    game = generate_instance(6, 40, 3.0, (0, 0.4), (0.1, 0.9), seed=3, k_F=2)
+    oracle = follower_oracle(game)
+    before = best_response(game, point([0])).follower_value
+    for table in (oracle.activation, oracle.recapture, oracle.gain):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            table += 1.0
+    assert best_response(game, point([0])).follower_value == before
+
+
+def test_oracle_best_response_takes_one_activation_row(no_pure_optimum):
+    oracle = follower_oracle(no_pure_optimum)
+    pvx = mixed_activation_vector(no_pure_optimum, point([0]))
+    assert oracle.best_response(pvx[None, :]) == oracle.best_response(pvx)
+    for rows in (np.stack([pvx, np.zeros_like(pvx)]), np.empty((0, pvx.size))):
+        with pytest.raises(ValueError, match=rf"^best_response takes one activation vector, "
+                                             rf"not {len(rows)} rows$"):
+            oracle.best_response(rows)
 
 
 def test_oracle_cache_frees_solved_games():

@@ -396,6 +396,7 @@ def test_pure_strategy_ordering_is_lexicographic():
     a, b, c = PureStrategy.of([0]), PureStrategy.of([0, 1]), PureStrategy.of([1])
     assert a < b < c
     assert PureStrategy.empty() < a
+    assert 1 in b and 2 not in b and 0 not in PureStrategy.empty()
 
 
 def test_subset_enumeration_order_and_count():

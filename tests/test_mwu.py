@@ -331,6 +331,15 @@ def test_certify_zero_follower_budget_collapses_translation_terms():
     assert cert.beta == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("epsilon", [0.0, 1.0, 2.0, -0.5, math.nan])
+def test_certify_rejects_an_epsilon_outside_the_unit_interval(no_pure_optimum, epsilon):
+    # NaN gave alpha = nan and a silent bound_holds=False; 2.0 gave alpha = -1.37.
+    res = solve_multi_lp(no_pure_optimum)
+    for exact in (None, (res.leader, res.follower)):
+        with pytest.raises(ValueError, match=r"^epsilon must lie in \(0, 1\)$"):
+            certify(no_pure_optimum, res.leader, exact=exact, epsilon=epsilon)
+
+
 def test_mwu_config_validation():
     with pytest.raises(ValueError):
         MwuConfig(iterations=0)
