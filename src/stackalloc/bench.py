@@ -27,7 +27,7 @@ import numpy as np
 from . import exact, follower, heuristic, mwu
 from .lp import LpNumericsError, PivotLimitError
 from .model import (BipartiteInfluenceGame, CapExceededError, MixedStrategy, generate_instance,
-                    require_integer)
+                    require_generator_ranges, require_integer)
 
 CSV_HEADER = "dist,kL,kF,algorithm,mean,std,mean_ms,trials"
 
@@ -90,6 +90,7 @@ class ExperimentSpec:
     def __post_init__(self):
         for name in ("n", "m", "trials", "base_seed", "heuristic_ell"):
             require_integer(name, getattr(self, name))
+        require_generator_ranges(self.n, self.mean_degree, self.p_dist, self.pf_dist)
         for pair in self.budgets:
             for k in pair:
                 require_integer("budget entry", k)

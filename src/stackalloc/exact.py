@@ -1,32 +1,39 @@
-"""Exact strong-equilibrium solvers.
+"""Exact strong-equilibrium solvers: one LP per candidate follower response.
 
-Two routes to the same object:
+With f(x, y) = F[:, y] . x and g(x, y) = G0[y] + St[y] . x linear in the
+leader's variables x, the LP for candidate y* keeps y* a (weak) best
+response while maximizing the leader's utility:
 
-* ``solve_multi_lp`` works on any instance.  For each candidate follower
-  response y* it solves an LP over the leader's pure-strategy simplex
-  that maximizes f(., y*) while keeping y* a (weak) best response, then
-  keeps the best feasible candidate.
+    maximize F[:, y*] . x  subject to
+    (St[y*] - St[y]) . x >= G0[y] - G0[y*] for every follower y,
+
+plus the rows of the leader's domain.  The best feasible candidate wins.
+The two solvers differ only in the domain and in decoding the optimal x:
+
+* ``solve_multi_lp`` works on any instance (the multiple-LP method of
+  Conitzer & Sandholm, EC 2006): x mixes the leader's pure strategies
+  over the simplex {x >= 0, sum x = 1}, and G0 = 0.
 
 * ``solve_disjoint_lp`` applies when every customer has at most one
   adjacent medium.  Utilities then depend on a mixed strategy only
   through its fractional allocation r (r_u = funding probability of u),
-  so the per-candidate LP shrinks to n variables over the polytope
-  Q = {0 <= r <= 1, sum r <= k_L}, and systematic sampling recovers a
-  mixed strategy with support at most n+1 from the optimal r.
+  so x = r has n variables over Q = {0 <= r <= 1, sum r <= k_L},
+  G0 = g({}, .), and systematic sampling recovers a mixed strategy with
+  support at most n+1 from the optimal r.
 
 Most candidates cannot be induced, and most of those are decided before
-any LP is built.  y* is not inducible when some row of its LP cannot hold
-anywhere in the leader's domain, and for these rows the largest value
-over the domain has a closed form: over the simplex, the largest entry
-of g(., y*) - g(., y'); over Q, the sum of the k_L largest positive
-coefficients.  A candidate with a row whose largest value falls short of
-its rhs by more than the LP's feasibility tolerance ``FEAS_TOL`` (scaled
-by max(1, |rhs|), as in ``lp``'s feasibility check) is recorded as
-infeasible without solving.  In exact arithmetic its phase 1 would end
-with a residual above ``FEAS_TOL``, which is how ``solve_lp`` reports
-infeasibility, and no point it could return would pass its feasibility
-check.  Rows that only tie (largest value exactly at the rhs) still go
-to the LP.
+any LP is built, by one screen for both domains.  y* is not inducible
+when some incentive row cannot hold anywhere in the domain, and each
+domain gives the largest value of a row over it, its reach, in closed
+form: over the simplex, the row's largest entry; over Q, the sum of its
+k_L largest positive coefficients.  A candidate with a row whose reach
+falls short of its rhs by more than the LP's feasibility tolerance
+``FEAS_TOL`` (scaled by max(1, |rhs|), as in ``lp``'s feasibility check)
+is recorded as infeasible without solving.  In exact arithmetic its
+phase 1 would end with a residual above ``FEAS_TOL``, which is how
+``solve_lp`` reports infeasibility, and no point it could return would
+pass its feasibility check.  Rows that only tie (reach exactly at the
+rhs) still go to the LP.
 
 The screen runs in two passes.  The first tests every candidate at once
 against the rows of B, the follower's pure best responses to the
@@ -104,31 +111,38 @@ def _finish(game: BipartiteInfluenceGame, x: MixedStrategy, yi: int,
     return EquilibriumResult(leader=x, follower=y_star, value=value, per_y_values=per_y)
 
 
-def _best_candidate(oracle: follower_mod.FollowerOracle, G: np.ndarray, row_fails,
-                    candidate_lp):
-    """Screen and solve each candidate; return the audit trail and the winner.
+def _best_candidate(oracle: follower_mod.FollowerOracle, G: np.ndarray, F: np.ndarray,
+                    St: np.ndarray, G0: np.ndarray, rows: np.ndarray, sense: list[str],
+                    bounds: np.ndarray, reach):
+    """Screen and solve each candidate's LP; return the audit trail and the winner.
 
-    The best-response pass comes first: B holds the follower's best
-    responses to the rows of the utility table G, and ``row_fails(b)``
-    screens incentive row b of every candidate at once.  A candidate
-    that a row of B rules out is recorded as infeasible without building
-    its LP; that row is a row of its full block, from the same floats,
-    so the full screen would rule it out too.  For the others
-    ``candidate_lp(yi)`` gives the LP, or None when the full block's
-    screen rules it out.  The winner ``(value, yi, x)`` is the first
-    candidate that no later one beats by more than ``VALUE_TIE_TOL``.
+    The domain is ``rows`` with their ``sense`` and right-hand sides
+    ``bounds``, and ``reach(coef)``, the largest value of each row of
+    ``coef`` over it.  The best-response pass comes first: B holds the
+    follower's best responses to the rows of the utility table G, and
+    row b of every candidate is screened at once.  Only candidates that
+    no row of B rules out build their full block, for its screen and the
+    LP.  The winner ``(value, yi, x)`` is the first candidate that no
+    later one beats by more than ``VALUE_TIE_TOL``.
     """
+    def fails(coef: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        return reach(coef) < rhs - FEAS_TOL * np.maximum(1.0, np.abs(rhs))
+
     ruled_out = np.zeros(G.shape[1], dtype=bool)
     for b in np.flatnonzero(np.bincount(G.argmax(axis=1), minlength=G.shape[1])):
-        ruled_out |= row_fails(b)
+        ruled_out |= fails(St - St[b], G0[b] - G0)
+    sense = [">="] * len(St) + sense
     per_y: dict[PureStrategy, tuple[str, float | None]] = {}
     best: tuple[float, int, np.ndarray] | None = None
     for yi, y_star in enumerate(oracle.strategies):
-        lp = None if ruled_out[yi] else candidate_lp(yi)
-        if lp is None:
-            per_y[y_star] = ("infeasible", None)
+        per_y[y_star] = ("infeasible", None)
+        if ruled_out[yi]:
             continue
-        out = solve_lp(lp)
+        coef, rhs = St[yi] - St, G0 - G0[yi]
+        if fails(coef, rhs).any():
+            continue
+        out = solve_lp(LinearProgram(F[:, yi], np.vstack([coef, rows]), sense,
+                                     np.concatenate([rhs, bounds])))
         per_y[y_star] = (out.status, out.value)
         if out.status == "optimal" and (best is None or out.value > best[0] + VALUE_TIE_TOL):
             best = (out.value, yi, out.x)
@@ -139,40 +153,17 @@ def _best_candidate(oracle: follower_mod.FollowerOracle, G: np.ndarray, row_fail
 
 
 def solve_multi_lp(game: BipartiteInfluenceGame) -> EquilibriumResult:
-    """Exact equilibrium by one LP per candidate follower response.
+    """Exact equilibrium by one LP per candidate over the leader's simplex.
 
-    The LP for y* has one variable per leader pure strategy z:
-    maximize sum_z f(z, y*) x_z subject to
-    sum_z (g(z, y*) - g(z, y')) x_z >= 0 for every y', sum_z x_z = 1,
-    x >= 0.  Candidates whose LP is infeasible are not inducible and are
-    skipped (recorded in the audit trail).
+    Infeasible candidates are not inducible (recorded in the audit trail).
     """
     leaders = enumerate_leader(game)
     oracle = follower_mod.follower_oracle(game)
-    pv = payoff.activation_rows(game, leaders)
-    F, G = oracle.utilities(pv)                              # f(z, y), g(z, y)
-
-    Gt = G.T
-    ones = np.ones(len(leaders))
-    sense = [">="] * len(oracle.strategies) + ["="]
-    rhs = np.r_[np.zeros(len(oracle.strategies)), 1.0]
-
-    def fails(diff: np.ndarray) -> np.ndarray:
-        # Over the simplex a row's left side is at most its largest entry.
-        return diff.max(axis=1) < -FEAS_TOL
-
-    def candidate_lp(yi: int) -> LinearProgram | None:
-        # Row y': g(., y*) - g(., y') >= 0.
-        diff = Gt[yi] - Gt
-        if fails(diff).any():
-            return None
-        return LinearProgram(F[:, yi], np.vstack([diff, ones]), sense, rhs)
-
-    def row_fails(b: int) -> np.ndarray:
-        # Row b of every candidate y* at once: g(., y*) - g(., b).
-        return fails(Gt - Gt[b])
-
-    per_y, (lp_value, yi, weights) = _best_candidate(oracle, G, row_fails, candidate_lp)
+    F, G = oracle.utilities(payoff.activation_rows(game, leaders))  # f(z, y), g(z, y)
+    # Over the simplex a row's largest value is its largest entry.
+    per_y, (lp_value, yi, weights) = _best_candidate(
+        oracle, G, F, G.T, G0=np.zeros(G.shape[1]), rows=np.ones((1, len(leaders))),
+        sense=["="], bounds=np.ones(1), reach=lambda coef: coef.max(axis=1))
     kept = {leaders[i]: float(w) for i, w in enumerate(weights) if w > PRUNE_TOL}
     total = sum(kept.values())
     x = MixedStrategy({s: w / total for s, w in kept.items()})
@@ -225,9 +216,7 @@ def solve_disjoint_lp(game: BipartiteInfluenceGame) -> EquilibriumResult:
     medium, so f(r, y) = sum_u r_u f({u}, y) (f({}, y) = 0) and
     g(r, y) = g({}, y) + sum_u r_u (g({u}, y) - g({}, y)), with the
     coefficients read from one kernel call on the rows {}, {u0}, ...
-    For each candidate y* the LP maximizes f(r, y*) over r in Q subject
-    to g(r, y*) - g(r, y) >= 0 for every follower y.  The optimal
-    allocation is decomposed back into a mixed strategy.
+    The optimal allocation is decomposed back into a mixed strategy.
     """
     if not is_disjoint(game):
         raise ValueError("instance has a customer with several media; use solve_multi_lp")
@@ -236,30 +225,12 @@ def solve_disjoint_lp(game: BipartiteInfluenceGame) -> EquilibriumResult:
     singles = [PureStrategy(s) for s in iter_subsets(n, 1)]  # {}, {u0}, {u1}, ...
     F, G = oracle.utilities(payoff.activation_rows(game, singles))
     G0, St = G[0], (G[1:] - G[0]).T  # g({}, y), and row y holds g's slope in r
-
-    # The budget row sum r <= k_L, then the box rows r_u <= 1.
-    q_rows = np.vstack([np.ones(n), np.eye(n)])
-    q_rhs = np.r_[game.k_L, np.ones(n)]
-    sense = [">="] * len(oracle.strategies) + ["<="] * (n + 1)
     top = min(game.k_L, n)
-
-    def fails(coef: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        # Over Q, coef.r is at most the sum of the k_L largest positive
-        # coefficients.
-        reach = np.sort(np.maximum(coef, 0.0), axis=1)[:, n - top:].sum(axis=1)
-        return reach < rhs - FEAS_TOL * np.maximum(1.0, np.abs(rhs))
-
-    def candidate_lp(yi: int) -> LinearProgram | None:
-        # Row y: g(r, y*) - g(r, y) >= 0, i.e. (St[y*] - St[y]) . r >= G0[y] - G0[y*].
-        coef, rhs = St[yi] - St, G0 - G0[yi]
-        if fails(coef, rhs).any():
-            return None
-        return LinearProgram(F[1:, yi], np.vstack([coef, q_rows]), sense, np.r_[rhs, q_rhs])
-
-    def row_fails(b: int) -> np.ndarray:
-        # Row b of every candidate y* at once.
-        return fails(St - St[b], G0[b] - G0)
-
-    per_y, (lp_value, yi, r) = _best_candidate(oracle, G, row_fails, candidate_lp)
+    # The budget row sum r <= k_L, then the box rows r_u <= 1.  Over Q a
+    # row's largest value is the sum of its k_L largest positive entries.
+    per_y, (lp_value, yi, r) = _best_candidate(
+        oracle, G, F[1:], St, G0=G0, rows=np.vstack([np.ones(n), np.eye(n)]),
+        sense=["<="] * (n + 1), bounds=np.r_[game.k_L, np.ones(n)],
+        reach=lambda coef: np.sort(np.maximum(coef, 0.0), axis=1)[:, n - top:].sum(axis=1))
     x = decompose_allocation(r, game.k_L)
     return _finish(game, x, yi, lp_value, oracle, per_y)

@@ -33,6 +33,11 @@ def require_integer(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, not {value!r}")
 
 
+def _bool_medium(u) -> bool:
+    """Raise for a Python bool medium index (numpy's bools have no __index__)."""
+    raise TypeError(f"medium indices must be integers, got the bool {u}")
+
+
 class CapExceededError(RuntimeError):
     """A strategy enumeration would exceed its size cap:
     ``exact.DEFAULT_LEADER_CAP`` or ``follower.DEFAULT_FOLLOWER_CAP``."""
@@ -58,8 +63,9 @@ class PureStrategy:
 
     @staticmethod
     def of(media: Iterable[int]) -> "PureStrategy":
-        """From medium indices; a float or a numpy bool (a mask entry) raises TypeError."""
-        return PureStrategy(tuple(sorted(set(operator.index(u) for u in media))))
+        """From medium indices; a float or a bool (a mask entry) raises TypeError."""
+        return PureStrategy(tuple(sorted({operator.index(u) for u in media
+                                          if type(u) is not bool or _bool_medium(u)})))
 
     @staticmethod
     def empty() -> "PureStrategy":
@@ -73,9 +79,9 @@ class PureStrategy:
 
     def require_within(self, n: int) -> None:
         """Raise ValueError unless every medium lies in [0, n)."""
-        if self.media and (self.media[0] < 0 or self.media[-1] >= n):
-            bad = self.media[0] if self.media[0] < 0 else self.media[-1]
-            raise ValueError(f"medium {bad} is out of range for a game of n={n} media")
+        for u in self.media:  # in tuple order: the constructor does not sort
+            if not 0 <= u < n:
+                raise ValueError(f"medium {u} is out of range for a game of n={n} media")
 
     def __repr__(self) -> str:
         return "{" + ",".join(f"u{u}" for u in self.media) + "}" if self.media else "{}"
@@ -503,6 +509,22 @@ def _tail_shuffle(values: np.ndarray, n: int) -> np.ndarray:
     return picks.T
 
 
+def require_generator_ranges(n: int, mean_degree: float, p_dist, pf_dist) -> None:
+    """Raise ValueError unless both distributions are two bounds with
+    0 <= a <= b <= 1 and the mean degree is finite and in [0, n]."""
+    for name, dist in (("p", p_dist), ("pf", pf_dist)):
+        dist = tuple(dist)
+        if len(dist) != 2 or not 0.0 <= dist[0] <= dist[1] <= 1.0:
+            raise ValueError(f"{name} range must be two numbers with "
+                             f"0 <= a <= b <= 1, got {dist}")
+    if not math.isfinite(mean_degree):
+        raise ValueError(f"mean degree must be finite, got {mean_degree}")
+    if mean_degree < 0:
+        raise ValueError(f"mean degree must be non-negative, got {mean_degree}")
+    if mean_degree > n:
+        raise ValueError(f"mean degree {mean_degree} exceeds media count {n}")
+
+
 def generate_instance(n: int, m: int, mean_degree: float,
                       p_dist: tuple[float, float], pf_dist: tuple[float, float],
                       seed: int, k_L: int | None = None,
@@ -531,15 +553,7 @@ def generate_instance(n: int, m: int, mean_degree: float,
     k_F = min(2, n) if k_F is None else k_F
     for name, value in (("m", m), ("seed", seed), ("k_L", k_L), ("k_F", k_F)):
         require_integer(name, value)
-    for name, (a, b) in (("p", p_dist), ("pf", pf_dist)):
-        if not (0.0 <= a <= b <= 1.0):
-            raise ValueError(f"{name} distribution bounds must satisfy 0 <= a <= b <= 1, got ({a}, {b})")
-    if not math.isfinite(mean_degree):
-        raise ValueError(f"mean degree must be finite, got {mean_degree}")
-    if mean_degree < 0:
-        raise ValueError(f"mean degree must be non-negative, got {mean_degree}")
-    if mean_degree > n:
-        raise ValueError(f"mean degree {mean_degree} exceeds media count {n}")
+    require_generator_ranges(n, mean_degree, p_dist, pf_dist)
     if n <= 0 and m > 0:
         raise ValueError("cannot attach customers to an empty media set")
     if n >= 1 << 32 and m > 0:

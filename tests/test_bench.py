@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from stackalloc import (ExperimentSpec, MixedStrategy, PureStrategy, best_response,
-                        generate_instance, parse_spec, run_experiment)
+                        generate_instance, parse_spec, parse_specs, run_experiment)
 from stackalloc import bench, exact, follower
 from stackalloc.bench import rows_as_json, write_csv
 from stackalloc.lp import LpNumericsError
@@ -274,6 +274,16 @@ def test_parse_spec_rejects_malformed_input():
     with pytest.raises(ValueError):
         parse_spec({"n": 5, "m": 5, "mean_degree": 1, "p": [0, 0.2], "p_f": [0, 0.2],
                     "budgets": [[1, 1]], "algorithms": ["sorcery"]})
+    # Ranges and mean degrees that the first trial's generate_instance
+    # would reject; a later p_f range used to fail only after the earlier
+    # ranges had run all their trials.
+    good = {"n": 5, "m": 5, "mean_degree": 1, "p": [0, 0.2], "p_f": [0, 0.2],
+            "budgets": [[1, 1]], "algorithms": ["greedy"]}
+    for bad in ({"p_f": [[0, 0.2], [0.9, 0.1]]}, {"p_f": []}, {"p": [0, 0.2, 0.4]},
+                {"p": [-0.1, 0.2]}, {"mean_degree": 6}, {"mean_degree": -1},
+                {"mean_degree": float("nan")}, {"mean_degree": float("inf")}):
+        with pytest.raises(ValueError, match="^malformed experiment spec: "):
+            parse_specs({**good, **bad})
 
 
 def test_paper_cell_answers_are_pinned():

@@ -364,6 +364,10 @@ def test_allocation_rejects_a_medium_out_of_range(medium):
     message = rf"^medium {medium} is out of range for a game of n=5 media$"
     with pytest.raises(ValueError, match=message):
         allocation_of(MixedStrategy.point_mass(z), 5)
+    # The constructor does not sort: (5, 1) passed a check of its two ends
+    # and then raised IndexError.
+    with pytest.raises(ValueError, match=message):
+        allocation_of(MixedStrategy.point_mass(PureStrategy((medium, 1))), 5)
 
 
 def test_allocation_respects_budget_for_capped_mixes():

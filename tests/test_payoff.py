@@ -278,6 +278,9 @@ def test_vectors_reject_a_mask_in_place_of_indices(uniform_overlap):
                           activation_vector(uniform_overlap, z))
     with pytest.raises(TypeError):
         activation_vector(uniform_overlap, np.arange(uniform_overlap.n) == 2)
+    # A list mask used to read as media {0, 1}.
+    with pytest.raises(TypeError):
+        activation_vector(uniform_overlap, [True, False, True])
 
 
 def test_tables_equal_the_edge_maps():
