@@ -4,8 +4,9 @@ A spec fixes one instance template (sizes, mean degree, probability
 ranges), a grid of budget pairs, the algorithms to compare and a trial
 count.  Trial i draws its instance from seed base_seed + i, so every
 algorithm within a trial, and every budget row across trials, sees the
-same graph and probabilities.  Each solver's reported strategy is
-re-scored through the follower module before aggregation.
+same graph and probabilities.  Each cell, like ``stackalloc solve``, is one
+``run_engine``; MWU's defaults live in ``mwu.MwuConfig``, the others in
+``ExperimentSpec``.
 
 Workers: set STACKALLOC_THREADS > 1 to spread trials over processes.
 An experiment starts at most one worker per (budget row, trial) payload
@@ -83,8 +84,8 @@ class ExperimentSpec:
     algorithms: tuple[str, ...]
     trials: int = 30
     base_seed: int = 0
-    mwu_iterations: int = 100
-    mwu_epsilon: float = 0.5
+    mwu_iterations: int = mwu.MwuConfig.iterations
+    mwu_epsilon: float = mwu.MwuConfig.epsilon
     heuristic_ell: int = 10
 
     def __post_init__(self):
@@ -112,12 +113,19 @@ class ExperimentSpec:
         return f"U({a:g},{b:g})"
 
 
+def _object(value: Any, what: str) -> dict[str, Any]:
+    if not isinstance(value, dict):
+        raise TypeError(f"{what} must be a JSON object, not {value!r}")
+    return value
+
+
 def parse_spec(data: dict[str, Any]) -> ExperimentSpec:
     """Build a spec from its JSON form; aliases are normalized, counts checked, not truncated."""
     try:
+        data = _object(data, "a spec")
         algorithms = tuple(ENGINES.get(a, (a,))[0] for a in data["algorithms"])
-        mwu_cfg = data.get("mwu", {})
-        heur_cfg = data.get("heuristic", {})
+        mwu_cfg = _object(data.get("mwu", {}), '"mwu"')
+        heur_cfg = _object(data.get("heuristic", {}), '"heuristic"')
         return ExperimentSpec(
             n=data["n"], m=data["m"],
             mean_degree=float(data["mean_degree"]),
@@ -125,11 +133,11 @@ def parse_spec(data: dict[str, Any]) -> ExperimentSpec:
             pf_dist=tuple(float(t) for t in data["p_f"]),
             budgets=tuple((kl, kf) for kl, kf in data["budgets"]),
             algorithms=algorithms,
-            trials=data.get("trials", 30),
-            base_seed=data.get("base_seed", 0),
-            mwu_iterations=mwu_cfg.get("iterations", 100),
-            mwu_epsilon=float(mwu_cfg.get("epsilon", 0.5)),
-            heuristic_ell=heur_cfg.get("ell", 10),
+            trials=data.get("trials", ExperimentSpec.trials),
+            base_seed=data.get("base_seed", ExperimentSpec.base_seed),
+            mwu_iterations=mwu_cfg.get("iterations", ExperimentSpec.mwu_iterations),
+            mwu_epsilon=float(mwu_cfg.get("epsilon", ExperimentSpec.mwu_epsilon)),
+            heuristic_ell=heur_cfg.get("ell", ExperimentSpec.heuristic_ell),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed experiment spec: {exc}") from exc
@@ -138,7 +146,7 @@ def parse_spec(data: dict[str, Any]) -> ExperimentSpec:
 def parse_specs(data: dict[str, Any]) -> list[ExperimentSpec]:
     """Like parse_spec, but "p_f" may hold a list of ranges; one spec per
     range, so a single file can mirror a full results-table block."""
-    pf = data.get("p_f")
+    pf = data.get("p_f") if isinstance(data, dict) else None
     if isinstance(pf, (list, tuple)) and pf and isinstance(pf[0], (list, tuple)):
         return [parse_spec({**data, "p_f": one}) for one in pf]
     return [parse_spec(data)]
@@ -167,14 +175,17 @@ class ExperimentRow:
     cells: dict[str, CellStats]
 
 
-def _solve_one(game: BipartiteInfluenceGame, alg: str,
-               spec: ExperimentSpec) -> tuple[float, float]:
-    """Run one solver; return its re-verified leader value and wall ms."""
+def run_engine(game: BipartiteInfluenceGame, alg: str, iterations: int, epsilon: float,
+               ell: int) -> tuple[MixedStrategy, mwu.ApproxCertificate | None,
+                                  follower.BestResponseResult, float, float]:
+    """Run engine ``alg``: its mix and certificate, the follower's best response to
+    the mix, and the wall ms of the oracle build and, after it, of the engine."""
     start = time.perf_counter()
-    x, _ = ENGINES[alg][1](game, spec.mwu_iterations, spec.mwu_epsilon, spec.heuristic_ell)
-    elapsed_ms = (time.perf_counter() - start) * 1e3
-    value = follower.best_response(game, x).leader_value
-    return value, elapsed_ms
+    follower.follower_oracle(game)
+    built = time.perf_counter()
+    x, cert = ENGINES[alg][1](game, iterations, epsilon, ell)
+    solved = time.perf_counter()
+    return x, cert, follower.best_response(game, x), (built - start) * 1e3, (solved - built) * 1e3
 
 
 def _run_trial(payload: tuple[ExperimentSpec, int, int, int]
@@ -183,15 +194,12 @@ def _run_trial(payload: tuple[ExperimentSpec, int, int, int]
     game = generate_instance(spec.n, spec.m, spec.mean_degree, spec.p_dist,
                              spec.pf_dist, seed=spec.base_seed + trial,
                              k_L=k_L, k_F=k_F)
-    out: dict[str, tuple[float, float] | None] = dict.fromkeys(spec.algorithms)
-    try:
-        # Built outside every timer, so no engine's mean_ms pays for it.
-        follower.follower_oracle(game)
-    except CapExceededError:
-        return out  # every cell skipped: no answer could be re-verified
+    out: dict[str, tuple[float, float] | None] = {}
     for alg in spec.algorithms:
         try:
-            out[alg] = _solve_one(game, alg, spec)
+            _, _, br, _, solve_ms = run_engine(game, alg, spec.mwu_iterations,
+                                               spec.mwu_epsilon, spec.heuristic_ell)
+            out[alg] = br.leader_value, solve_ms
         except (CapExceededError, PivotLimitError, LpNumericsError, ValueError):
             out[alg] = None  # recorded as a skipped cell, never fatal
     return out

@@ -15,7 +15,7 @@ import json
 import sys
 import time
 
-from . import bench, follower
+from . import bench
 from .lp import LpNumericsError, PivotLimitError
 from .model import (BipartiteInfluenceGame, CapExceededError, allocation_of, dump_instance,
                     generate_instance, load_instance)
@@ -34,16 +34,10 @@ def _load(path: str) -> BipartiteInfluenceGame:
 def cmd_solve(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     game = _load(args.instance)
-    loaded = time.perf_counter()
-    # Built outside the solve timer, so no engine's solve_ms pays for it.
-    follower.follower_oracle(game)
-    built = time.perf_counter()
-    _, run = bench.ENGINES[args.algorithm]
-    x, certificate = run(game, args.iters, args.epsilon, args.ell)
-    solved = time.perf_counter()
-
+    load_ms = (time.perf_counter() - started) * 1e3
     # Everything reported below is recomputed from the emitted strategy.
-    br = follower.best_response(game, x)
+    x, certificate, br, oracle_ms, solve_ms = bench.run_engine(
+        game, args.algorithm, args.iters, args.epsilon, args.ell)
     report = {
         "algorithm": args.algorithm,
         "instance": args.instance,
@@ -53,8 +47,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "follower_best_response": list(br.chosen.media),
         "value": br.leader_value,
         "follower_value": br.follower_value,
-        "timings": {"load_ms": (loaded - started) * 1e3, "oracle_ms": (built - loaded) * 1e3,
-                    "solve_ms": (solved - built) * 1e3},
+        "timings": {"load_ms": load_ms, "oracle_ms": oracle_ms, "solve_ms": solve_ms},
     }
     if certificate is not None:
         report["certificate"] = {"epsilon1": certificate.epsilon1, "C": certificate.C,
@@ -116,9 +109,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--algorithm", required=True,
                    choices=list(bench.ENGINES))
-    p.add_argument("--iters", type=int, default=100, help="MWU iterations")
-    p.add_argument("--epsilon", type=float, default=0.5, help="MWU epsilon")
-    p.add_argument("--ell", type=int, default=10, help="heuristic rounds")
+    defaults = bench.ExperimentSpec
+    p.add_argument("--iters", type=int, default=defaults.mwu_iterations, help="MWU iterations")
+    p.add_argument("--epsilon", type=float, default=defaults.mwu_epsilon, help="MWU epsilon")
+    p.add_argument("--ell", type=int, default=defaults.heuristic_ell, help="heuristic rounds")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("generate", help="write a seeded synthetic instance")

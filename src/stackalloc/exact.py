@@ -59,9 +59,8 @@ import numpy as np
 from . import follower as follower_mod
 from . import payoff
 from .lp import FEAS_TOL, LinearProgram, LpNumericsError, solve_lp
-from .model import (BipartiteInfluenceGame, CapExceededError, MixedStrategy,
-                    PureStrategy, count_subsets, is_disjoint, iter_subsets,
-                    require_integer)
+from .model import (BipartiteInfluenceGame, MixedStrategy, PureStrategy, is_disjoint,
+                    iter_subsets, pure_strategies, require_integer)
 
 DEFAULT_LEADER_CAP = 10 ** 5
 VALUE_TIE_TOL = 1e-9
@@ -83,12 +82,8 @@ class EquilibriumResult:
 def enumerate_leader(game: BipartiteInfluenceGame) -> list[PureStrategy]:
     """All leader pure strategies, lexicographically ordered; at most
     ``DEFAULT_LEADER_CAP`` of them, or CapExceededError."""
-    total = count_subsets(game.n, game.k_L)
-    if total > DEFAULT_LEADER_CAP:
-        raise CapExceededError(
-            f"leader strategy set has {total} elements (cap {DEFAULT_LEADER_CAP}); "
-            f"use the disjoint solver or an approximation instead")
-    return [PureStrategy(s) for s in iter_subsets(game.n, game.k_L)]
+    return pure_strategies(game.n, game.k_L, DEFAULT_LEADER_CAP, "leader",
+                           "use the disjoint solver or an approximation instead")
 
 
 def _finish(game: BipartiteInfluenceGame, x: MixedStrategy, yi: int,
@@ -225,12 +220,11 @@ def solve_disjoint_lp(game: BipartiteInfluenceGame) -> EquilibriumResult:
     singles = [PureStrategy(s) for s in iter_subsets(n, 1)]  # {}, {u0}, {u1}, ...
     F, G = oracle.utilities(payoff.activation_rows(game, singles))
     G0, St = G[0], (G[1:] - G[0]).T  # g({}, y), and row y holds g's slope in r
-    top = min(game.k_L, n)
     # The budget row sum r <= k_L, then the box rows r_u <= 1.  Over Q a
     # row's largest value is the sum of its k_L largest positive entries.
     per_y, (lp_value, yi, r) = _best_candidate(
         oracle, G, F[1:], St, G0=G0, rows=np.vstack([np.ones(n), np.eye(n)]),
         sense=["<="] * (n + 1), bounds=np.r_[game.k_L, np.ones(n)],
-        reach=lambda coef: np.sort(np.maximum(coef, 0.0), axis=1)[:, n - top:].sum(axis=1))
+        reach=lambda coef: np.sort(np.maximum(coef, 0.0), axis=1)[:, n - game.k_L:].sum(axis=1))
     x = decompose_allocation(r, game.k_L)
     return _finish(game, x, yi, lp_value, oracle, per_y)

@@ -18,8 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from . import payoff
-from .model import (BipartiteInfluenceGame, CapExceededError, MixedStrategy,
-                    PureStrategy, count_subsets, iter_subsets)
+from .model import BipartiteInfluenceGame, MixedStrategy, PureStrategy, pure_strategies
 
 DEFAULT_FOLLOWER_CAP = 10 ** 6
 TIE_TOL = 1e-9
@@ -28,13 +27,9 @@ TIE_TOL = 1e-9
 def enumerate_follower(game: BipartiteInfluenceGame) -> list[PureStrategy]:
     """All follower pure strategies, lexicographically ordered; at most
     ``DEFAULT_FOLLOWER_CAP`` of them, or CapExceededError."""
-    total = count_subsets(game.n, game.k_F)
-    if total > DEFAULT_FOLLOWER_CAP:
-        raise CapExceededError(
-            f"follower strategy set has {total} elements (cap {DEFAULT_FOLLOWER_CAP}); "
-            f"evaluating best responses is intractable for large k_F, "
-            f"reduce k_F or raise the cap")
-    return [PureStrategy(s) for s in iter_subsets(game.n, game.k_F)]
+    return pure_strategies(game.n, game.k_F, DEFAULT_FOLLOWER_CAP, "follower",
+                           "evaluating best responses is intractable for large k_F, "
+                           "reduce k_F or raise the cap")
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,7 @@ def solve_heuristic(game: BipartiteInfluenceGame, ell: int) -> MixedStrategy:
         selected: list[int] = []
         survival = np.ones(game.m)
         accepted = None  # the blended tables and value of the last accepted candidate
-        for _ in range(min(game.k_L, game.n)):
+        for _ in range(game.k_L):
             prefix = tuple(selected)
             entry = scored.get(prefix)
             if entry is None:
@@ -86,7 +86,7 @@ def greedy_baseline(game: BipartiteInfluenceGame) -> PureStrategy:
     """Fill the budget greedily on expected activations sum_v P_v(z)."""
     survival = np.ones(game.m)
     selected: list[int] = []
-    for _ in range(min(game.k_L, game.n)):
+    for _ in range(game.k_L):
         gains = (game.p_table * survival).sum(axis=1)  # r(S), as in mwu.PrefixTables
         gains[selected] = -np.inf
         u = int(np.argmax(gains))  # the objective is monotone: never stop early

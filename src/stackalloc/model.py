@@ -270,6 +270,14 @@ def count_subsets(n: int, max_size: int) -> int:
     return sum(math.comb(n, i) for i in range(min(max_size, n) + 1))
 
 
+def pure_strategies(n: int, budget: int, cap: int, player: str, advice: str) -> list[PureStrategy]:
+    """The subsets of at most ``budget`` media, or CapExceededError if over ``cap``."""
+    total = count_subsets(n, budget)
+    if total > cap:
+        raise CapExceededError(f"{player} strategy set has {total} elements (cap {cap}); {advice}")
+    return [PureStrategy(s) for s in iter_subsets(n, budget)]
+
+
 # Edge lines are parsed this many at a time, which bounds the tokens held.
 _CHUNK_LINES = 512
 

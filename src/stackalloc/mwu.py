@@ -152,12 +152,11 @@ def greedy_weighted_submodular(game: BipartiteInfluenceGame, weights) -> PureStr
             or not w.max() > 0):
         raise ValueError("weights must be finite and nonnegative over the follower set, "
                          "not all zero")
-    return PureStrategy.of(_greedy(PrefixTables(game, oracle), w, min(game.k_L, game.n)))
+    return PureStrategy.of(_greedy(PrefixTables(game, oracle), w, game.k_L))
 
 
 def _greedy(tables: PrefixTables, w: np.ndarray, budget: int) -> list[int]:
-    """The greedy's media in pick order, for finite weights w >= 0 with a
-    positive entry; ``budget`` is min(k_L, n)."""
+    """The greedy's media in pick order, at most ``budget`` = k_L, for finite w >= 0 not all 0."""
     w = w / w.max()  # the sum below cannot overflow
     w = w / w.sum()
     total = w.sum()
@@ -217,7 +216,7 @@ def solve_mwu(game: BipartiteInfluenceGame,
     T = config.iterations
     H = game.m + oracle.C  # upper bound on every h_y
     if config.learning_rate == "auto":
-        eta = math.sqrt(math.log(len(oracle)) / T) if len(oracle) > 1 else 0.0
+        eta = math.sqrt(math.log(len(oracle)) / T)
     else:
         eta = float(config.learning_rate)
 
@@ -227,11 +226,10 @@ def solve_mwu(game: BipartiteInfluenceGame,
     cum_losses = np.zeros(len(oracle))
     played = 0.0
     tables = PrefixTables(game, oracle)
-    budget = min(game.k_L, game.n)
     last, streak, needed = None, 0, 2  # replay z once it has held `needed` rounds
     t = 0
     while t < T:
-        picks = _greedy(tables, w, budget)
+        picks = _greedy(tables, w, game.k_L)
         z = PureStrategy.of(picks)
         streak = streak + 1 if z == last else 1
         last = z
@@ -265,7 +263,7 @@ def solve_mwu(game: BipartiteInfluenceGame,
             e = np.exp(-eta * (cums[1:] - cums[1:].min(axis=1, keepdims=True)) / H)
             weights = np.empty_like(cums)
             weights[0], weights[1:] = w, e / np.array([row.sum() for row in e])[:, None]
-            accepted = _replayed_rounds(tables, picks, budget, weights[:rounds])
+            accepted = _replayed_rounds(tables, picks, game.k_L, weights[:rounds])
             for row in weights[:accepted]:
                 played += float(row @ h)
             counts[z] += accepted
@@ -284,7 +282,7 @@ def solve_mwu(game: BipartiteInfluenceGame,
 
 def certify(game: BipartiteInfluenceGame, x_prime: MixedStrategy,
             exact: tuple[MixedStrategy, PureStrategy] | None = None,
-            epsilon: float = 0.5) -> ApproxCertificate:
+            epsilon: float = MwuConfig.epsilon) -> ApproxCertificate:
     """Evaluate the translation terms at (x', y'), with y' the follower's
     optimistic best response to x'; ``value`` is f(x', y'), the leader's
     value f_BR.  With an exact optimum supplied, also check

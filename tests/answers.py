@@ -16,8 +16,17 @@ exact grid: ``solve_multi_lp`` and ``solve_disjoint_lp`` on four shapes
 (p~U(0,0.2), k_F=2, seeds 0-5 x both p_F ranges), with the value, the
 follower, the mix and every candidate's status and LP value, and the
 paper-scale ``solve_multi_lp`` cells of seed 0 (k_L in {1, 2} with both
-p_F ranges, and k_L=4 with p_F~U(0,0.2)) with the same fields.  Floats are
-written with ``float.hex``, so two dumps are equal only when every bit is.
+p_F ranges, and k_L=4 with p_F~U(0,0.2)) with the same fields.
+
+The front doors are covered too (``front_doors``): the ``stackalloc
+solve`` report, without its ``timings`` and with the instance named by
+its file name, for every engine on one small file whose customers have
+several media and one whose customers have one (``exact-disjoint`` only
+there), and for greedy, MWU and the heuristic on one paper-shaped file;
+and ``rows_as_json`` of a 2-trial paper-shape ``bench`` spec (k_L in {1,
+2}, k_F=2, greedy, MWU and the heuristic, both p_F ranges) without
+``mean_ms``.  Floats are written with ``float.hex``, so two dumps are
+equal only when every bit is.
 
 ``--against REV`` extracts ``src/`` of git revision REV with
 ``git archive`` into a temporary directory, runs the same dump on it
@@ -30,6 +39,7 @@ bit of a product.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import io
@@ -53,6 +63,18 @@ EXACT_SEEDS = range(6)
 # (k_L, p_F range) of the paper-scale multi-LP cells, seed 0.
 PAPER_EXACT = ((1, (0.1, 0.9)), (1, (0.0, 0.2)), (2, (0.1, 0.9)), (2, (0.0, 0.2)),
                (4, (0.0, 0.2)))
+# (file name, engines, generate_instance arguments) of the solved files.
+SOLVE_FILES = (
+    ("overlap.txt", ("greedy", "mwu", "heuristic", "exact"),
+     (10, 150, 2.0, (0.0, 0.2), (0.1, 0.9), 0, 2, 2)),
+    ("disjoint.txt", ("greedy", "mwu", "heuristic", "exact", "exact-disjoint"),
+     (10, 150, 1.0, (0.0, 0.2), (0.0, 0.2), 1, 2, 2)),
+    ("paper.txt", ("greedy", "mwu", "heuristic"),
+     (20, 844, 3506 / 844, (0.0, 0.2), (0.1, 0.9), 0, 2, 2)),
+)
+BENCH_SPEC = {"n": 20, "m": 844, "mean_degree": 3506 / 844, "p": [0.0, 0.2],
+              "p_f": [[0.1, 0.9], [0.0, 0.2]], "budgets": [[1, 2], [2, 2]],
+              "algorithms": ["greedy", "mwu", "heuristic"], "trials": 2}
 
 
 def _hex(value):
@@ -68,6 +90,15 @@ def _response(br) -> dict:
             "responses": [list(y.media) for y in br.responses],
             "leader_value": br.leader_value.hex(),
             "follower_value": br.follower_value.hex()}
+
+
+def _hex_all(value):
+    """``value`` with every float, however deep, written with ``float.hex``."""
+    if isinstance(value, dict):
+        return {k: _hex_all(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_hex_all(v) for v in value]
+    return _hex(value)
 
 
 def _equilibrium(res) -> dict:
@@ -134,6 +165,36 @@ def answers(engine_seeds=SEEDS, exact_seeds=EXACT_SEEDS, paper_exact=PAPER_EXACT
     return out
 
 
+def front_doors() -> dict:
+    """The ``solve`` reports of ``SOLVE_FILES`` and the ``bench`` rows of
+    ``BENCH_SPEC``, keyed by command and case."""
+    from stackalloc import bench, cli, dump_instance, generate_instance
+
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, engines, args in SOLVE_FILES:
+            path = os.path.join(tmp, name)
+            with open(path, "w", encoding="utf-8") as fh:
+                dump_instance(generate_instance(*args), fh)
+            for engine in engines:
+                stdout = io.StringIO()
+                with contextlib.redirect_stdout(stdout):
+                    code = cli.main(["solve", "--instance", path, "--algorithm", engine])
+                if code != 0:
+                    raise RuntimeError(f"solve {engine} on {name} exited {code}")
+                report = json.loads(stdout.getvalue())
+                del report["timings"]
+                report["instance"] = name
+                out[f"solve {engine} {name}"] = _hex_all(report)
+    for spec in bench.parse_specs(BENCH_SPEC):
+        mirror = bench.rows_as_json(spec, bench.run_experiment(spec))
+        for row in mirror["rows"]:
+            for cell in row["cells"].values():
+                cell.pop("mean_ms", None)
+        out[f"bench pf={spec.pf_dist[0]}-{spec.pf_dist[1]}"] = _hex_all(mirror)
+    return out
+
+
 def _dump(src: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run([sys.executable, str(Path(__file__).resolve())], env=env,
@@ -168,7 +229,7 @@ def main(argv=None) -> int:
         os.environ[var] = "1"
     if args.against:
         return against(args.against)
-    json.dump(answers(), sys.stdout, indent=1, sort_keys=True)
+    json.dump({**answers(), **front_doors()}, sys.stdout, indent=1, sort_keys=True)
     print()
     return 0
 

@@ -281,9 +281,15 @@ def test_parse_spec_rejects_malformed_input():
             "budgets": [[1, 1]], "algorithms": ["greedy"]}
     for bad in ({"p_f": [[0, 0.2], [0.9, 0.1]]}, {"p_f": []}, {"p": [0, 0.2, 0.4]},
                 {"p": [-0.1, 0.2]}, {"mean_degree": 6}, {"mean_degree": -1},
-                {"mean_degree": float("nan")}, {"mean_degree": float("inf")}):
+                {"mean_degree": float("nan")}, {"mean_degree": float("inf")},
+                {"mwu": [1]}, {"mwu": 5}, {"mwu": None}, {"heuristic": [1]},
+                {"heuristic": 5}, {"heuristic": None}):
         with pytest.raises(ValueError, match="^malformed experiment spec: "):
             parse_specs({**good, **bad})
+    # A file whose top level is not an object.
+    for bad in ([], [good], "x", 5, None):
+        with pytest.raises(ValueError, match="^malformed experiment spec: "):
+            parse_specs(bad)
 
 
 def test_paper_cell_answers_are_pinned():

@@ -328,6 +328,20 @@ def test_bench_malformed_spec(capsys, tmp_path):
     assert "malformed" in err
 
 
+@pytest.mark.parametrize("shape", [[], {"mwu": [1]}], ids=["list", "mwu-list"])
+def test_bench_spec_of_the_wrong_shape_is_an_input_error(capsys, tmp_path, shape):
+    # A spec that is not an object, or whose "mwu" or "heuristic" is not
+    # one, used to end in an AttributeError traceback and exit 1.
+    spec = {"n": 5, "m": 6, "mean_degree": 1.5, "p": [0, 0.5], "p_f": [0.1, 0.9],
+            "budgets": [[1, 1]], "algorithms": ["mwu", "heuristic"], "trials": 1}
+    spec_path = tmp_path / "bad.json"
+    spec_path.write_text(json.dumps({**spec, **shape} if isinstance(shape, dict) else shape))
+    code, out, err = run_cli(capsys, "bench", "--spec", str(spec_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: malformed experiment spec: ")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("params", [{"mwu": {"iterations": 0}}, {"mwu": {"epsilon": 1.5}},
                                     {"heuristic": {"ell": 0}}],
                          ids=["mwu-iterations", "mwu-epsilon", "heuristic-ell"])
