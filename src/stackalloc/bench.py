@@ -8,18 +8,18 @@ same graph and probabilities.  Each cell, like ``stackalloc solve``, is one
 ``run_engine``; MWU's defaults live in ``mwu.MwuConfig``, the others in
 ``ExperimentSpec``.
 
-Workers: set STACKALLOC_THREADS > 1 to spread trials over processes.
-An experiment starts at most one worker per (budget row, trial) payload
-and per CPU, and runs in-process when that leaves one; per-trial seeding
-keeps the results identical to a sequential run.
+Workers: STACKALLOC_THREADS > 1 spreads trials over processes, at most one
+per (budget row, trial) payload and per CPU; a run left with one stays
+in-process.  The first run that starts workers imports the process pool.
+Per-trial seeding keeps the results identical to a sequential run.
 """
 
 from __future__ import annotations
 
 import csv
+import numbers
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, TextIO
 
@@ -119,6 +119,12 @@ def _object(value: Any, what: str) -> dict[str, Any]:
     return value
 
 
+def _number(value: Any, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{what} must be a number, not {value!r}")
+    return float(value)
+
+
 def parse_spec(data: dict[str, Any]) -> ExperimentSpec:
     """Build a spec from its JSON form; aliases are normalized, counts checked, not truncated."""
     try:
@@ -128,15 +134,16 @@ def parse_spec(data: dict[str, Any]) -> ExperimentSpec:
         heur_cfg = _object(data.get("heuristic", {}), '"heuristic"')
         return ExperimentSpec(
             n=data["n"], m=data["m"],
-            mean_degree=float(data["mean_degree"]),
-            p_dist=tuple(float(t) for t in data["p"]),
-            pf_dist=tuple(float(t) for t in data["p_f"]),
+            mean_degree=_number(data["mean_degree"], '"mean_degree"'),
+            p_dist=tuple(_number(t, 'a "p" bound') for t in data["p"]),
+            pf_dist=tuple(_number(t, 'a "p_f" bound') for t in data["p_f"]),
             budgets=tuple((kl, kf) for kl, kf in data["budgets"]),
             algorithms=algorithms,
             trials=data.get("trials", ExperimentSpec.trials),
             base_seed=data.get("base_seed", ExperimentSpec.base_seed),
             mwu_iterations=mwu_cfg.get("iterations", ExperimentSpec.mwu_iterations),
-            mwu_epsilon=float(mwu_cfg.get("epsilon", ExperimentSpec.mwu_epsilon)),
+            mwu_epsilon=_number(mwu_cfg.get("epsilon", ExperimentSpec.mwu_epsilon),
+                                '"mwu" "epsilon"'),
             heuristic_ell=heur_cfg.get("ell", ExperimentSpec.heuristic_ell),
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -218,6 +225,7 @@ def run_experiment(spec: ExperimentSpec) -> list[ExperimentRow]:
                 for t in range(spec.trials)]
     workers = min(worker_count(), len(payloads), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_trial, payloads))
     else:

@@ -197,7 +197,8 @@ def test_spec_accepts_numpy_integers():
 
 
 class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+    """Stands in for concurrent.futures.ProcessPoolExecutor: records
+    max_workers, maps in-process."""
 
     started: list[int] = []
 
@@ -223,8 +224,8 @@ class RecordingPool:
 ])
 def test_worker_count_is_bounded_by_payloads_and_cpus(monkeypatch, threads, cpus, trials,
                                                       budgets, started):
-    from stackalloc import bench
-    monkeypatch.setattr(bench, "ProcessPoolExecutor", RecordingPool)
+    import concurrent.futures
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(bench.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(RecordingPool, "started", [])
     monkeypatch.setenv("STACKALLOC_THREADS", threads)
@@ -286,6 +287,17 @@ def test_parse_spec_rejects_malformed_input():
                 {"heuristic": 5}, {"heuristic": None}):
         with pytest.raises(ValueError, match="^malformed experiment spec: "):
             parse_specs({**good, **bad})
+    # Strings and bools where a spec wants a number; JSON integers stay
+    # numbers and are stored as floats.
+    for bad in ({"mean_degree": "1.5"}, {"mean_degree": True}, {"p": ["0", "0.5"]},
+                {"p": [False, True]}, {"p_f": [0, "0.2"]}, {"p_f": [[0, 0.2], [0.1, "1"]]},
+                {"mwu": {"epsilon": "0.25"}}, {"mwu": {"epsilon": False}}, {"p": "01"}):
+        with pytest.raises(ValueError, match="^malformed experiment spec: .* must be a "
+                                             "number, not "):
+            parse_specs({**good, **bad})
+    spec = parse_spec({**good, "p": [0, 1]})
+    assert spec.mean_degree == 1.0 and type(spec.mean_degree) is float
+    assert spec.p_dist == (0.0, 1.0) and all(type(t) is float for t in spec.p_dist)
     # A file whose top level is not an object.
     for bad in ([], [good], "x", 5, None):
         with pytest.raises(ValueError, match="^malformed experiment spec: "):

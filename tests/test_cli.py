@@ -1,5 +1,10 @@
+import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -343,10 +348,13 @@ def test_bench_spec_of_the_wrong_shape_is_an_input_error(capsys, tmp_path, shape
 
 
 @pytest.mark.parametrize("params", [{"mwu": {"iterations": 0}}, {"mwu": {"epsilon": 1.5}},
-                                    {"heuristic": {"ell": 0}}],
-                         ids=["mwu-iterations", "mwu-epsilon", "heuristic-ell"])
+                                    {"heuristic": {"ell": 0}}, {"mean_degree": "1.5"},
+                                    {"p": [False, True]}, {"mwu": {"epsilon": "0.25"}}],
+                         ids=["mwu-iterations", "mwu-epsilon", "heuristic-ell",
+                              "degree-string", "p-bools", "epsilon-string"])
 def test_bench_rejects_bad_solver_parameters(capsys, tmp_path, params):
-    # These specs used to run, print "skipped" for the engine and exit 0.
+    # These specs used to run and exit 0: the solver parameters printed
+    # "skipped" for the engine, and float() read the strings and bools.
     spec = {"n": 5, "m": 6, "mean_degree": 1.5, "p": [0, 0.5], "p_f": [0.1, 0.9],
             "budgets": [[1, 1]], "algorithms": ["mwu", "heuristic"], "trials": 1,
             **params}
@@ -355,6 +363,53 @@ def test_bench_rejects_bad_solver_parameters(capsys, tmp_path, params):
     code, out, err = run_cli(capsys, "bench", "--spec", str(spec_path))
     assert code == 2 and out == ""
     assert "malformed experiment spec" in err
+
+
+def run_fresh_python(args, threads):
+    """Run ``python args`` in a fresh interpreter on this package with
+    STACKALLOC_THREADS=threads; returns the completed process."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]),
+               STACKALLOC_THREADS=str(threads))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+def write_tiny_spec(tmp_path):
+    spec = {"n": 5, "m": 8, "mean_degree": 2.0, "p": [0, 0.5], "p_f": [0.1, 0.9],
+            "budgets": [[1, 1], [2, 1]], "algorithms": ["greedy", "mwu"], "trials": 2,
+            "base_seed": 10, "mwu": {"iterations": 20}}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    return str(spec_path)
+
+
+def test_import_and_serial_bench_leave_the_process_pool_unloaded(tmp_path):
+    # The pool's modules (multiprocessing, socket, subprocess, logging, ...)
+    # load only when a bench run starts workers.
+    script = (
+        "import sys\n"
+        "import stackalloc, stackalloc.cli\n"
+        f"assert stackalloc.cli.main(['bench', '--spec', {write_tiny_spec(tmp_path)!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] in ('concurrent', 'multiprocessing')))\n")
+    proc = run_fresh_python(["-c", script], threads=1)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "dist,kL,kF,algorithm,mean,std,mean_ms,trials" and len(lines) == 6
+    assert lines[-1] == "[]"
+
+
+def test_bench_console_entry_in_parallel_matches_serial(tmp_path):
+    # Two threads start a real pool on a host with two or more CPUs.
+    spec_path = write_tiny_spec(tmp_path)
+    tables = []
+    for threads in (2, 1):
+        proc = run_fresh_python(["-m", "stackalloc.cli", "bench", "--spec", spec_path], threads)
+        assert proc.returncode == 0, proc.stderr
+        rows = list(csv.reader(io.StringIO(proc.stdout)))
+        tables.append([row[:6] + row[7:] for row in rows])  # all but mean_ms
+    assert tables[0] == tables[1]
+    assert len(tables[0]) == 5 and all(row[4] != "skipped" for row in tables[0][1:])
 
 
 def test_validate_commands(capsys, tmp_path, no_pure_optimum_path):
