@@ -225,9 +225,12 @@ def run_experiment(spec: ExperimentSpec) -> list[ExperimentRow]:
                 for t in range(spec.trials)]
     workers = min(worker_count(), len(payloads), os.cpu_count() or 1)
     if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_trial, payloads))
+        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(_run_trial, payloads))
+        except BrokenExecutor as exc:  # BrokenProcessPool: a worker died, most likely of memory
+            raise MemoryError(f"a bench worker process died: {exc}") from exc
     else:
         results = [_run_trial(p) for p in payloads]
 

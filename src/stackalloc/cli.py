@@ -3,8 +3,8 @@
 Subcommands: ``solve`` (JSON report on stdout), ``generate`` (write an
 instance file), ``bench`` (CSV on stdout, optional JSON mirror) and
 ``validate``.  Exit codes: 0 success, 2 input error, 3 enumeration or
-pivot cap exceeded, or an instance too large for memory, 4 an answer
-failed its numerical re-check.
+pivot cap exceeded, or an instance too large for memory (or a bench
+worker that died), 4 an answer failed its numerical re-check.
 """
 
 from __future__ import annotations

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import payoff
 from .follower import follower_oracle
 from .model import BipartiteInfluenceGame, MixedStrategy, PureStrategy, require_integer
 
@@ -47,14 +48,13 @@ def solve_heuristic(game: BipartiteInfluenceGame, ell: int) -> MixedStrategy:
     for i in range(1, ell + 1):
         keep = (i - 1) / i
         selected: list[int] = []
-        survival = np.ones(game.m)
         accepted = None  # the blended tables and value of the last accepted candidate
         for _ in range(game.k_L):
             prefix = tuple(selected)
             entry = scored.get(prefix)
             if entry is None:
-                candidates = np.array([u for u in range(game.n) if u not in selected],
-                                      dtype=np.intp)
+                candidates = np.delete(np.arange(game.n), selected)  # unfunded, ascending
+                survival = payoff.survival(game, prefix)
                 rows = (1.0 - survival) + survival * game.p_table[candidates]
                 entry = scored[prefix] = (candidates, *oracle.utilities(rows))
             candidates, f_rows, g_rows = entry
@@ -65,7 +65,6 @@ def solve_heuristic(game: BipartiteInfluenceGame, ell: int) -> MixedStrategy:
                 break
             u = int(candidates[r])
             selected.append(u)
-            survival *= 1.0 - game.p_table[u]
             accepted = bf[r:r + 1], bg[r:r + 1], float(values[r])
         chosen = PureStrategy.of(selected)
         weights = {s: w * keep for s, w in weights.items() if w * keep > 0.0}
@@ -84,12 +83,10 @@ def solve_heuristic(game: BipartiteInfluenceGame, ell: int) -> MixedStrategy:
 
 def greedy_baseline(game: BipartiteInfluenceGame) -> PureStrategy:
     """Fill the budget greedily on expected activations sum_v P_v(z)."""
-    survival = np.ones(game.m)
     selected: list[int] = []
     for _ in range(game.k_L):
-        gains = (game.p_table * survival).sum(axis=1)  # r(S), as in mwu.PrefixTables
+        gains = (game.p_table * payoff.survival(game, selected)).sum(axis=1)  # mwu's r(S)
         gains[selected] = -np.inf
         u = int(np.argmax(gains))  # the objective is monotone: never stop early
         selected.append(u)
-        survival *= 1.0 - game.p_table[u]
     return PureStrategy.of(selected)

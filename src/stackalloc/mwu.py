@@ -109,32 +109,26 @@ GAIN_TOL = 1e-12  # a marginal gain below -GAIN_TOL is a numerics error
 class PrefixTables:
     """The greedy's per-step tables, memoized by the ordered prefix S.
 
-    With s_S the survival vector after funding S, in its order, and P
-    the game's dense table ``p_table``: r(S) = (P * s_S).sum(1) and the
-    n x |D_F| table PG(S) = (P * s_S) @ gain.T.  Neither depends on the
-    weights, so a cached entry is exactly what recomputing it would
-    give.  One instance serves one game and oracle; after c greedy calls
-    it holds at most 1 + c * (budget - 1) entries of n * (|D_F| + 1) + m
-    floats.
+    With s_S = ``payoff.survival`` of S and P the game's dense table
+    ``p_table``: r(S) = (P * s_S).sum(1) and the n x |D_F| table
+    PG(S) = (P * s_S) @ gain.T.  Neither depends on the weights, so a
+    cached entry is exactly what recomputing it would give, and each is
+    computed without its parent's.  One instance serves one game and
+    oracle; after c greedy calls it holds at most 1 + c * (budget - 1)
+    entries (r(S), PG(S)) of n * (|D_F| + 1) floats.
     """
 
     def __init__(self, game: BipartiteInfluenceGame, oracle: FollowerOracle):
-        self._p = game.p_table
+        self._game = game
         self._gain_t = oracle.gain.T
-        self._tables: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._tables: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
 
     def get(self, prefix: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
         """(r(S), PG(S)) for S = ``prefix``."""
-        tables = self._tables.get(prefix)
-        if tables is None:
-            if prefix:
-                self.get(prefix[:-1])
-                survival = self._tables[prefix[:-1]][2] * (1.0 - self._p[prefix[-1]])
-            else:
-                survival = np.ones(self._p.shape[1])
-            ps = self._p * survival
-            tables = self._tables[prefix] = (ps.sum(axis=1), ps @ self._gain_t, survival)
-        return tables[0], tables[1]
+        if prefix not in self._tables:
+            ps = self._game.p_table * payoff.survival(self._game, prefix)
+            self._tables[prefix] = ps.sum(axis=1), ps @ self._gain_t
+        return self._tables[prefix]
 
 
 def greedy_weighted_submodular(game: BipartiteInfluenceGame, weights) -> PureStrategy:

@@ -22,14 +22,14 @@ go through it; the disjoint LP reads its coefficients from the rows of
 {} and the singletons {u}, since on disjoint games f is linear and g
 affine in the allocation r.
 
-Every survival product reads the game's dense tables ``p_table`` and
-``pf_table`` (p or p_F on the edges, exactly 0 elsewhere, so an
-unfunded customer's factor is exactly 1): ``activation_vector`` takes
-the product of the selected rows of 1 - table, and ``activation_rows``
-fills the rows of a whole prefix-closed strategy list by prefix
-products, row(y) = row(y[:-1]) * (1 - table[y[-1]]), one dense multiply
-per strategy.  Both multiply each customer's factors in increasing
-medium order, so they agree bit for bit.
+Every survival product lives here and reads the game's dense tables
+``p_table`` and ``pf_table`` (p or p_F on the edges, exactly 0 elsewhere,
+so an unfunded customer's factor is exactly 1).  ``activation_rows``
+fills a prefix-closed strategy list in medium order for the follower
+oracle and the exact tables, row(y) = row(y[:-1]) * (1 - table[y[-1]]);
+``survival`` takes one prefix in pick order for the greedy engines and
+``activation_vector``.  Both multiply one row of factors at a time, in
+the order given, so on the same order they agree bit for bit.
 """
 
 from __future__ import annotations
@@ -49,19 +49,24 @@ def activation_rows(game: BipartiteInfluenceGame, strategies: list[PureStrategy]
     P_{F,v}(y).  Equal, bit for bit, to stacking ``activation_vector``.
     Fills and returns ``out``, of shape (|strategies|, m), if given.
     """
-    survival = np.empty((len(strategies), game.m)) if out is None else out
+    rows = np.empty((len(strategies), game.m)) if out is None else out
     factors = 1.0 - (game.p_table if table is None else table)
     row_of: dict[tuple[int, ...], int] = {}
     for i, y in enumerate(strategies):
         row_of[y.media] = i
         if not y.media:
-            survival[i] = 1.0
+            rows[i] = 1.0
             continue
         parent = row_of.get(y.media[:-1])
         if parent is None:
             raise ValueError(f"strategy {y} is listed before its prefix {y.media[:-1]}")
-        np.multiply(survival[parent], factors[y.media[-1]], out=survival[i])
-    return np.subtract(1.0, survival, out=survival)
+        np.multiply(rows[parent], factors[y.media[-1]], out=rows[i])
+    return np.subtract(1.0, rows, out=rows)
+
+
+def survival(game: BipartiteInfluenceGame, media) -> np.ndarray:
+    """prod_{u in media} (1 - p_table[u]), multiplied in the order listed; ones for none."""
+    return np.prod(1.0 - game.p_table[list(media)], axis=0)
 
 
 def activation_vector(game: BipartiteInfluenceGame, media) -> np.ndarray:
@@ -69,7 +74,7 @@ def activation_vector(game: BipartiteInfluenceGame, media) -> np.ndarray:
     in [0, n)."""
     z = PureStrategy.of(media)
     z.require_within(game.n)
-    return 1.0 - np.prod(1.0 - game.p_table[list(z)], axis=0)
+    return 1.0 - survival(game, z)
 
 
 def mixed_activation_vector(game: BipartiteInfluenceGame, x: MixedStrategy) -> np.ndarray:

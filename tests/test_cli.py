@@ -412,6 +412,29 @@ def test_bench_console_entry_in_parallel_matches_serial(tmp_path):
     assert len(tables[0]) == 5 and all(row[4] != "skipped" for row in tables[0][1:])
 
 
+def test_bench_worker_that_dies_exits_3_without_a_traceback(tmp_path):
+    # Forked workers inherit the patched trial: the k_L=2 row's second trial
+    # ends its process, as an out-of-memory kill would.
+    script = (
+        "import multiprocessing, os, sys\n"
+        "from stackalloc import bench, cli\n"
+        "multiprocessing.set_start_method('fork')\n"
+        "os.cpu_count = lambda: 2  # a real pool even on a one-CPU host\n"
+        "real_trial = bench._run_trial\n"
+        "def dying_trial(payload):\n"
+        "    if payload[1:] == (2, 1, 1):\n"
+        "        os._exit(1)\n"
+        "    return real_trial(payload)\n"
+        "bench._run_trial = dying_trial\n"
+        f"sys.exit(cli.main(['bench', '--spec', {write_tiny_spec(tmp_path)!r}]))\n")
+    proc = run_fresh_python(["-c", script], threads=2)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+    assert "bench worker process died" in lines[0] and "Traceback" not in proc.stderr
+
+
 def test_validate_commands(capsys, tmp_path, no_pure_optimum_path):
     code, out, _ = run_cli(capsys, "validate", "--instance", no_pure_optimum_path)
     assert code == 0 and out.strip() == "ok"

@@ -4,7 +4,7 @@ import pytest
 from stackalloc import (BipartiteInfluenceGame, FollowerOracle, MixedStrategy,
                         PureStrategy, activation_vector, enumerate_follower,
                         follower_oracle, mixed_activation_vector)
-from stackalloc.payoff import activation_rows
+from stackalloc.payoff import activation_rows, survival
 
 import oracles
 from conftest import follower_rows, random_game, utilities_at
@@ -263,6 +263,14 @@ def test_activation_rows_equal_per_strategy_vectors():
                                     for y in strategies])
         assert np.array_equal(rec, [1.0 - scatter_survival(game, y, game.edge_pf)
                                     for y in strategies])
+        # The greedy engines' kernel: one prefix, multiplied in pick order
+        # as their former running products were.
+        assert np.array_equal(act, [1.0 - survival(game, y.media) for y in strategies])
+        picks, s = [int(u) for u in rng.permutation(game.n)], np.ones(game.m)
+        assert np.array_equal(survival(game, []), s)
+        for i, u in enumerate(picks):
+            s *= 1.0 - game.p_table[u]
+            assert np.array_equal(survival(game, picks[:i + 1]), s)
 
 
 def test_activation_rows_zero_budget_and_prefix_check(uniform_overlap):
