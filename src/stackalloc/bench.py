@@ -212,6 +212,10 @@ def _run_trial(payload: tuple[ExperimentSpec, int, int, int]
     return out
 
 
+class WorkerDiedError(RuntimeError):
+    """A bench worker process ended without returning its trials."""
+
+
 def worker_count() -> int:
     try:
         return max(1, int(os.environ.get("STACKALLOC_THREADS", "1")))
@@ -229,8 +233,8 @@ def run_experiment(spec: ExperimentSpec) -> list[ExperimentRow]:
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_run_trial, payloads))
-        except BrokenExecutor as exc:  # BrokenProcessPool: a worker died, most likely of memory
-            raise MemoryError(f"a bench worker process died: {exc}") from exc
+        except BrokenExecutor as exc:  # BrokenProcessPool: a worker died
+            raise WorkerDiedError(f"a bench worker process died: {exc}") from exc
     else:
         results = [_run_trial(p) for p in payloads]
 

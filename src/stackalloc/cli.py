@@ -145,7 +145,7 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (CapExceededError, PivotLimitError) as exc:
+    except (CapExceededError, PivotLimitError, bench.WorkerDiedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
     except MemoryError as exc:

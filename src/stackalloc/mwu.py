@@ -10,10 +10,10 @@ output mix.  The accompanying certificate bounds the loss of translating
 the surrogate guarantee back to the original game.
 
 The greedy's tables depend on the media it has funded so far and not on
-the weights, so one run memoizes them by that ordered prefix
-(``PrefixTables``): at the default learning rate the rounds replay
-one or two strategies, and each step then costs one n x |D_F|
-matrix-vector product.
+the weights, so one run keeps them by that ordered prefix
+(``payoff.PrefixTables``, each prefix's PG grown from its parent's): at
+the default learning rate the rounds replay one or two strategies, and
+each step then costs one n x |D_F| matrix-vector product.
 
 Most runs replay one strategy z in every round, so ``solve_mwu``
 accepts replayed rounds in batches instead of running the greedy for
@@ -23,8 +23,9 @@ often rarely pays for a guess), it guesses that the next
 K = min(streak, rounds left) rounds play z too.  Their cumulative
 losses are one ``cumsum`` down [cum_losses, h, ..., h], which adds as
 the loop's ``+=`` does, and their weights are the loop's expression
-with a 1-D sum per row: every round's weights are the loop's, bit for
-bit.  Each greedy step along z's picks scores all K rounds with one
+with ``sum(axis=1)``, which adds each C-ordered row as the loop's 1-D
+``sum`` does: every round's weights are the loop's, bit for bit.  Each
+greedy step along z's picks scores all K rounds with one
 product W @ PG(S).T, which rounds differently from the loop's
 matrix-vector product, but either evaluation of gain u lies within
 gamma_k (total r_u + total max_j |PG(S)_uj|) of the exact sum of the
@@ -106,39 +107,14 @@ def _surrogate_losses(oracle: FollowerOracle, pvz: np.ndarray, C: float) -> np.n
 GAIN_TOL = 1e-12  # a marginal gain below -GAIN_TOL is a numerics error
 
 
-class PrefixTables:
-    """The greedy's per-step tables, memoized by the ordered prefix S.
-
-    With s_S = ``payoff.survival`` of S and P the game's dense table
-    ``p_table``: r(S) = (P * s_S).sum(1) and the n x |D_F| table
-    PG(S) = (P * s_S) @ gain.T.  Neither depends on the weights, so a
-    cached entry is exactly what recomputing it would give, and each is
-    computed without its parent's.  One instance serves one game and
-    oracle; after c greedy calls it holds at most 1 + c * (budget - 1)
-    entries (r(S), PG(S)) of n * (|D_F| + 1) floats.
-    """
-
-    def __init__(self, game: BipartiteInfluenceGame, oracle: FollowerOracle):
-        self._game = game
-        self._gain_t = oracle.gain.T
-        self._tables: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
-
-    def get(self, prefix: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        """(r(S), PG(S)) for S = ``prefix``."""
-        if prefix not in self._tables:
-            ps = self._game.p_table * payoff.survival(self._game, prefix)
-            self._tables[prefix] = ps.sum(axis=1), ps @ self._gain_t
-        return self._tables[prefix]
-
-
 def greedy_weighted_submodular(game: BipartiteInfluenceGame, weights) -> PureStrategy:
     """Greedy maximizer of sum_y w_y h_y(z) under the leader's budget |z| <= k_L.
 
     The weighted objective collapses to sum_v c_v P_v(z) + const with
     c_v = sum_y w_y (1 - P_{F,v}(y) + P_v(y)) >= 0, so adding u to S
     gains sum_v c_v s_S(v) p_uv = w.sum() * r(S)[u] + (PG(S) @ w)[u]
-    (see ``PrefixTables``).  Weights are scaled to sum 1 first.  Ties go
-    to the smallest medium index.
+    (see ``payoff.PrefixTables``).  Weights are scaled to sum 1 first.
+    Ties go to the smallest medium index.
     """
     oracle = follower_oracle(game)
     w = np.asarray(weights, dtype=float)
@@ -146,10 +122,10 @@ def greedy_weighted_submodular(game: BipartiteInfluenceGame, weights) -> PureStr
             or not w.max() > 0):
         raise ValueError("weights must be finite and nonnegative over the follower set, "
                          "not all zero")
-    return PureStrategy.of(_greedy(PrefixTables(game, oracle), w, game.k_L))
+    return PureStrategy.of(_greedy(payoff.PrefixTables(game, oracle.gain), w, game.k_L))
 
 
-def _greedy(tables: PrefixTables, w: np.ndarray, budget: int) -> list[int]:
+def _greedy(tables: payoff.PrefixTables, w: np.ndarray, budget: int) -> list[int]:
     """The greedy's media in pick order, at most ``budget`` = k_L, for finite w >= 0 not all 0."""
     w = w / w.max()  # the sum below cannot overflow
     w = w / w.sum()
@@ -169,7 +145,7 @@ def _greedy(tables: PrefixTables, w: np.ndarray, budget: int) -> list[int]:
     return chosen
 
 
-def _replayed_rounds(tables: PrefixTables, picks: list[int], budget: int,
+def _replayed_rounds(tables: payoff.PrefixTables, picks: list[int], budget: int,
                      weights: np.ndarray) -> int:
     """How many leading rows of ``weights`` the greedy certainly answers
     with ``picks``.
@@ -181,8 +157,8 @@ def _replayed_rounds(tables: PrefixTables, picks: list[int], budget: int,
     forward error bound of either evaluation (see the module docstring).
     """
     g = weights / weights.max(axis=1, keepdims=True)
-    g = g / np.array([row.sum() for row in g])[:, None]
-    totals = np.array([row.sum() for row in g])[:, None]
+    g = g / g.sum(axis=1, keepdims=True)
+    totals = g.sum(axis=1, keepdims=True)
     ku = (weights.shape[1] + 2) * np.finfo(float).eps / 2  # k u, u the unit roundoff
     gamma = ku / (1.0 - ku)
     ok = np.ones(len(g), dtype=bool)
@@ -219,7 +195,7 @@ def solve_mwu(game: BipartiteInfluenceGame,
     losses: dict[PureStrategy, np.ndarray] = {}  # h per distinct played z
     cum_losses = np.zeros(len(oracle))
     played = 0.0
-    tables = PrefixTables(game, oracle)
+    tables = payoff.PrefixTables(game, oracle.gain)
     last, streak, needed = None, 0, 2  # replay z once it has held `needed` rounds
     t = 0
     while t < T:
@@ -256,7 +232,7 @@ def solve_mwu(game: BipartiteInfluenceGame,
                 break
             e = np.exp(-eta * (cums[1:] - cums[1:].min(axis=1, keepdims=True)) / H)
             weights = np.empty_like(cums)
-            weights[0], weights[1:] = w, e / np.array([row.sum() for row in e])[:, None]
+            weights[0], weights[1:] = w, e / e.sum(axis=1, keepdims=True)
             accepted = _replayed_rounds(tables, picks, game.k_L, weights[:rounds])
             for row in weights[:accepted]:
                 played += float(row @ h)

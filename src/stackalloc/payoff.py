@@ -27,9 +27,16 @@ Every survival product lives here and reads the game's dense tables
 so an unfunded customer's factor is exactly 1).  ``activation_rows``
 fills a prefix-closed strategy list in medium order for the follower
 oracle and the exact tables, row(y) = row(y[:-1]) * (1 - table[y[-1]]);
-``survival`` takes one prefix in pick order for the greedy engines and
-``activation_vector``.  Both multiply one row of factors at a time, in
-the order given, so on the same order they agree bit for bit.
+``survival`` takes one prefix in pick order for ``activation_vector``
+and the greedy engines' ``PrefixTables``.  Both multiply one row of
+factors at a time, in the order given, so on the same order they agree
+bit for bit.
+
+The greedy engines (MWU's greedy and the heuristic) score a medium u
+against the media S funded so far through the tables of S that a
+``PrefixTables`` keeps for one run: since P_v(S + u) = P_v(S) +
+s_S(v) p_uv, a candidate's f and g are those of S plus one row of r(S)
+and of S's products with the follower's tables.
 """
 
 from __future__ import annotations
@@ -67,6 +74,57 @@ def activation_rows(game: BipartiteInfluenceGame, strategies: list[PureStrategy]
 def survival(game: BipartiteInfluenceGame, media) -> np.ndarray:
     """prod_{u in media} (1 - p_table[u]), multiplied in the order listed; ones for none."""
     return np.prod(1.0 - game.p_table[list(media)], axis=0)
+
+
+class PrefixTables:
+    """One greedy run's tables of each ordered prefix S of funded media.
+
+    With P = ``p_table`` and s_S = ``survival`` of S: r(S) = (P * s_S).sum(1),
+    and for each |D_F| x m coefficient table K given (``gain`` for MWU,
+    activation and recapture for the heuristic) the n x |D_F| table
+    PK(S) = (P * s_S) @ K.T.  Each entry is filled once, on first read,
+    read-only.  r(S) is the dense formula bit for bit.  PK is a dense
+    product only at S = (); elsewhere it grows from the parent's,
+    PK(S + u) = PK(S) - (P[:, N_u] * (s_S - s_{S+u})[N_u]) @ K[:, N_u].T
+    over u's customers N_u, the only ones where s_S and s_{S+u} differ.
+    That equals the dense product to rounding, and is set to exactly 0
+    on the rows where r(S + u) is 0, as the dense product is.  An engine
+    builds one store per call, so its tables go with the call: after c
+    greedy walks it holds at most 1 + c * (budget - 1) entries.
+    """
+
+    def __init__(self, game: BipartiteInfluenceGame, *coefficients: np.ndarray):
+        self._game = game
+        self._coefficients = coefficients
+        self._entries: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {}  # (s_S, r(S), PK(S)...)
+
+    def get(self, prefix: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+        """(r(S), PK(S) per coefficient table K) for S = ``prefix``."""
+        entry = self._entries.get(prefix)
+        if entry is None:
+            entry = self._entries[prefix] = self._fill(prefix)
+        return entry[1:]
+
+    def _fill(self, prefix: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+        game = self._game
+        s = survival(game, prefix)
+        r = (game.p_table * s).sum(axis=1)
+        if prefix:
+            self.get(prefix[:-1])
+            parent_s, _, *parents = self._entries[prefix[:-1]]
+            u = prefix[-1]
+            nu = game.edge_customers[slice(*np.searchsorted(game.edge_media, (u, u + 1)))]
+            dropped = game.p_table[:, nu] * (parent_s[nu] - s[nu])
+            tables = [parent - dropped @ k[:, nu].T
+                      for parent, k in zip(parents, self._coefficients)]
+            zero = r == 0.0
+            for table in tables:
+                table[zero] = 0.0
+        else:
+            tables = [game.p_table @ k.T for k in self._coefficients]  # P * s_() is P
+        for table in (r, *tables):
+            table.flags.writeable = False
+        return (s, r, *tables)
 
 
 def activation_vector(game: BipartiteInfluenceGame, media) -> np.ndarray:

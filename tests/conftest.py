@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from stackalloc import BipartiteInfluenceGame, PureStrategy, mixed_activation_vector
-from stackalloc.payoff import activation_rows, utilities
+from stackalloc.payoff import PrefixTables, activation_rows, utilities
 
 
 def make_uniform_overlap():
@@ -113,6 +113,19 @@ def count_scored_rows(monkeypatch, oracle):
 
     monkeypatch.setattr(oracle, "utilities", counting)
     return scored
+
+
+def count_store_misses(monkeypatch):
+    """From now on, count the prefixes whose tables a ``PrefixTables`` fills."""
+    misses = [0]
+    fill = PrefixTables._fill
+
+    def counting(tables, prefix):
+        misses[0] += 1
+        return fill(tables, prefix)
+
+    monkeypatch.setattr(PrefixTables, "_fill", counting)
+    return misses
 
 
 def follower_rows(game, y):

@@ -432,7 +432,8 @@ def test_bench_worker_that_dies_exits_3_without_a_traceback(tmp_path):
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
-    assert "bench worker process died" in lines[0] and "Traceback" not in proc.stderr
+    assert lines[0].startswith("error: a bench worker process died: ")
+    assert "instance too large" not in lines[0] and "Traceback" not in proc.stderr
 
 
 def test_validate_commands(capsys, tmp_path, no_pure_optimum_path):

@@ -12,7 +12,7 @@ from stackalloc import (CapExceededError, FollowerOracle, MixedStrategy, MwuConf
                         greedy_weighted_submodular, mixed_activation_vector, solve_disjoint_lp,
                         solve_heuristic, solve_multi_lp, solve_mwu)
 from stackalloc.model import BipartiteInfluenceGame
-from stackalloc.payoff import activation_rows
+from stackalloc.payoff import PrefixTables, activation_rows
 
 import oracles
 from conftest import count_scored_rows, random_game
@@ -235,3 +235,36 @@ def test_oracle_cache_frees_solved_games():
     del game
     gc.collect()
     assert all(ref() is None for ref in refs)
+
+
+def test_tables_die_with_their_run_and_the_oracle_with_the_game(monkeypatch):
+    # Each engine run's prefix tables go when the run returns, and the
+    # oracle when the game goes, by reference counting alone: a reference
+    # cycle would keep them until the collector ran, and tables kept on
+    # the oracle would pile up over repeated solves of one game.
+    stores = []
+    init = PrefixTables.__init__
+
+    def recording(tables, *args):
+        init(tables, *args)
+        stores.append(weakref.ref(tables))
+
+    monkeypatch.setattr(PrefixTables, "__init__", recording)
+    game = generate_instance(6, 40, 3.0, (0, 0.4), (0.1, 0.9), seed=3, k_L=2, k_F=2)
+    weights = np.ones(len(follower_oracle(game)))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for run in (lambda: solve_mwu(game, MwuConfig(iterations=20)),
+                    lambda: solve_heuristic(game, 3),
+                    lambda: greedy_weighted_submodular(game, weights),
+                    lambda: greedy_baseline(game)):
+            run()
+            assert all(ref() is None for ref in stores)
+        assert len(stores) == 3  # one per MWU, heuristic and greedy call; none for the baseline
+        oracle = weakref.ref(follower_oracle(game))
+        del game
+        assert oracle() is None
+    finally:
+        if enabled:
+            gc.enable()

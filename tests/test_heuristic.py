@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from stackalloc import (BipartiteInfluenceGame, MixedStrategy, PureStrategy,
-                        best_response, follower_oracle, greedy_baseline,
+from stackalloc import (BipartiteInfluenceGame, CapExceededError, MixedStrategy, PureStrategy,
+                        activation_vector, best_response, enumerate_follower,
+                        follower_oracle, generate_instance, greedy_baseline,
                         solve_heuristic)
+from stackalloc import follower as follower_mod
 from stackalloc import heuristic as heuristic_mod
 
 import oracles
-from conftest import count_scored_rows, random_game
+from conftest import count_scored_rows, count_store_misses, random_game
 
 
 def reference_pure_greedy(game):
@@ -91,10 +93,12 @@ def test_evaluation_count_scales_with_budget_and_rounds(monkeypatch):
     oracle = follower_oracle(game)
     ell = 4
     scored = count_scored_rows(monkeypatch, oracle)
+    misses = count_store_misses(monkeypatch)
     solve_heuristic(game, ell)
-    # n candidates per greedy step, k_L steps, ell rounds, plus the
-    # initial mix and one round-end score each round
-    assert scored[0] <= game.n * game.k_L * ell + ell + 1
+    # Only the initial mix is scored from activations; the store fills
+    # the empty prefix and at most k_L - 1 more prefixes per round.
+    assert scored[0] == 1
+    assert misses[0] <= 1 + (game.k_L - 1) * ell
 
 
 def _with_round_picks(monkeypatch, module, run):
@@ -141,19 +145,20 @@ def test_heuristic_matches_blended_reference(monkeypatch):
 
 def test_heuristic_scores_each_prefix_once(monkeypatch, no_pure_optimum):
     # With k_L = 1 every round's greedy starts from, and stops after, the
-    # empty prefix: its n candidate rows are scored once, not once per
-    # round.  Add the initial mix; a round's end is never scored.
+    # empty prefix: the store fills its tables once, not once per round.
+    # Besides them only the initial mix is scored; a round's end never is.
     oracle = follower_oracle(no_pure_optimum)
     ell = 10
     scored = count_scored_rows(monkeypatch, oracle)
+    misses = count_store_misses(monkeypatch)
     solve_heuristic(no_pure_optimum, ell)
-    assert scored[0] == no_pure_optimum.n + 1
+    assert scored[0] == 1 and misses[0] == 1
 
 
 def test_heuristic_scores_only_prefix_rows_at_budget_two(monkeypatch):
     # At k_L = 2 a round scores the empty prefix and, once it accepts a
-    # medium u, the prefix (u,): n and n - 1 candidate rows, each distinct
-    # prefix once per run.  Besides these only the initial mix is scored.
+    # medium u, the prefix (u,): the store fills each distinct prefix once
+    # per run.  Besides these only the initial mix is scored.
     rng = np.random.default_rng(447)
     for _ in range(10):
         game = random_game(rng, n_max=6, m_max=8)
@@ -163,9 +168,10 @@ def test_heuristic_scores_only_prefix_rows_at_budget_two(monkeypatch):
         ell = int(rng.integers(1, 8))
         with monkeypatch.context() as patch:
             scored = count_scored_rows(patch, follower_oracle(game))
+            misses = count_store_misses(patch)
             _, picks = _with_round_picks(patch, heuristic_mod, lambda: solve_heuristic(game, ell))
         prefixes = {()} | {round_picks[:game.k_L - 1] for round_picks in picks}
-        assert scored[0] == 1 + sum(game.n - len(prefix) for prefix in prefixes)
+        assert scored[0] == 1 and misses[0] == len(prefixes)
 
 
 def test_heuristic_rejects_bad_ell(no_pure_optimum):
@@ -210,3 +216,19 @@ def test_greedy_baseline_maximizes_activation_sum():
         best = max(sum(oracles.activation(game, v, s) for v in range(game.m))
                    for s in oracles.subsets_up_to(game.n, game.k_L))
         assert achieved >= (1 - 1 / np.e) * best - 1e-9
+
+
+def test_greedy_baseline_needs_no_follower_oracle():
+    # The baseline ignores the follower, so it runs where the follower set
+    # is over its cap (5,985,198 strategies at n=60, k_F=5) and builds no
+    # oracle.
+    game = generate_instance(60, 200, 3.0, (0.0, 0.2), (0.1, 0.9), seed=5, k_L=2, k_F=5)
+    with pytest.raises(CapExceededError):
+        enumerate_follower(game)
+    selected = []
+    for _ in range(game.k_L):
+        totals = [activation_vector(game, selected + [u]).sum() if u not in selected
+                  else -np.inf for u in range(game.n)]
+        selected.append(int(np.argmax(totals)))
+    assert greedy_baseline(game) == PureStrategy.of(selected)
+    assert game not in follower_mod._ORACLES

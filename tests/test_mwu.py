@@ -9,6 +9,7 @@ from stackalloc import (BipartiteInfluenceGame, MixedStrategy, MwuConfig,
                         greedy_weighted_submodular, solve_multi_lp, solve_mwu)
 from stackalloc import mwu as mwu_mod
 from stackalloc.lp import LpNumericsError
+from stackalloc.payoff import PrefixTables
 
 import oracles
 from conftest import random_game
@@ -93,17 +94,36 @@ def test_greedy_matches_edge_list_reference():
 
 
 def test_greedy_on_warm_tables_equals_a_fresh_call():
+    # An MWU run's store outlives each greedy call; an entry is the same
+    # whichever walks filled it and whichever prefix is read first, so a
+    # warm store answers as a fresh one.
     for rng, game in _differential_games(613, 60):
         oracle = follower_oracle(game)
-        tables = mwu_mod.PrefixTables(game, oracle)
+        tables = PrefixTables(game, oracle.gain)
+        budget = min(game.k_L, game.n)
         for _ in range(8):
             w = rng.dirichlet(np.full(len(oracle), 0.3))
-            warm = PureStrategy.of(mwu_mod._greedy(tables, w, min(game.k_L, game.n)))
+            warm = PureStrategy.of(mwu_mod._greedy(tables, w, budget))
             assert warm == greedy_weighted_submodular(game, w)
-        for prefix in list(tables._tables):
-            fresh_r, fresh_pg = mwu_mod.PrefixTables(game, oracle).get(prefix)
+        for prefix in list(tables._entries):
+            fresh_r, fresh_pg = PrefixTables(game, oracle.gain).get(prefix)
             r, pg = tables.get(prefix)
             assert np.array_equal(r, fresh_r) and np.array_equal(pg, fresh_pg)
+
+
+def test_row_sums_along_the_last_axis_equal_one_sum_per_row():
+    # The batch sums each weight row with .sum(axis=1) where the loop sums
+    # one row; on C-ordered rows the two must agree bit for bit, or batched
+    # rounds would not be the loop's.  Widths run to 6,196 = |D_F| at
+    # n=20, k_F=4.
+    rng = np.random.default_rng(616)
+    pool = np.exp(-rng.uniform(0.0, 40.0, (8, 6196)))
+    pool[::2] *= rng.uniform(0.0, 1e-3, (4, 1))
+    for width in range(1, 6197):
+        rows = np.ascontiguousarray(pool[:(1, 2, 3, 5, 8)[width % 5], :width])
+        sums = rows.sum(axis=1, keepdims=True)
+        assert sums.shape == (len(rows), 1)
+        assert np.array_equal(sums[:, 0], [row.sum() for row in rows]), width
 
 
 def test_solve_mwu_matches_edge_list_reference():
@@ -132,7 +152,7 @@ def test_replayed_rounds_certify_only_what_the_greedy_plays():
         cases.append((game, np.vstack([base, base * rng.uniform(0.5, 1.5, (6, base.size))])))
     certified = 0
     for game, rows in cases:
-        tables = mwu_mod.PrefixTables(game, follower_oracle(game))
+        tables = PrefixTables(game, follower_oracle(game).gain)
         budget = min(game.k_L, game.n)
         picks = mwu_mod._greedy(tables, rows[0], budget)
         accepted = mwu_mod._replayed_rounds(tables, picks, budget, rows)

@@ -4,7 +4,7 @@ import pytest
 from stackalloc import (BipartiteInfluenceGame, FollowerOracle, MixedStrategy,
                         PureStrategy, activation_vector, enumerate_follower,
                         follower_oracle, mixed_activation_vector)
-from stackalloc.payoff import activation_rows, survival
+from stackalloc.payoff import PrefixTables, activation_rows, survival
 
 import oracles
 from conftest import follower_rows, random_game, utilities_at
@@ -301,3 +301,39 @@ def test_tables_equal_the_edge_maps():
             assert table.shape == (game.n, game.m)
             assert table.tolist() == [[probs.get((u, v), 0.0) for v in range(game.m)]
                                       for u in range(game.n)]
+
+
+def test_prefix_tables_match_a_dense_recomputation():
+    # Each prefix's products are grown from the parent's on u's customers
+    # only, so they equal the dense products to rounding (relative to the
+    # products' magnitude at S = (), which bounds every step's terms), and
+    # exactly 0 where r(S) is 0; r(S) is the dense formula bit for bit.  A
+    # third of the edges have p = 1, so funding wipes out rows of r(S).
+    rng = np.random.default_rng(4343)
+    zero_rows = 0
+    for _ in range(60):
+        base = sparse_game(rng, 2)
+        p = np.where(rng.uniform(size=base.edge_p.size) < 1 / 3, 1.0, base.edge_p)
+        game = BipartiteInfluenceGame.from_arrays(base.n, base.m, base.edge_media,
+                                                  base.edge_customers, p, base.edge_pf,
+                                                  base.k_L, base.k_F)
+        oracle = follower_oracle(game)
+        coefficients = (oracle.gain, oracle.activation, oracle.recapture)
+        tables = PrefixTables(game, *coefficients)
+        for order in (rng.permutation(game.n), rng.permutation(game.n)[:2]):
+            picks = tuple(int(u) for u in order)
+            for i in range(len(picks) + 1):
+                prefix = picks[:i]
+                ps = game.p_table * survival(game, prefix)
+                r, *products = tables.get(prefix)
+                assert np.array_equal(r, ps.sum(axis=1))
+                for table, k in zip(products, coefficients):
+                    scale = game.p_table @ np.abs(k).T
+                    assert (np.abs(table - ps @ k.T) <= 1e-12 * scale).all()
+                    assert (table[r == 0.0] == 0.0).all()
+                    assert not table.flags.writeable
+                zero_rows += int((r == 0.0).sum()) if prefix else 0
+        # A deep prefix read first grows its whole chain the same way.
+        fresh = PrefixTables(game, *coefficients).get(picks)
+        assert all(np.array_equal(a, b) for a, b in zip(fresh, tables.get(picks)))
+    assert zero_rows > 0
