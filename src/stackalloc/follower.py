@@ -51,8 +51,10 @@ class FollowerOracle:
     Built once per instance (by prefix products, see
     ``payoff.activation_rows``) into the two slabs of one array and
     shared by every solver through ``follower_oracle``, so every table
-    is read-only.  Only MWU reads ``gain`` and ``C``, so they are
-    computed on first read.
+    is read-only.  It holds only the follower's two tables and the
+    scalar ``C``, computed on first read (only MWU and ``certify`` read
+    it); an engine's derived tables live in its own run's store
+    (``payoff.PrefixTables``).
     """
 
     def __init__(self, game: BipartiteInfluenceGame):
@@ -65,14 +67,6 @@ class FollowerOracle:
             payoff.activation_rows(game, self.strategies, table, out)
         tables.flags.writeable = False
         self.activation, self.recapture = tables
-
-    @cached_property
-    def gain(self) -> np.ndarray:
-        """P_v(y) - P_{F,v}(y), the per-customer coefficient of the MWU
-        greedy's objective."""
-        gain = self.activation - self.recapture
-        gain.flags.writeable = False
-        return gain
 
     @cached_property
     def C(self) -> float:

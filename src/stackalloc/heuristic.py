@@ -86,7 +86,7 @@ def greedy_baseline(game: BipartiteInfluenceGame) -> PureStrategy:
     """Fill the budget greedily on expected activations sum_v P_v(z)."""
     selected: list[int] = []
     for _ in range(game.k_L):
-        gains = (game.p_table * payoff.survival(game, selected)).sum(axis=1)  # mwu's r(S)
+        gains = (game.p_table * payoff.survival(game, selected)).sum(axis=1)  # PrefixTables' r(S)
         gains[selected] = -np.inf
         u = int(np.argmax(gains))  # the objective is monotone: never stop early
         selected.append(u)

@@ -11,7 +11,8 @@ the surrogate guarantee back to the original game.
 
 The greedy's tables depend on the media it has funded so far and not on
 the weights, so one run keeps them by that ordered prefix
-(``payoff.PrefixTables``, each prefix's PG grown from its parent's): at
+(``payoff.PrefixTables``, each prefix's PG grown from its parent's, G the
+gain table P_v(y) - P_{F,v}(y) that the run builds for itself): at
 the default learning rate the rounds replay one or two strategies, and
 each step then costs one n x |D_F| matrix-vector product.
 
@@ -19,8 +20,8 @@ Most runs replay one strategy z in every round, so ``solve_mwu``
 accepts replayed rounds in batches instead of running the greedy for
 each.  Once z has held for ``needed`` rounds in a row (2 at first,
 doubled after each batch that stops early, so that a run that switches
-often rarely pays for a guess), it guesses that the next
-K = min(streak, rounds left) rounds play z too.  Their cumulative
+often rarely pays for a guess), it guesses that the next K =
+min(streak, rounds left, ``MAX_BATCH``) rounds play z too.  Their cumulative
 losses are one ``cumsum`` down [cum_losses, h, ..., h], which adds as
 the loop's ``+=`` does, and their weights are the loop's expression
 with ``sum(axis=1)``, which adds each C-ordered row as the loop's 1-D
@@ -105,6 +106,7 @@ def _surrogate_losses(oracle: FollowerOracle, pvz: np.ndarray, C: float) -> np.n
 
 
 GAIN_TOL = 1e-12  # a marginal gain below -GAIN_TOL is a numerics error
+MAX_BATCH = 64  # rounds per replay batch, so a batch's rows do not grow with T
 
 
 def greedy_weighted_submodular(game: BipartiteInfluenceGame, weights) -> PureStrategy:
@@ -122,7 +124,8 @@ def greedy_weighted_submodular(game: BipartiteInfluenceGame, weights) -> PureStr
             or not w.max() > 0):
         raise ValueError("weights must be finite and nonnegative over the follower set, "
                          "not all zero")
-    return PureStrategy.of(_greedy(payoff.PrefixTables(game, oracle.gain), w, game.k_L))
+    tables = payoff.PrefixTables(game, oracle.activation - oracle.recapture)
+    return PureStrategy.of(_greedy(tables, w, game.k_L))
 
 
 def _greedy(tables: payoff.PrefixTables, w: np.ndarray, budget: int) -> list[int]:
@@ -195,7 +198,7 @@ def solve_mwu(game: BipartiteInfluenceGame,
     losses: dict[PureStrategy, np.ndarray] = {}  # h per distinct played z
     cum_losses = np.zeros(len(oracle))
     played = 0.0
-    tables = payoff.PrefixTables(game, oracle.gain)
+    tables = payoff.PrefixTables(game, oracle.activation - oracle.recapture)
     last, streak, needed = None, 0, 2  # replay z once it has held `needed` rounds
     t = 0
     while t < T:
@@ -220,7 +223,7 @@ def solve_mwu(game: BipartiteInfluenceGame,
         # Guess that the next rounds replay z, and keep those the greedy
         # certainly plays so: their state is the loop's, bit for bit.
         while H > 0 and eta > 0 and streak >= needed and t < T:
-            rounds = min(streak, T - t)
+            rounds = min(streak, T - t, MAX_BATCH)
             # Row j is cum_losses after j more plays of z, summed as the loop
             # sums it.  Every array here is C-ordered, so that each weight
             # row's product with h is the loop's.

@@ -80,8 +80,8 @@ class PrefixTables:
     """One greedy run's tables of each ordered prefix S of funded media.
 
     With P = ``p_table`` and s_S = ``survival`` of S: r(S) = (P * s_S).sum(1),
-    and for each |D_F| x m coefficient table K given (``gain`` for MWU,
-    activation and recapture for the heuristic) the n x |D_F| table
+    and for each |D_F| x m coefficient table K given (activation minus
+    recapture for MWU, activation and recapture for the heuristic) the n x |D_F| table
     PK(S) = (P * s_S) @ K.T.  Each entry is filled once, on first read,
     read-only.  r(S) is the dense formula bit for bit.  PK is a dense
     product only at S = (); elsewhere it grows from the parent's,

@@ -18,6 +18,13 @@ follower, the mix and every candidate's status and LP value, and the
 paper-scale ``solve_multi_lp`` cells of seed 0 (k_L in {1, 2} with both
 p_F ranges, and k_L=4 with p_F~U(0,0.2)) with the same fields.
 
+The wide grid holds cells whose answers hang on the last bits of the
+greedy engines' products: three shapes at n=20, m=844 (``WIDE_SHAPES``:
+the paper shape, k_F=3 at the paper degree, and mean degree 1), seeds
+10-21 x k_L in {1, 2, 4, 6} x both p_F ranges.  On each it holds MWU at
+the three learning rates, the greedy baseline, and the heuristic at ell
+1, 10 and 30, with the same fields as on the paper cells.
+
 The front doors are covered too (``front_doors``): the ``stackalloc
 solve`` report, without its ``timings`` and with the instance named by
 its file name, for every engine on one small file whose customers have
@@ -56,6 +63,11 @@ SEEDS = range(10)
 K_LS = (1, 2, 4)
 PF_RANGES = ((0.1, 0.9), (0.0, 0.2))
 LEARNING_RATES = ("auto", 30.0, 300.0)
+# (name, k_F, mean degree) of the wide grid's shapes, all at n=20, m=844.
+WIDE_SHAPES = (("paper", 2, 3506 / 844), ("k_F=3", 3, 3506 / 844), ("degree=1", 2, 1.0))
+WIDE_SEEDS = range(10, 22)
+WIDE_K_LS = (1, 2, 4, 6)
+WIDE_ELLS = (1, 10, 30)
 # (engine, n, m, mean degree, k_L): the shapes of the exact-lp benchmark.
 EXACT_SHAPES = (("multi", 10, 200, 3.0, 1), ("multi", 10, 100, 3.0, 2),
                 ("disjoint", 12, 400, 1.0, 2), ("disjoint", 15, 300, 1.0, 2))
@@ -109,17 +121,42 @@ def _equilibrium(res) -> dict:
                                    for y, (status, value) in res.per_y_values.items())}
 
 
-def answers(engine_seeds=SEEDS, exact_seeds=EXACT_SEEDS, paper_exact=PAPER_EXACT) -> dict:
+def _engines(game, cell: str, ells=(10,)) -> dict:
+    """MWU at every learning rate, the greedy baseline and the heuristic at
+    each of ``ells`` on ``game``; a heuristic key names ell unless it is 10."""
+    from stackalloc import (MixedStrategy, MwuConfig, best_response, greedy_baseline,
+                            solve_heuristic, solve_mwu)
+
+    out = {}
+    for rate in LEARNING_RATES:
+        x, cert = solve_mwu(game, MwuConfig(learning_rate=rate))
+        out[f"mwu {cell} rate={rate}"] = {
+            "mix": _mix(x),
+            "certificate": {k: _hex(v) for k, v in dataclasses.asdict(cert).items()},
+        }
+    z = greedy_baseline(game)
+    out[f"greedy {cell}"] = {
+        "media": list(z.media),
+        "response": _response(best_response(game, MixedStrategy.point_mass(z))),
+    }
+    for ell in ells:
+        x = solve_heuristic(game, ell)
+        key = f"heuristic {cell}" if ell == 10 else f"heuristic {cell} ell={ell}"
+        out[key] = {"mix": _mix(x), "response": _response(best_response(game, x))}
+    return out
+
+
+def answers(engine_seeds=SEEDS, exact_seeds=EXACT_SEEDS, paper_exact=PAPER_EXACT,
+            wide_seeds=WIDE_SEEDS) -> dict:
     """Every answer of the grid, keyed by engine and cell.
 
     The loader entries cover every paper cell; the engines run on the
-    paper cells of ``engine_seeds``, on the exact grid's ``exact_seeds``
-    and on the ``paper_exact`` cells, so a smaller grid is a subset of
-    the full dump's entries.
+    paper cells of ``engine_seeds``, on the exact grid's ``exact_seeds``,
+    on the ``paper_exact`` cells and on the wide grid's ``wide_seeds``, so
+    a smaller grid is a subset of the full dump's entries.
     """
-    from stackalloc import (MixedStrategy, MwuConfig, best_response, dump_instance,
-                            generate_instance, greedy_baseline, load_instance, solve_disjoint_lp,
-                            solve_heuristic, solve_multi_lp, solve_mwu)
+    from stackalloc import (dump_instance, generate_instance, load_instance,
+                            solve_disjoint_lp, solve_multi_lp)
 
     out = {}
     for seed in SEEDS:
@@ -134,23 +171,16 @@ def answers(engine_seeds=SEEDS, exact_seeds=EXACT_SEEDS, paper_exact=PAPER_EXACT
                 out[f"loader {cell}"] = {
                     name: hashlib.sha256(getattr(loaded, name).tobytes()).hexdigest()
                     for name in ("edge_media", "edge_customers", "edge_p", "edge_pf")}
-                if seed not in engine_seeds:
-                    continue
-                for rate in LEARNING_RATES:
-                    x, cert = solve_mwu(game, MwuConfig(learning_rate=rate))
-                    out[f"mwu {cell} rate={rate}"] = {
-                        "mix": _mix(x),
-                        "certificate": {k: _hex(v)
-                                        for k, v in dataclasses.asdict(cert).items()},
-                    }
-                z = greedy_baseline(game)
-                out[f"greedy {cell}"] = {
-                    "media": list(z.media),
-                    "response": _response(best_response(game, MixedStrategy.point_mass(z))),
-                }
-                x = solve_heuristic(game, 10)
-                out[f"heuristic {cell}"] = {"mix": _mix(x),
-                                            "response": _response(best_response(game, x))}
+                if seed in engine_seeds:
+                    out.update(_engines(game, cell))
+    for shape, k_F, degree in WIDE_SHAPES:
+        for seed in wide_seeds:
+            for k_L in WIDE_K_LS:
+                for pf in PF_RANGES:
+                    game = generate_instance(20, 844, degree, (0.0, 0.2), pf, seed=seed,
+                                             k_L=k_L, k_F=k_F)
+                    cell = f"wide {shape} seed={seed} k_L={k_L} pf={pf[0]}-{pf[1]}"
+                    out.update(_engines(game, cell, WIDE_ELLS))
     solvers = {"multi": solve_multi_lp, "disjoint": solve_disjoint_lp}
     for engine, n, m, degree, k_L in EXACT_SHAPES:
         for seed in exact_seeds:

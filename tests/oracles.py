@@ -247,12 +247,12 @@ def _fund(game, survival, u):
 
 
 def greedy_weighted_edges(game, weights, budget, oracle):
-    """The MWU greedy scored from the edge list: c = w @ gain once per
+    """The MWU greedy scored from the edge list: c = 1 + w @ (P - P_F) once per
     call, then per step an edge gather of c_v * s(v) * p_uv summed per
     medium by ``bincount``.  Ties go to the smallest medium index."""
     w = np.asarray(weights, dtype=float)
     w = w / w.sum()
-    c = w.sum() + w @ oracle.gain
+    c = w.sum() + w @ (oracle.activation - oracle.recapture)
     edge_c = c[game.edge_customers]
     survival = np.ones(game.m)
     chosen = []

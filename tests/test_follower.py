@@ -160,20 +160,26 @@ def test_every_engine_reads_the_cached_oracle(monkeypatch, no_pure_optimum, priv
     assert len(built) == 2 and built[0] is game and built[1] is private_customers
 
 
-def test_only_mwu_reads_the_oracles_gain_and_c(private_customers):
-    # gain and C are computed on first read; the other engines never read them.
+def test_the_oracle_holds_only_the_followers_tables(private_customers):
+    # Every table an engine derives lives for its own run; the shared
+    # oracle keeps the follower's two tables, and C once MWU or certify
+    # reads it.
     game = private_customers
     oracle = follower_oracle(game)
+    tables = {"strategies", "activation", "recapture"}
     greedy_baseline(game)
+    greedy_weighted_submodular(game, np.ones(len(oracle)))
     solve_heuristic(game, 3)
     solve_multi_lp(game)
     solve_disjoint_lp(game)
     best_response(game, point([0]))
-    assert "gain" not in vars(oracle) and "C" not in vars(oracle)
-    solve_mwu(game, MwuConfig(iterations=5))
-    assert {"gain", "C"} <= vars(oracle).keys()
-    assert np.array_equal(oracle.gain, oracle.activation - oracle.recapture)
+    assert vars(oracle).keys() == tables
+    certify(game, point([0]))
+    assert vars(oracle).keys() == tables | {"C"}
     assert oracle.C == float(oracle.activation.sum(axis=1).max())
+    del oracle.C
+    solve_mwu(game, MwuConfig(iterations=5))
+    assert vars(oracle).keys() == tables | {"C"}
 
 
 @pytest.mark.parametrize("medium", [-1, 5])
@@ -206,7 +212,7 @@ def test_oracle_tables_reject_in_place_writes():
     game = generate_instance(6, 40, 3.0, (0, 0.4), (0.1, 0.9), seed=3, k_F=2)
     oracle = follower_oracle(game)
     before = best_response(game, point([0])).follower_value
-    for table in (oracle.activation, oracle.recapture, oracle.gain):
+    for table in (oracle.activation, oracle.recapture):
         assert not table.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0] = 5.0

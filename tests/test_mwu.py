@@ -99,14 +99,15 @@ def test_greedy_on_warm_tables_equals_a_fresh_call():
     # warm store answers as a fresh one.
     for rng, game in _differential_games(613, 60):
         oracle = follower_oracle(game)
-        tables = PrefixTables(game, oracle.gain)
+        gain = oracle.activation - oracle.recapture
+        tables = PrefixTables(game, gain)
         budget = min(game.k_L, game.n)
         for _ in range(8):
             w = rng.dirichlet(np.full(len(oracle), 0.3))
             warm = PureStrategy.of(mwu_mod._greedy(tables, w, budget))
             assert warm == greedy_weighted_submodular(game, w)
         for prefix in list(tables._entries):
-            fresh_r, fresh_pg = PrefixTables(game, oracle.gain).get(prefix)
+            fresh_r, fresh_pg = PrefixTables(game, gain).get(prefix)
             r, pg = tables.get(prefix)
             assert np.array_equal(r, fresh_r) and np.array_equal(pg, fresh_pg)
 
@@ -152,7 +153,8 @@ def test_replayed_rounds_certify_only_what_the_greedy_plays():
         cases.append((game, np.vstack([base, base * rng.uniform(0.5, 1.5, (6, base.size))])))
     certified = 0
     for game, rows in cases:
-        tables = PrefixTables(game, follower_oracle(game).gain)
+        oracle = follower_oracle(game)
+        tables = PrefixTables(game, oracle.activation - oracle.recapture)
         budget = min(game.k_L, game.n)
         picks = mwu_mod._greedy(tables, rows[0], budget)
         accepted = mwu_mod._replayed_rounds(tables, picks, budget, rows)
@@ -187,6 +189,29 @@ def test_solve_mwu_replays_a_repeated_strategy_in_batches(monkeypatch):
     loop_x, loop_cert = solve_mwu(game, MwuConfig(iterations=100))
     assert len(calls) == 100
     assert x.weights == loop_x.weights and cert == loop_cert
+
+
+def test_solve_mwu_caps_the_rows_of_a_replay_batch(monkeypatch):
+    # Uncapped, a batch asks for min(streak, rounds left) rows, about T/2
+    # in a long run, each |D_F| wide; capped, it asks for at most
+    # MAX_BATCH, and the answer is the uncapped run's.
+    game = generate_instance(8, 60, 2.0, (0.0, 0.2), (0.1, 0.9), seed=1, k_L=2, k_F=2)
+    config = MwuConfig(iterations=2000)
+    rows = []
+    kernel = mwu_mod._replayed_rounds
+
+    def counted(tables, picks, budget, weights):
+        rows.append(len(weights))
+        return kernel(tables, picks, budget, weights)
+
+    monkeypatch.setattr(mwu_mod, "_replayed_rounds", counted)
+    x, cert = solve_mwu(game, config)
+    assert max(rows) == mwu_mod.MAX_BATCH
+    del rows[:]
+    monkeypatch.setattr(mwu_mod, "MAX_BATCH", 10 ** 9)
+    uncapped_x, uncapped_cert = solve_mwu(game, config)
+    assert max(rows) > 500
+    assert x.weights == uncapped_x.weights and cert == uncapped_cert
 
 
 @pytest.mark.parametrize("copy_p", [0.5, 0.5 + 1e-15], ids=["exact", "within-rounding"])
@@ -411,7 +436,7 @@ def test_solve_mwu_rejects_non_finite_weights(no_pure_optimum, monkeypatch):
 
 def test_greedy_negative_marginal_is_a_numerics_error(no_pure_optimum, monkeypatch):
     oracle = follower_oracle(no_pure_optimum)
-    # c_v = 1 - 2 < 0: not monotone
-    monkeypatch.setattr(oracle, "gain", np.full_like(oracle.gain, -2.0))
+    # gain = activation - recapture = -2, so c_v = 1 - 2 < 0: not monotone
+    monkeypatch.setattr(oracle, "recapture", oracle.activation + 2.0)
     with pytest.raises(LpNumericsError, match="negative marginal"):
         greedy_weighted_submodular(no_pure_optimum, np.full(4, 0.25))

@@ -318,7 +318,8 @@ def test_prefix_tables_match_a_dense_recomputation():
                                                   base.edge_customers, p, base.edge_pf,
                                                   base.k_L, base.k_F)
         oracle = follower_oracle(game)
-        coefficients = (oracle.gain, oracle.activation, oracle.recapture)
+        coefficients = (oracle.activation - oracle.recapture, oracle.activation,
+                        oracle.recapture)
         tables = PrefixTables(game, *coefficients)
         for order in (rng.permutation(game.n), rng.permutation(game.n)[:2]):
             picks = tuple(int(u) for u in order)
