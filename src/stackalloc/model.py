@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, islice
@@ -280,6 +281,7 @@ def pure_strategies(n: int, budget: int, cap: int, player: str, advice: str) -> 
 
 # Edge lines are parsed this many at a time, which bounds the tokens held.
 _CHUNK_LINES = 512
+_EDGE_ROW = np.dtype([("u", np.intp), ("v", np.intp), ("p", float), ("pf", float)])
 
 
 def load_instance(stream: TextIO | Iterable[str]) -> BipartiteInfluenceGame:
@@ -292,10 +294,11 @@ def load_instance(stream: TextIO | Iterable[str]) -> BipartiteInfluenceGame:
     first bad line, with that line's first failing check in the order:
     token count, number, index range, duplicate edge, probability range.
 
-    Edge lines are read in chunks of ``_CHUNK_LINES``, converted a column
-    at a time and joined for ``from_arrays``.  Only a chunk that fails to
-    convert is searched line by line, and the edges are checked in file
-    order only to name a bad line.
+    Edge lines are read in chunks of ``_CHUNK_LINES``.  numpy's C reader
+    parses a chunk to the bits ``int`` and ``float`` give; one it rejects
+    takes the token path, which drops comment and blank lines and converts
+    a column at a time.  Only a chunk that fails there too is searched line
+    by line, and the edges are checked in file order only to name a bad line.
     """
     lines = iter(stream)
     line_no, header = 0, None
@@ -310,20 +313,18 @@ def load_instance(stream: TextIO | Iterable[str]) -> BipartiteInfluenceGame:
     parts = [_edge_columns([])]  # per chunk, its edge columns
     numbers: list[Iterable[int]] = [()]  # per chunk, the line number of each edge
     while chunk := list(islice(lines, _CHUNK_LINES)):
-        rows = list(map(str.split, chunk))
-        lines_here = range(line_no + 1, line_no + 1 + len(rows))
-        line_no += len(rows)
-        columns = _edge_columns(rows)
-        if columns is None:  # comments, blank lines or a bad line
+        lines_here = range(line_no + 1, line_no + 1 + len(chunk))
+        line_no += len(chunk)
+        if (columns := _read_columns(chunk)) is None:  # the token path
+            rows = list(map(str.split, chunk))
             kept = [i for i, row in enumerate(rows) if row and not row[0].startswith("#")]
             rows, lines_here = [rows[i] for i in kept], [lines_here[i] for i in kept]
-            columns = _edge_columns(rows)
-        if columns is None:
-            bad = next(i for i, row in enumerate(rows) if _edge_columns([row]) is None)
-            parts.append(_edge_columns(rows[:bad]))
-            numbers.append(lines_here[:bad])
-            raise (_bad_edge(n, m, parts, numbers)  # an earlier bad edge wins
-                   or InstanceFormatError(lines_here[bad], _line_error(rows[bad])))
+            if (columns := _edge_columns(rows)) is None:
+                bad = next(i for i, row in enumerate(rows) if _edge_columns([row]) is None)
+                parts.append(_edge_columns(rows[:bad]))
+                numbers.append(lines_here[:bad])
+                raise (_bad_edge(n, m, parts, numbers)  # an earlier bad edge wins
+                       or InstanceFormatError(lines_here[bad], _line_error(rows[bad])))
         parts.append(columns)
         numbers.append(lines_here)
     try:
@@ -347,6 +348,17 @@ def _header(tokens: list[str], line_no: int) -> tuple[int, int, int, int]:
     if not (0 <= k_L <= n and 0 <= k_F <= n):
         raise InstanceFormatError(line_no, "budget outside [0, n]")
     return header
+
+
+def _read_columns(chunk: list[str]) -> tuple[np.ndarray, ...] | None:
+    """The edge columns numpy's C reader parses, or None on an error, warning or skipped line."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy 1.x reads an index 3.0 with only a warning
+        try:
+            table = np.loadtxt(chunk, dtype=_EDGE_ROW, comments=None, ndmin=1)
+        except (ValueError, Warning):
+            return None
+    return tuple(table[name] for name in _EDGE_ROW.names) if table.size == len(chunk) else None
 
 
 def _edge_columns(rows: list[list[str]]) -> tuple[np.ndarray, ...] | None:

@@ -9,6 +9,7 @@ the reference loader accepts once the rows are written out as a file.
 
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -32,8 +33,13 @@ def outcome(loader, text):
 
 
 def described(game):
-    return ("game", game.n, game.m, game.k_L, game.k_F, game.edge_media.tolist(),
-            game.edge_customers.tolist(), game.edge_p.tolist(), game.edge_pf.tolist())
+    return loaded(game.n, game.m, game.k_L, game.k_F, game.edge_media.tolist(),
+                  game.edge_customers.tolist(), game.edge_p.tolist(), game.edge_pf.tolist())
+
+
+def loaded(n, m, k_L, k_F, u, v, p, pf):
+    """A game's outcome; probabilities by ``float.hex``, so -0.0 is not 0.0."""
+    return "game", n, m, k_L, k_F, u, v, [*map(float.hex, p)], [*map(float.hex, pf)]
 
 
 def assert_agrees(text):
@@ -43,10 +49,14 @@ def assert_agrees(text):
 
 
 # Tokens that hit every check: bad numbers, indices out of range in both
-# directions and beyond int64, probabilities outside [0, 1], NaN and inf.
+# directions and beyond int64, probabilities outside [0, 1], NaN and inf,
+# and literals whose rounding is hard: the smallest subnormal, just below
+# and far below half of it, 0.1 written out exactly, overflow and -0.
 TOKENS = ["0", "1", "2", "3", "-1", "7", "0.5", "1.0", "0.0", "-0.0", "1.5", "1e-3",
           "nan", "inf", "-inf", "x", "1_0", "0x1", str(INTP_MAX), str(INTP_MAX + 1),
-          str(-INTP_MAX - 2), "99999999999999999999999", "# c"]
+          str(-INTP_MAX - 2), "99999999999999999999999", "# c", "4.9e-324",
+          "2.4703282292062327e-324", "0.1000000000000000055511151231257827021181583404541015625",
+          "1e-400", "1e309", "-0"]
 
 
 @st.composite
@@ -144,12 +154,12 @@ def test_build_accepts_what_the_reference_loader_accepts(header_rows):
 
 @pytest.mark.parametrize("text,expected", [
     # Header only, and no customers at all.
-    ("3 4 1 1\n", ("game", 3, 4, 1, 1, [], [], [], [])),
-    ("2 0 1 0\n", ("game", 2, 0, 1, 0, [], [], [], [])),
+    ("3 4 1 1\n", loaded(3, 4, 1, 1, [], [], [], [])),
+    ("2 0 1 0\n", loaded(2, 0, 1, 0, [], [], [], [])),
     ("2 0 1 0\n0 0 0.5 0.5\n", ("error", 2, "line 2: edge index out of range (0, 0)")),
     # Comments and blank lines are skipped but still count as lines.
     ("# c\n\n   \n2 2 1 1\n# mid\n1 1 0.25 0.75\n\n0 1 1 0\n",
-     ("game", 2, 2, 1, 1, [0, 1], [1, 1], [1.0, 0.25], [0.0, 0.75])),
+     loaded(2, 2, 1, 1, [0, 1], [1, 1], [1.0, 0.25], [0.0, 0.75])),
     ("# c\n\n2 2 1 1\n# mid\n1 1 0.25\n", ("error", 5, "line 5: edge line must be 'u v p pF'")),
     # The first bad line wins, whichever check fails on a later line.
     ("3 4 1 1\n7 0 0.5 0.5\n0 0 0.5\n", ("error", 2, "line 2: edge index out of range (7, 0)")),
@@ -167,7 +177,7 @@ def test_build_accepts_what_the_reference_loader_accepts(header_rows):
      ("error", 3, "line 3: edge index out of range (1, -99999999999999999999999)")),
     # A huge customer count needs no memory of its size.
     ("2 1000000000000 1 1\n1 999999999999 0.5 0.25\n0 5 1 0\n",
-     ("game", 2, 10**12, 1, 1, [0, 1], [5, 999999999999], [1.0, 0.5], [0.0, 0.25])),
+     loaded(2, 10**12, 1, 1, [0, 1], [5, 999999999999], [1.0, 0.5], [0.0, 0.25])),
     ("2 1000000000000 1 1\n0 999999999999 0.5 0.25\n0 999999999999 1 0\n",
      ("error", 3, "line 3: duplicate edge (0, 999999999999)")),
     (f"2 {INTP_MAX + 1} 1 1\n", ("error", 1, "line 1: size too large in header")),
@@ -179,6 +189,21 @@ def test_build_accepts_what_the_reference_loader_accepts(header_rows):
     ("3 4 1 1\n0 0 .5 .5\n2 3 .5 .5\n1 1 .5 .5\n2 3 .25 .5\n",
      ("error", 5, "line 5: duplicate edge (2, 3)")),
     ("", ("error", 0, "line 0: empty instance file")),
+    # A blank line before a bad edge of its chunk still counts.
+    ("3 4 1 1\n\n0 0 0.5 0.5\n0 0 0.5 0.5\n", ("error", 4, "line 4: duplicate edge (0, 0)")),
+    # Literals that Python reads and numpy's C reader does not, and
+    # separators and line ends that both read.
+    ("31 1 1 1\n3_0 0 0.5 0.5\n", loaded(31, 1, 1, 1, [30], [0], [0.5], [0.5])),
+    ("4 1 1 1\n\u0663 0 0.5 0.5\n", loaded(4, 1, 1, 1, [3], [0], [0.5], [0.5])),
+    ("4 1 1 1\n3.0 0 0.5 0.5\n",
+     ("error", 2, "line 2: bad number in edge line ['3.0', '0', '0.5', '0.5']")),
+    ("1 1 0 0\n0 0 1_0 0.5\n", ("error", 2, "line 2: probability out of range")),
+    ("1 1 0 0\n0 0 \uff11 -0\n", loaded(1, 1, 0, 0, [0], [0], [1.0], [-0.0])),
+    ("2 2 1 1\n0\xa01 0.5\x0b0.25\n1\x1c0 1 0\n",
+     loaded(2, 2, 1, 1, [0, 1], [1, 0], [0.5, 1.0], [0.25, 0.0])),
+    ("2 2 1 1\r\n0 1 0.5 0.25\r\n1 0 1 0\r\n",
+     loaded(2, 2, 1, 1, [0, 1], [1, 0], [0.5, 1.0], [0.25, 0.0])),
+    ("2 2 1 1\n0 1 0.5 0.25 # c\n", ("error", 2, "line 2: edge line must be 'u v p pF'")),
 ])
 def test_pinned_cases(text, expected):
     assert assert_agrees(text) == expected
@@ -272,6 +297,66 @@ def test_lines_without_trailing_newlines(last):
 
     assert read(load_instance) == read(oracles.load_instance)
     assert read(load_instance) == outcome(load_instance, "\n".join(lines))
+
+
+def recorded_token_rows(monkeypatch):
+    """From now on, record the rows each call of the token converter gets."""
+    rows_seen, edge_columns = [], model._edge_columns
+
+    def recording(rows):
+        rows_seen.append(rows)
+        return edge_columns(rows)
+
+    monkeypatch.setattr(model, "_edge_columns", recording)
+    return rows_seen
+
+
+def test_a_dumped_file_takes_no_token_path(monkeypatch):
+    # numpy's C reader parses every chunk of a dumped file; the token
+    # converter sees only the empty rows the loader starts from.
+    text = "\n".join(paper_lines()) + "\n"
+    rows_seen = recorded_token_rows(monkeypatch)
+    game = load_instance(io.StringIO(text))
+    assert rows_seen and not any(rows_seen)
+    monkeypatch.undo()
+    assert described(game) == outcome(oracles.load_instance, text)
+
+
+def test_a_reader_warning_sends_its_chunk_to_the_token_path(monkeypatch):
+    # numpy 1.x reads an index written 3.0 with only a DeprecationWarning,
+    # so a chunk the reader warns on must not keep the reader's columns.
+    text = "\n".join(paper_lines()) + "\n"
+    loadtxt = np.loadtxt
+
+    def warning_loadtxt(*args, **kwargs):
+        warnings.warn("parsed with a warning", DeprecationWarning)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
+    rows_seen = recorded_token_rows(monkeypatch)
+    game = load_instance(io.StringIO(text))
+    assert sum(map(len, rows_seen)) == len(paper_lines()) - 1  # every edge line
+    monkeypatch.undo()
+    assert described(game) == outcome(oracles.load_instance, text)
+
+
+@pytest.mark.parametrize("where", ["blank-chunk", "comment-after-header"])
+def test_chunks_the_reader_rejects_load_with_no_warning(where):
+    # An all-blank chunk makes numpy's reader warn, and a comment makes it
+    # raise; both chunks take the token path, and no warning escapes whether
+    # warnings are errors or shown.
+    lines = paper_lines()
+    if where == "blank-chunk":  # the header, one chunk of edges, then a blank one
+        lines[1 + model._CHUNK_LINES:1 + model._CHUNK_LINES] = [""] * model._CHUNK_LINES
+    else:
+        lines.insert(1, "# note")
+    text = "\n".join(lines) + "\n"
+    expected = outcome(oracles.load_instance, text)
+    for action in ("error", "always"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            game = load_instance(io.StringIO(text))
+        assert not caught and described(game) == expected
 
 
 def counted_checks(monkeypatch):
