@@ -16,18 +16,18 @@ gain table P_v(y) - P_{F,v}(y) that the run builds for itself): at
 the default learning rate the rounds replay one or two strategies, and
 each step then costs one n x |D_F| matrix-vector product.
 
-Most runs replay one strategy z in every round, so ``solve_mwu``
-accepts replayed rounds in batches instead of running the greedy for
-each.  Once z has held for ``needed`` rounds in a row (2 at first,
-doubled after each batch that stops early, so that a run that switches
-often rarely pays for a guess), it guesses that the next K =
-min(streak, rounds left, ``MAX_BATCH``) rounds play z too.  Their cumulative
-losses are one ``cumsum`` down [cum_losses, h, ..., h], which adds as
-the loop's ``+=`` does, and their weights are the loop's expression
-with ``sum(axis=1)``, which adds each C-ordered row as the loop's 1-D
-``sum`` does: every round's weights are the loop's, bit for bit.  Each
-greedy step along z's picks scores all K rounds with one
-product W @ PG(S).T, which rounds differently from the loop's
+Most runs replay one strategy z in every round, so each pass of
+``solve_mwu``'s loop either runs the greedy for one round or accepts a
+batch of replayed rounds.  Once z has held for ``needed`` rounds in a
+row (2 at first, doubled after each guess that stops short, so that a
+run that switches often rarely pays for a guess), it guesses that the
+next K = min(streak, rounds left, ``MAX_BATCH``) rounds play z too.
+Either way the rounds' cumulative losses are one ``np.add.accumulate``
+down [cum_losses, h, ..., h], which adds as a running ``+=`` does, and their
+weights use ``sum(axis=1)``, which adds each C-ordered row as a 1-D
+``sum`` does: K batched rounds leave the state of K single ones.
+Each greedy step along z's picks scores all K rounds with one
+product W @ PG(S).T, which rounds differently from the greedy's
 matrix-vector product, but either evaluation of gain u lies within
 gamma_k (total r_u + total max_j |PG(S)_uj|) of the exact sum of the
 same floats, with gamma_k = k u / (1 - k u), u the unit roundoff and
@@ -37,12 +37,11 @@ total against the exact weight sum and the rounding of the checks.  A
 round is certified when at every step each gain minus 2 E_u is at
 least -GAIN_TOL, the pick's gain minus 2 E is positive and above every
 other unfunded gain plus 2 E, and, where z stops short of the budget,
-no unfunded gain plus 2 E is positive: the loop's checks, argmax and
+no unfunded gain plus 2 E is positive: the greedy's checks, argmax and
 stop then come out as the batch's.  Rounds are accepted up to the
-first one not certified (an exact tie never is), and counts, losses,
-weights and ``played`` advance as in the loop; that round runs through
-the loop.  With eta = 0 or H = 0, or a cumulative-loss row that is not
-finite, only the loop runs.
+first one not certified (an exact tie never is), and the greedy plays
+that round.  Without customers every h_y is 0, and the weights stay
+uniform.
 """
 
 from __future__ import annotations
@@ -120,7 +119,7 @@ def greedy_weighted_submodular(game: BipartiteInfluenceGame, weights) -> PureStr
     """
     oracle = follower_oracle(game)
     w = np.asarray(weights, dtype=float)
-    if (w.size != len(oracle) or not np.isfinite(w).all() or np.any(w < 0)
+    if (w.shape != (len(oracle),) or not np.isfinite(w).all() or np.any(w < 0)
             or not w.max() > 0):
         raise ValueError("weights must be finite and nonnegative over the follower set, "
                          "not all zero")
@@ -181,13 +180,32 @@ def _replayed_rounds(tables: payoff.PrefixTables, picks: list[int], budget: int,
     return len(g) if ok.all() else int(np.argmin(ok))
 
 
+def _trajectory(cum_losses: np.ndarray, w: np.ndarray, h: np.ndarray, rounds: int,
+                eta: float, H: float) -> tuple[np.ndarray, np.ndarray]:
+    """Cumulative losses and weights after 0, 1, ..., ``rounds`` more plays
+    of a strategy with losses h; row 0 is (cum_losses, w)."""
+    # Row j sums as a running += would, and every array is C-ordered, so
+    # that each weight row's sum and product with h are a 1-D vector's.
+    cums = np.empty((rounds + 1, h.size))
+    cums[0], cums[1:] = cum_losses, h
+    np.add.accumulate(cums, axis=0, out=cums)
+    if not np.isfinite(cums).all():
+        raise ValueError("MWU losses are not finite")
+    # The least-loss weight is exp(0) = 1, so the weights never all
+    # vanish; the others may underflow to 0 (the greedy takes w >= 0).
+    e = np.exp(-eta * (cums[1:] - cums[1:].min(axis=1, keepdims=True)) / H)
+    weights = np.empty_like(cums)
+    weights[0], weights[1:] = w, e / e.sum(axis=1, keepdims=True)
+    return cums, weights
+
+
 def solve_mwu(game: BipartiteInfluenceGame,
               config: MwuConfig = MwuConfig()) -> tuple[MixedStrategy, ApproxCertificate]:
     """Run T rounds of exponential weights against the greedy oracle;
     returns the uniform mix of the leader's iterates and its certificate."""
     oracle = follower_oracle(game)
     T = config.iterations
-    H = game.m + oracle.C  # upper bound on every h_y
+    H = max(game.m + oracle.C, 1.0)  # bounds every h_y; with m = 0, every h_y is 0
     if config.learning_rate == "auto":
         eta = math.sqrt(math.log(len(oracle)) / T)
     else:
@@ -199,53 +217,33 @@ def solve_mwu(game: BipartiteInfluenceGame,
     cum_losses = np.zeros(len(oracle))
     played = 0.0
     tables = payoff.PrefixTables(game, oracle.activation - oracle.recapture)
-    last, streak, needed = None, 0, 2  # replay z once it has held `needed` rounds
-    t = 0
+    z, streak, needed, t = None, 0, 2, 0  # replay z once it has held `needed` rounds
+    short = False  # the last guess stopped short: the greedy plays the next round
     while t < T:
-        picks = _greedy(tables, w, game.k_L)
-        z = PureStrategy.of(picks)
-        streak = streak + 1 if z == last else 1
-        last = z
-        counts[z] = counts.get(z, 0) + 1
-        h = losses.get(z)
-        if h is None:
-            h = losses[z] = _surrogate_losses(oracle, payoff.activation_vector(game, z), oracle.C)
-        cum_losses += h
-        played += float(w @ h)
-        if not np.isfinite(cum_losses).all():
-            raise ValueError("MWU losses are not finite")
-        if H > 0 and eta > 0:
-            # The least-loss weight is exp(0) = 1, so the weights never all
-            # vanish; the others may underflow to 0 (the greedy takes w >= 0).
-            w = np.exp(-eta * (cum_losses - cum_losses.min()) / H)
-        w = w / w.sum()
-        t += 1
-        # Guess that the next rounds replay z, and keep those the greedy
-        # certainly plays so: their state is the loop's, bit for bit.
-        while H > 0 and eta > 0 and streak >= needed and t < T:
-            rounds = min(streak, T - t, MAX_BATCH)
-            # Row j is cum_losses after j more plays of z, summed as the loop
-            # sums it.  Every array here is C-ordered, so that each weight
-            # row's product with h is the loop's.
-            cums = np.empty((rounds + 1, h.size))
-            cums[0], cums[1:] = cum_losses, h
-            np.cumsum(cums, axis=0, out=cums)
-            if not np.isfinite(cums).all():
-                needed *= 2  # the loop raises when its own sum stops being finite
-                break
-            e = np.exp(-eta * (cums[1:] - cums[1:].min(axis=1, keepdims=True)) / H)
-            weights = np.empty_like(cums)
-            weights[0], weights[1:] = w, e / e.sum(axis=1, keepdims=True)
-            accepted = _replayed_rounds(tables, picks, game.k_L, weights[:rounds])
-            for row in weights[:accepted]:
-                played += float(row @ h)
-            counts[z] += accepted
-            cum_losses, w = cums[accepted], weights[accepted]
-            t += accepted
-            streak += accepted
-            if accepted < rounds:
-                needed *= 2
-                break
+        rounds = 0
+        if streak >= needed and not short:
+            # Guess that the next rounds replay z, and keep those the greedy
+            # certainly plays so: their state is the greedy's, bit for bit.
+            asked = min(streak, T - t, MAX_BATCH)
+            cums, weights = _trajectory(cum_losses, w, h, asked, eta, H)
+            rounds = _replayed_rounds(tables, picks, game.k_L, weights[:asked])
+            if rounds < asked:
+                needed, short = 2 * needed, True
+        if rounds == 0:
+            picks = _greedy(tables, w, game.k_L)
+            last, z = z, PureStrategy.of(picks)
+            streak = streak if z == last else 0
+            if z not in losses:
+                losses[z] = _surrogate_losses(oracle, payoff.activation_vector(game, z), oracle.C)
+            h = losses[z]
+            cums, weights = _trajectory(cum_losses, w, h, 1, eta, H)
+            rounds, short = 1, False
+        for row in weights[:rounds]:
+            played += float(row @ h)
+        counts[z] = counts.get(z, 0) + rounds
+        cum_losses, w = cums[rounds], weights[rounds]
+        t += rounds
+        streak += rounds
 
     x_prime = MixedStrategy({z: k / T for z, k in counts.items()})
     regret = (played - float(cum_losses.min())) / T

@@ -12,7 +12,7 @@ import pytest
 from stackalloc import (MixedStrategy, PureStrategy, best_response, cli, exact, heuristic,
                         load_instance, mwu)
 from stackalloc.cli import main
-from stackalloc.lp import LpNumericsError
+from stackalloc.lp import LpOutcome
 
 from conftest import make_no_pure_optimum, make_overfunding_trap, make_private_customers
 from stackalloc.model import dump_instance
@@ -180,15 +180,14 @@ def test_solve_instance_too_large_for_memory_exit_code(capsys, tmp_path, algorit
 
 
 def test_solve_numerics_error_exit_code(capsys, monkeypatch, no_pure_optimum_path):
-    def failing(game):
-        raise LpNumericsError("re-evaluated value disagrees with LP value")
-
-    monkeypatch.setattr(exact, "solve_multi_lp", failing)
+    # Every candidate LP reads infeasible, which the solver's re-check
+    # rejects: some response is always inducible.
+    monkeypatch.setattr(exact, "solve_lp", lambda lp: LpOutcome(status="infeasible"))
     code, out, err = run_cli(capsys, "solve", "--instance", no_pure_optimum_path,
                              "--algorithm", "exact")
     assert code == 4
     assert out == ""
-    assert "disagrees" in err
+    assert "no candidate LP was feasible" in err
 
 
 def test_solve_has_no_seed_option(capsys, no_pure_optimum_path):
@@ -251,6 +250,16 @@ def test_generate_rejects_inverted_range(capsys, tmp_path):
                            "--out", str(tmp_path / "x.txt"))
     assert code == 2
     assert "range" in err
+
+
+def test_generate_rejects_a_range_that_is_not_a_pair(capsys, tmp_path):
+    out = tmp_path / "x.txt"
+    code, _, err = run_cli(capsys, "generate", "--n", "3", "--m", "2",
+                           "--mean-degree", "1", "--p", "0.1",
+                           "--pf", "0,0.5", "--seed", "1", "--out", str(out))
+    assert code == 2
+    assert "expected 'a,b', got '0.1'" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("budget", [["--kl", "5"], ["--kf", "-1"]])
@@ -347,14 +356,20 @@ def test_bench_spec_of_the_wrong_shape_is_an_input_error(capsys, tmp_path, shape
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("params", [{"mwu": {"iterations": 0}}, {"mwu": {"epsilon": 1.5}},
-                                    {"heuristic": {"ell": 0}}, {"mean_degree": "1.5"},
-                                    {"p": [False, True]}, {"mwu": {"epsilon": "0.25"}}],
-                         ids=["mwu-iterations", "mwu-epsilon", "heuristic-ell",
-                              "degree-string", "p-bools", "epsilon-string"])
-def test_bench_rejects_bad_solver_parameters(capsys, tmp_path, params):
-    # These specs used to run and exit 0: the solver parameters printed
-    # "skipped" for the engine, and float() read the strings and bools.
+@pytest.mark.parametrize("params,message", [
+    ({"mwu": {"iterations": 0}}, "iterations must be >= 1"),
+    ({"mwu": {"epsilon": 1.5}}, "epsilon must lie in (0, 1)"),
+    ({"heuristic": {"ell": 0}}, "heuristic ell must be >= 1"),
+    ({"mean_degree": "1.5"}, '"mean_degree" must be a number'),
+    ({"p": [False, True]}, 'a "p" bound must be a number'),
+    ({"mwu": {"epsilon": "0.25"}}, '"mwu" "epsilon" must be a number'),
+    ({"trials": 0}, "trials must be >= 1"),
+], ids=["mwu-iterations", "mwu-epsilon", "heuristic-ell", "degree-string", "p-bools",
+        "epsilon-string", "trials"])
+def test_bench_rejects_bad_solver_parameters(capsys, tmp_path, params, message):
+    # All but the last of these specs used to run and exit 0: the solver
+    # parameters printed "skipped" for the engine, and float() read the
+    # strings and bools.
     spec = {"n": 5, "m": 6, "mean_degree": 1.5, "p": [0, 0.5], "p_f": [0.1, 0.9],
             "budgets": [[1, 1]], "algorithms": ["mwu", "heuristic"], "trials": 1,
             **params}
@@ -362,7 +377,7 @@ def test_bench_rejects_bad_solver_parameters(capsys, tmp_path, params):
     spec_path.write_text(json.dumps(spec))
     code, out, err = run_cli(capsys, "bench", "--spec", str(spec_path))
     assert code == 2 and out == ""
-    assert "malformed experiment spec" in err
+    assert f"malformed experiment spec: {message}" in err
 
 
 def run_fresh_python(args, threads):

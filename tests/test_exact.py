@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -203,6 +205,27 @@ def test_equilibrium_values_are_reverified(no_pure_optimum):
     leader = oracles.f_mixed(no_pure_optimum, oracles.weights_of(res.leader), res.follower.media)
     assert leader == pytest.approx(res.value, abs=1e-9)
     assert best_response(no_pure_optimum, res.leader).leader_value >= res.value - 1e-9
+
+
+@pytest.mark.parametrize("fault,message", [
+    (lambda out: dataclasses.replace(out, value=out.value + 1.0) if out.status == "optimal"
+     else out, "disagrees with LP value"),
+    (lambda out: lp_mod.LpOutcome(status="infeasible"), "no candidate LP was feasible"),
+], ids=["shifted-value", "all-infeasible"])
+def test_a_failed_recheck_is_a_numerics_error(monkeypatch, no_pure_optimum, fault, message):
+    monkeypatch.setattr(exact, "solve_lp", lambda lp: fault(lp_mod.solve_lp(lp)))
+    with pytest.raises(lp_mod.LpNumericsError, match=message):
+        solve_multi_lp(no_pure_optimum)
+
+
+def test_a_mix_that_does_not_induce_the_response_is_a_numerics_error(no_pure_optimum):
+    oracle = follower_oracle(no_pure_optimum)
+    x = MixedStrategy({PureStrategy.empty(): 1.0})
+    _, g = oracle.utilities(mixed_activation_vector(no_pure_optimum, x))
+    worst = int(np.argmin(g[0]))
+    assert g[0, worst] < g[0].max() - exact.REVERIFY_TOL
+    with pytest.raises(lp_mod.LpNumericsError, match="does not induce"):
+        exact._finish(no_pure_optimum, x, worst, 0.0, oracle, {})
 
 
 def _lp_key(lp):

@@ -204,6 +204,7 @@ def test_build_accepts_what_the_reference_loader_accepts(header_rows):
     ("2 2 1 1\r\n0 1 0.5 0.25\r\n1 0 1 0\r\n",
      loaded(2, 2, 1, 1, [0, 1], [1, 0], [0.5, 1.0], [0.25, 0.0])),
     ("2 2 1 1\n0 1 0.5 0.25 # c\n", ("error", 2, "line 2: edge line must be 'u v p pF'")),
+    ("3 -4 1 1\n", ("error", 1, "line 1: negative size in header")),
 ])
 def test_pinned_cases(text, expected):
     assert assert_agrees(text) == expected

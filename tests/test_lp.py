@@ -46,13 +46,22 @@ def test_equality_and_shifted_lower_bounds():
     assert out.x == pytest.approx([1.0, 2.0], abs=1e-9)
 
 
-def test_degenerate_lp_terminates():
+def each_stall_limit(monkeypatch):
+    """Set lp.STALL_LIMIT to its default, then to 1, which turns on
+    Bland's rule at the first pivot that does not raise the objective."""
+    for limit in (lp_mod.STALL_LIMIT, 1):
+        monkeypatch.setattr(lp_mod, "STALL_LIMIT", limit)
+        yield limit
+
+
+def test_degenerate_lp_terminates(monkeypatch):
     # Klee-Minty-flavoured degeneracy: many redundant rows through one vertex.
     n = 4
     rows = np.vstack([np.eye(n)] + [np.ones(n)] * 3)
-    out = solve_lp(LinearProgram(np.ones(n), rows, [LESS] * (n + 3), np.zeros(n + 3)))
-    assert out.status == "optimal"
-    assert out.value == pytest.approx(0.0, abs=1e-9)
+    for _ in each_stall_limit(monkeypatch):
+        out = solve_lp(LinearProgram(np.ones(n), rows, [LESS] * (n + 3), np.zeros(n + 3)))
+        assert out.status == "optimal"
+        assert out.value == pytest.approx(0.0, abs=1e-9)
 
 
 def test_pivot_cap_raises(monkeypatch):
@@ -142,31 +151,45 @@ def _random_feasible_lp(rng, box=False, zero_rhs=False):
     return LinearProgram(rng.normal(size=n), np.array(rows), senses, rhs)
 
 
-def test_duality_gap_on_random_feasible_lps():
-    rng = np.random.default_rng(5)
-    for zero_rhs in [False] * 200 + [True] * 200:
-        lp = _random_feasible_lp(rng, zero_rhs=zero_rhs)
-        out = solve_lp(lp)
-        assert out.status == "optimal"
-        # every row re-checked from the raw data
-        for a, rel, b in zip(lp.rows, lp.sense, lp.rhs):
-            lhs = float(np.dot(a, out.x))
-            if rel > 0:  # <=
-                assert lhs <= b + 1e-7
-            elif rel < 0:  # >=
-                assert lhs >= b - 1e-7
-            else:
-                assert lhs == pytest.approx(b, abs=1e-7)
-        assert out.value == pytest.approx(oracles.scipy_lp(lp)[1], abs=1e-6)
+def test_duality_gap_on_random_feasible_lps(monkeypatch):
+    for _ in each_stall_limit(monkeypatch):
+        rng = np.random.default_rng(5)
+        for zero_rhs in [False] * 200 + [True] * 200:
+            lp = _random_feasible_lp(rng, zero_rhs=zero_rhs)
+            out = solve_lp(lp)
+            assert out.status == "optimal"
+            # every row re-checked from the raw data
+            for a, rel, b in zip(lp.rows, lp.sense, lp.rhs):
+                lhs = float(np.dot(a, out.x))
+                if rel > 0:  # <=
+                    assert lhs <= b + 1e-7
+                elif rel < 0:  # >=
+                    assert lhs >= b - 1e-7
+                else:
+                    assert lhs == pytest.approx(b, abs=1e-7)
+            assert out.value == pytest.approx(oracles.scipy_lp(lp)[1], abs=1e-6)
 
 
-def test_box_bounded_lps_match_scipy():
-    rng = np.random.default_rng(6)
-    for zero_rhs in [False] * 60 + [True] * 60:
-        lp = _random_feasible_lp(rng, box=True, zero_rhs=zero_rhs)
-        out = solve_lp(lp)
-        assert out.status == "optimal"
-        assert out.value == pytest.approx(oracles.scipy_lp(lp)[1], abs=1e-6)
+def test_box_bounded_lps_match_scipy(monkeypatch):
+    for _ in each_stall_limit(monkeypatch):
+        rng = np.random.default_rng(6)
+        for zero_rhs in [False] * 60 + [True] * 60:
+            lp = _random_feasible_lp(rng, box=True, zero_rhs=zero_rhs)
+            out = solve_lp(lp)
+            assert out.status == "optimal"
+            assert out.value == pytest.approx(oracles.scipy_lp(lp)[1], abs=1e-6)
+
+
+@pytest.mark.parametrize("sense,x,message", [
+    (LESS, [-1.0, 0.0], "variable 0 is negative: -1.0"),
+    (LESS, [2.0, 0.0], "row violated: 2.0 <= 1.0"),
+    (GREATER, [0.0, 0.5], "row violated: 0.5 >= 1.0"),
+    (EQUAL, [0.5, 0.0], "row violated: 0.5 = 1.0"),
+], ids=["negative", "less", "greater", "equal"])
+def test_check_feasible_names_the_first_fault(sense, x, message):
+    lp = LinearProgram([1.0, 1.0], [[1.0, 1.0]], [sense], [1.0])
+    with pytest.raises(lp_mod.LpNumericsError, match=re.escape(message)):
+        lp_mod._check_feasible(lp, np.array(x))
 
 
 def test_redundant_rows_through_a_boxed_vertex():

@@ -61,6 +61,10 @@ def test_greedy_rejects_bad_weights(no_pure_optimum):
     for bad in (np.inf, np.nan):
         with pytest.raises(ValueError, match="finite"):
             greedy_weighted_submodular(no_pure_optimum, np.array([bad, 0.0, 0.0, 0.0]))
+    # The right size in the wrong shape used to fail in indexing or matmul.
+    for shape in ((4, 1), (1, 4)):
+        with pytest.raises(ValueError, match="over the follower set"):
+            greedy_weighted_submodular(no_pure_optimum, np.full(shape, 0.25))
 
 
 def test_greedy_huge_weights_act_like_uniform_weights():
@@ -178,12 +182,14 @@ def _count_greedy_calls(monkeypatch):
 
 def test_solve_mwu_replays_a_repeated_strategy_in_batches(monkeypatch):
     # This paper cell plays one strategy in all 100 rounds; the batches
-    # accept nearly all of them, and the answer is the per-round loop's.
+    # accept all but the first two, so a loop that ran the greedy again
+    # after each full batch would show here, and the answer is the
+    # per-round loop's.
     game = generate_instance(20, 844, 3506 / 844, (0.0, 0.2), (0.1, 0.9), seed=0,
                              k_L=2, k_F=2)
     calls = _count_greedy_calls(monkeypatch)
     x, cert = solve_mwu(game, MwuConfig(iterations=100))
-    assert len(x.weights) == 1 and len(calls) < 10
+    assert len(x.weights) == 1 and len(calls) == 2
     monkeypatch.setattr(mwu_mod, "_replayed_rounds", lambda *args: 0)
     del calls[:]
     loop_x, loop_cert = solve_mwu(game, MwuConfig(iterations=100))
