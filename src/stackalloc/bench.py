@@ -207,7 +207,7 @@ def _run_trial(payload: tuple[ExperimentSpec, int, int, int]
             _, _, br, _, solve_ms = run_engine(game, alg, spec.mwu_iterations,
                                                spec.mwu_epsilon, spec.heuristic_ell)
             out[alg] = br.leader_value, solve_ms
-        except (CapExceededError, PivotLimitError, LpNumericsError, ValueError):
+        except (CapExceededError, PivotLimitError, LpNumericsError, ValueError, MemoryError):
             out[alg] = None  # recorded as a skipped cell, never fatal
     return out
 

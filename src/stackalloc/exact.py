@@ -60,7 +60,7 @@ from . import follower as follower_mod
 from . import payoff
 from .lp import FEAS_TOL, LinearProgram, LpNumericsError, solve_lp
 from .model import (BipartiteInfluenceGame, MixedStrategy, PureStrategy, is_disjoint,
-                    iter_subsets, pure_strategies, require_integer)
+                    pure_strategies, require_integer)
 
 DEFAULT_LEADER_CAP = 10 ** 5
 VALUE_TIE_TOL = 1e-9
@@ -154,7 +154,7 @@ def solve_multi_lp(game: BipartiteInfluenceGame) -> EquilibriumResult:
     """
     leaders = enumerate_leader(game)
     oracle = follower_mod.follower_oracle(game)
-    F, G = oracle.utilities(payoff.activation_rows(game, leaders))  # f(z, y), g(z, y)
+    F, G = oracle.utilities(payoff.activation_rows(game, game.k_L))  # f(z, y), g(z, y)
     # Over the simplex a row's largest value is its largest entry.
     per_y, (lp_value, yi, weights) = _best_candidate(
         oracle, G, F, G.T, G0=np.zeros(G.shape[1]), rows=np.ones((1, len(leaders))),
@@ -217,8 +217,7 @@ def solve_disjoint_lp(game: BipartiteInfluenceGame) -> EquilibriumResult:
         raise ValueError("instance has a customer with several media; use solve_multi_lp")
     oracle = follower_mod.follower_oracle(game)
     n = game.n
-    singles = [PureStrategy(s) for s in iter_subsets(n, 1)]  # {}, {u0}, {u1}, ...
-    F, G = oracle.utilities(payoff.activation_rows(game, singles))
+    F, G = oracle.utilities(payoff.activation_rows(game, 1))  # rows {}, {u0}, {u1}, ...
     G0, St = G[0], (G[1:] - G[0]).T  # g({}, y), and row y holds g's slope in r
     # The budget row sum r <= k_L, then the box rows r_u <= 1.  Over Q a
     # row's largest value is the sum of its k_L largest positive entries.

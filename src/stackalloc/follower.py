@@ -64,7 +64,7 @@ class FollowerOracle:
         # tables on the heap for the next game instead of trimming and refaulting them.
         tables = np.empty((2, len(self.strategies), game.m))
         for out, table in zip(tables, (game.p_table, game.pf_table)):
-            payoff.activation_rows(game, self.strategies, table, out)
+            payoff.activation_rows(game, game.k_F, table, out)
         tables.flags.writeable = False
         self.activation, self.recapture = tables
 

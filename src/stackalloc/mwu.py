@@ -21,9 +21,11 @@ Most runs replay one strategy z in every round, so each pass of
 batch of replayed rounds.  Once z has held for ``needed`` rounds in a
 row (2 at first, doubled after each guess that stops short, so that a
 run that switches often rarely pays for a guess), it guesses that the
-next K = min(streak, rounds left, ``MAX_BATCH``) rounds play z too.
-Either way the rounds' cumulative losses are one ``np.add.accumulate``
-down [cum_losses, h, ..., h], which adds as a running ``+=`` does, and their
+next K = min(4 streak, rounds left, ``MAX_BATCH``) rounds play z too,
+streak being the rounds z has held: a run that keeps z soon asks for
+``MAX_BATCH``, and a guess that fails early costs few rows.  Either way
+the rounds' cumulative losses are one ``np.add.accumulate`` down
+[cum_losses, h, ..., h], which adds as a running ``+=`` does, and their
 weights use ``sum(axis=1)``, which adds each C-ordered row as a 1-D
 ``sum`` does: K batched rounds leave the state of K single ones.
 Each greedy step along z's picks scores all K rounds with one
@@ -224,7 +226,7 @@ def solve_mwu(game: BipartiteInfluenceGame,
         if streak >= needed and not short:
             # Guess that the next rounds replay z, and keep those the greedy
             # certainly plays so: their state is the greedy's, bit for bit.
-            asked = min(streak, T - t, MAX_BATCH)
+            asked = min(4 * streak, T - t, MAX_BATCH)
             cums, weights = _trajectory(cum_losses, w, h, asked, eta, H)
             rounds = _replayed_rounds(tables, picks, game.k_L, weights[:asked])
             if rounds < asked:

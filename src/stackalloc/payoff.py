@@ -25,12 +25,11 @@ affine in the allocation r.
 Every survival product lives here and reads the game's dense tables
 ``p_table`` and ``pf_table`` (p or p_F on the edges, exactly 0 elsewhere,
 so an unfunded customer's factor is exactly 1).  ``activation_rows``
-fills a prefix-closed strategy list in medium order for the follower
-oracle and the exact tables, row(y) = row(y[:-1]) * (1 - table[y[-1]]);
+fills the rows of all subsets of at most k media, depth first in
+``iter_subsets`` order, as row(y) = row(y[:-1]) * (1 - table[y[-1]]);
 ``survival`` takes one prefix in pick order for ``activation_vector``
-and the greedy engines' ``PrefixTables``.  Both multiply one row of
-factors at a time, in the order given, so on the same order they agree
-bit for bit.
+and the greedy engines' ``PrefixTables``.  Both take each entry as its
+prefix's entry times one factor, so on one order they agree bit for bit.
 
 The greedy engines (MWU's greedy and the heuristic) score a medium u
 against the media S funded so far through the tables of S that a
@@ -43,32 +42,31 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import BipartiteInfluenceGame, MixedStrategy, PureStrategy
+from .model import BipartiteInfluenceGame, MixedStrategy, PureStrategy, count_subsets
 
 
-def activation_rows(game: BipartiteInfluenceGame, strategies: list[PureStrategy],
-                    table: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
-    """Rows 1 - prod_{u in y} (1 - table[u]), one per strategy y.
-
-    ``strategies`` must list every y[:-1] before y, as the lexicographic
-    enumerations of ``iter_subsets`` do.  With the default
-    ``game.p_table`` the rows are P_v(y); with ``game.pf_table`` they are
-    P_{F,v}(y).  Equal, bit for bit, to stacking ``activation_vector``.
-    Fills and returns ``out``, of shape (|strategies|, m), if given.
-    """
-    rows = np.empty((len(strategies), game.m)) if out is None else out
-    factors = 1.0 - (game.p_table if table is None else table)
-    row_of: dict[tuple[int, ...], int] = {}
-    for i, y in enumerate(strategies):
-        row_of[y.media] = i
-        if not y.media:
-            rows[i] = 1.0
-            continue
-        parent = row_of.get(y.media[:-1])
-        if parent is None:
-            raise ValueError(f"strategy {y} is listed before its prefix {y.media[:-1]}")
-        np.multiply(rows[parent], factors[y.media[-1]], out=rows[i])
+def activation_rows(game: BipartiteInfluenceGame, k: int, table: np.ndarray | None = None,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """Rows 1 - prod_{u in y} (1 - table[u]), one per y in ``iter_subsets(game.n, k)``:
+    P_v(y) with the default ``game.p_table``, P_{F,v}(y) with ``game.pf_table``.  Equal,
+    bit for bit, to stacking ``activation_vector``.  Fills and returns ``out`` if given."""
+    rows = np.empty((count_subsets(game.n, k), game.m)) if out is None else out
+    rows[0] = 1.0
+    if k := min(k, game.n):
+        _walk(rows, 1.0 - (game.p_table if table is None else table), 0, -1, k, 1)
     return np.subtract(1.0, rows, out=rows)
+
+
+def _walk(rows: np.ndarray, factors: np.ndarray, i: int, last: int, depth: int, j: int) -> int:
+    """From row j on, fill row i's media plus 1 to ``depth`` more above ``last``, depth first;
+    return the next free row.  Leaf siblings are consecutive rows: one product fills them."""
+    if depth == 1:
+        np.multiply(rows[i], factors[last + 1:], out=rows[j:j + len(factors) - last - 1])
+        return j + len(factors) - last - 1
+    for u in range(last + 1, len(factors)):
+        np.multiply(rows[i], factors[u], out=rows[j])
+        j = _walk(rows, factors, j, u, depth - 1, j + 1)
+    return j
 
 
 def survival(game: BipartiteInfluenceGame, media) -> np.ndarray:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from stackalloc import BipartiteInfluenceGame, PureStrategy, mixed_activation_vector
+from stackalloc.model import iter_subsets
 from stackalloc.payoff import PrefixTables, activation_rows, utilities
 
 
@@ -129,10 +130,12 @@ def count_store_misses(monkeypatch):
 
 
 def follower_rows(game, y):
-    """P_v(y) and P_{F,v}(y), one row each, from the prefix chain of y."""
+    """P_v(y) and P_{F,v}(y), one row each, from the kernel's rows of every
+    subset of at most |y| media."""
     y = PureStrategy.of(y)
-    chain = [PureStrategy(y.media[:i]) for i in range(len(y) + 1)]
-    return activation_rows(game, chain)[-1:], activation_rows(game, chain, game.pf_table)[-1:]
+    i = iter_subsets(game.n, len(y)).index(y.media)
+    return tuple(activation_rows(game, len(y), table)[i:i + 1]
+                 for table in (game.p_table, game.pf_table))
 
 
 def utilities_at(game, x, y):

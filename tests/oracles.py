@@ -192,7 +192,7 @@ def candidate_lps(game, disjoint=False):
     lps = {}
     if not disjoint:
         leaders = enumerate_leader(game)
-        F, G = oracle.utilities(payoff.activation_rows(game, leaders))
+        F, G = oracle.utilities(payoff.activation_rows(game, game.k_L))
         Gt = G.T
         sense = [">="] * len(Gt) + ["="]
         for yi, y_star in enumerate(oracle.strategies):
@@ -200,8 +200,7 @@ def candidate_lps(game, disjoint=False):
             lps[y_star] = LinearProgram(F[:, yi], rows, sense, np.r_[np.zeros(len(Gt)), 1.0])
         return lps
     n = game.n
-    singles = [PureStrategy(s) for s in subsets_up_to(n, 1)]
-    F, G = oracle.utilities(payoff.activation_rows(game, singles))
+    F, G = oracle.utilities(payoff.activation_rows(game, 1))  # rows {}, {u0}, {u1}, ...
     St, G0 = (G[1:] - G[0]).T, G[0]
     sense = [">="] * len(St) + ["<="] * (n + 1)
     for yi, y_star in enumerate(oracle.strategies):

@@ -7,7 +7,7 @@ import pytest
 
 from stackalloc import (ExperimentSpec, MixedStrategy, PureStrategy, best_response,
                         generate_instance, parse_spec, parse_specs, run_experiment)
-from stackalloc import bench, exact, follower
+from stackalloc import bench, cli, exact, follower, heuristic
 from stackalloc.bench import rows_as_json, write_csv
 from stackalloc.lp import LpNumericsError
 
@@ -92,6 +92,31 @@ def test_numerics_failure_skips_only_its_cell(monkeypatch):
     greedy = rows[0].cells["greedy"]
     assert (greedy.mean, greedy.values) == (clean[0].cells["greedy"].mean,
                                             clean[0].cells["greedy"].values)
+
+
+def test_an_engine_out_of_memory_skips_only_its_cell(monkeypatch, tmp_path, capsys):
+    # A MemoryError used to end the whole experiment with a traceback.
+    spec = tiny_spec(budgets=((1, 1), (2, 1)), trials=2)
+    clean = run_experiment(spec)
+
+    def exhausted(game, ell):
+        raise MemoryError
+
+    monkeypatch.setattr(heuristic, "solve_heuristic", exhausted)
+    rows = run_experiment(spec)
+    assert [(r.k_L, r.k_F) for r in rows] == [(1, 1), (2, 1)]
+    for row, before in zip(rows, clean):
+        assert row.cells["heuristic"].skipped
+        assert row.cells["heuristic"].values == (None, None)
+        assert row.cells["greedy"].values == before.cells["greedy"].values
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({
+        "n": 5, "m": 8, "mean_degree": 2.0, "p": [0, 0.5], "p_f": [0.1, 0.9],
+        "budgets": [[1, 1]], "algorithms": ["greedy", "heuristic"], "trials": 2}))
+    assert cli.main(["bench", "--spec", str(spec_path)]) == 0
+    out = io.StringIO(capsys.readouterr().out)
+    cells = {row["algorithm"]: row["mean"] for row in csv.DictReader(out)}
+    assert cells["heuristic"] == "skipped" and float(cells["greedy"]) >= 0.0
 
 
 @pytest.mark.parametrize("algorithms", [("greedy", "mwu"), ("mwu", "greedy")])

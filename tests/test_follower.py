@@ -197,13 +197,24 @@ def test_oracle_tables_are_two_slabs_of_one_read_only_block():
     block = oracle.activation.base
     assert block is oracle.recapture.base and block.shape == (2, len(oracle), game.m)
     assert np.shares_memory(block, oracle.activation) and np.shares_memory(block, oracle.recapture)
-    expected = (activation_rows(game, oracle.strategies),
-                activation_rows(game, oracle.strategies, game.pf_table))
+    expected = (activation_rows(game, game.k_F), activation_rows(game, game.k_F, game.pf_table))
     for table, rows in zip((oracle.activation, oracle.recapture), expected):
         assert table.flags.c_contiguous and not table.flags.writeable
         assert np.array_equal(table, rows)
-    with pytest.raises(ValueError, match="before its prefix"):
-        activation_rows(game, oracle.strategies[::-1], out=np.empty_like(expected[0]))
+
+
+def test_an_oracle_block_is_freed_without_a_gc_pass():
+    # A reference cycle in the table build would keep the whole block alive
+    # until the collector's next pass.
+    game = generate_instance(6, 40, 3.0, (0, 0.4), (0.1, 0.9), seed=3, k_F=2)
+    gc.disable()
+    try:
+        oracle = FollowerOracle(game)
+        block = weakref.ref(oracle.activation.base)
+        del oracle
+        assert block() is None
+    finally:
+        gc.enable()
 
 
 def test_oracle_tables_reject_in_place_writes():

@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from stackalloc import (BipartiteInfluenceGame, FollowerOracle, MixedStrategy,
-                        PureStrategy, activation_vector, enumerate_follower,
-                        follower_oracle, mixed_activation_vector)
+                        PureStrategy, activation_vector, follower_oracle,
+                        generate_instance, mixed_activation_vector)
+from stackalloc import payoff
+from stackalloc.model import count_subsets, iter_subsets
 from stackalloc.payoff import PrefixTables, activation_rows, survival
 
 import oracles
@@ -253,19 +257,24 @@ def test_activation_rows_equal_per_strategy_vectors():
     rng = np.random.default_rng(4242)
     games = [sparse_game(rng, k) for k in range(5) for _ in range(12)]
     games.append(BipartiteInfluenceGame.build(4, 0, [], k_L=2, k_F=2))  # m = 0
+    games.append(BipartiteInfluenceGame.build(0, 3, [], k_L=0, k_F=0))  # n = 0
     for game in games:
-        strategies = enumerate_follower(game)
-        act = activation_rows(game, strategies)
-        rec = activation_rows(game, strategies, game.pf_table)
-        assert act.shape == rec.shape == (len(strategies), game.m)
-        assert np.array_equal(act, [activation_vector(game, y) for y in strategies])
-        assert np.array_equal(act, [1.0 - scatter_survival(game, y, game.edge_p)
-                                    for y in strategies])
-        assert np.array_equal(rec, [1.0 - scatter_survival(game, y, game.edge_pf)
-                                    for y in strategies])
+        for k in sorted({0, 1, 2, 3, game.n, game.n + 1}):
+            strategies = [PureStrategy(y) for y in iter_subsets(game.n, k)]
+            act = activation_rows(game, k)
+            rec = activation_rows(game, k, game.pf_table, np.empty_like(act))
+            assert act.shape == rec.shape == (len(strategies), game.m)
+            assert np.array_equal(act, np.reshape(
+                [activation_vector(game, y) for y in strategies], act.shape))
+            assert np.array_equal(rec, np.reshape(
+                [1.0 - np.prod(1.0 - game.pf_table[list(y)], axis=0) for y in strategies],
+                rec.shape))
+            assert np.array_equal(act, np.reshape(
+                [1.0 - scatter_survival(game, y, game.edge_p) for y in strategies], act.shape))
+            assert np.array_equal(rec, np.reshape(
+                [1.0 - scatter_survival(game, y, game.edge_pf) for y in strategies], rec.shape))
         # The greedy engines' kernel: one prefix, multiplied in pick order
         # as their former running products were.
-        assert np.array_equal(act, [1.0 - survival(game, y.media) for y in strategies])
         picks, s = [int(u) for u in rng.permutation(game.n)], np.ones(game.m)
         assert np.array_equal(survival(game, []), s)
         for i, u in enumerate(picks):
@@ -274,10 +283,41 @@ def test_activation_rows_equal_per_strategy_vectors():
 
 
 def test_activation_rows_zero_budget_and_prefix_check(uniform_overlap):
-    assert np.array_equal(activation_rows(uniform_overlap, [PureStrategy.empty()]),
+    # A zero budget is the one empty strategy, activating no one.
+    assert np.array_equal(activation_rows(uniform_overlap, 0),
                           np.zeros((1, uniform_overlap.m)))
-    with pytest.raises(ValueError, match="before its prefix"):
-        activation_rows(uniform_overlap, [PureStrategy.empty(), PureStrategy.of([0, 1])])
+    # Every row comes after its prefix's, and is the prefix's survival times
+    # the last medium's factor: the walk fills a row only from one filled before it.
+    game = uniform_overlap
+    subsets = list(iter_subsets(game.n, game.n))
+    rows = activation_rows(game, game.n)
+    index = {y: i for i, y in enumerate(subsets)}
+    for i, y in enumerate(subsets[1:], 1):
+        assert index[y[:-1]] < i
+        assert np.array_equal(
+            rows[i], 1.0 - survival(game, y[:-1]) * (1.0 - game.p_table[y[-1]]))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_activation_rows_fill_each_sibling_block_with_one_product(monkeypatch, k):
+    # One product per non-empty subset of fewer than k media fills its row,
+    # and one per subset of k - 1 media fills all its children: no row of
+    # k media takes a product of its own.
+    game = generate_instance(6, 20, 2.0, (0, 0.4), (0.1, 0.9), seed=k)
+    blocks = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def multiply(self, *args, out):
+            blocks.append(out.ndim)
+            return np.multiply(*args, out=out)
+
+    monkeypatch.setattr(payoff, "np", CountingNumpy())
+    activation_rows(game, k)
+    assert blocks.count(1) == count_subsets(game.n, k - 1) - 1
+    assert blocks.count(2) == math.comb(game.n, k - 1)
 
 
 def test_vectors_reject_a_mask_in_place_of_indices(uniform_overlap):
