@@ -51,10 +51,11 @@ class FollowerOracle:
     Built once per instance (by prefix products, see
     ``payoff.activation_rows``) into the two slabs of one array and
     shared by every solver through ``follower_oracle``, so every table
-    is read-only.  It holds only the follower's two tables and the
+    is read-only.  It holds only the follower's two tables, the
     scalar ``C``, computed on first read (only MWU and ``certify`` read
-    it); an engine's derived tables live in its own run's store
-    (``payoff.PrefixTables``).
+    it), and the last single row ``utilities`` scored with its
+    read-only (f, g), which a repeat of that row gets back; an engine's
+    derived tables live in its own run's store (``payoff.PrefixTables``).
     """
 
     def __init__(self, game: BipartiteInfluenceGame):
@@ -67,6 +68,7 @@ class FollowerOracle:
             payoff.activation_rows(game, game.k_F, table, out)
         tables.flags.writeable = False
         self.activation, self.recapture = tables
+        self._last = ()  # (activation, recapture, row bytes, f, g) of the last single row
 
     @cached_property
     def C(self) -> float:
@@ -80,9 +82,18 @@ class FollowerOracle:
         """(f(x, y), g(x, y)) over all y, for rows of leader activations.
 
         Accepts one activation vector or a stack of them; returns arrays
-        of shape (rows, |D_F|).
+        of shape (rows, |D_F|), read-only for one row.
         """
-        return payoff.utilities(pvx, self.activation, self.recapture)
+        pvx = np.atleast_2d(np.asarray(pvx, dtype=float))
+        tables = self.activation, self.recapture
+        if pvx.shape != (1, tables[0].shape[1]):
+            return payoff.utilities(pvx, *tables)
+        key, last = pvx.tobytes(), self._last
+        if not (last and last[0] is tables[0] and last[1] is tables[1] and last[2] == key):
+            f, g = payoff.utilities(pvx, *tables)
+            f.flags.writeable = g.flags.writeable = False
+            last = self._last = (*tables, key, f, g)
+        return last[3:]
 
     def best_response_values(self, pvx: np.ndarray) -> np.ndarray:
         """Optimistic leader value f_BR for each row of leader activations."""
@@ -101,9 +112,10 @@ class FollowerOracle:
         return np.where(tied, f, -np.inf).max(axis=1)
 
     def best_response(self, pvx: np.ndarray) -> BestResponseResult:
+        pvx = np.atleast_2d(np.asarray(pvx, dtype=float))
+        if len(pvx) != 1:
+            raise ValueError(f"best_response takes one activation vector, not {len(pvx)} rows")
         f, g = self.utilities(pvx)
-        if len(f) != 1:
-            raise ValueError(f"best_response takes one activation vector, not {len(f)} rows")
         f, g = f[0], g[0]
         gmax = float(g.max())
         tied = np.nonzero(g >= gmax - TIE_TOL)[0]

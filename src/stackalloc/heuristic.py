@@ -15,10 +15,11 @@ tables of S, which one run fills once however many rounds replay S
 (``payoff.PrefixTables``, with the products PA and PR against the
 follower's activation and recapture tables): f(S + c) = f(S) + r(S)[c] - PR(S)[c] and
 g(S + c) = g(S) - PA(S)[c] + PR(S)[c], where u(S) is the row of the
-candidate the round accepted last, and u({}) = (0, g({})).  u(x) is
-never scored after the empty start: the next round's u(x) is the
-blended row of the round's last accepted candidate, or, if it accepted
-none, (i-1)/i * u(x) + u({})/i.
+candidate the round accepted last, and u({}) = (0, g({})).  Every
+round starts from the empty prefix, so a run computes its candidate
+rows once.  No leader row is ever scored: u(x) starts as u({}), and
+the next round's u(x) is the blended row of the round's last accepted
+candidate, or, if it accepted none, (i-1)/i * u(x) + u({})/i.
 
 The baseline ignores the follower entirely: it greedily fills the whole
 budget to maximize the expected number of activated customers.
@@ -43,21 +44,25 @@ def solve_heuristic(game: BipartiteInfluenceGame, ell: int) -> MixedStrategy:
     oracle = follower_oracle(game)
     tables = payoff.PrefixTables(game, oracle.activation, oracle.recapture)
     weights: dict[PureStrategy, float] = {PureStrategy.empty(): 1.0}
-    fx, gx = oracle.utilities(np.zeros(game.m))
-    g_empty = gx  # g({}, y); f({}, y) is 0
+    # u({}) as scoring np.zeros(m) gives it: the zero row's recapture product is exactly +0.0
+    fx = np.zeros((1, len(oracle)))
+    gx = g_empty = np.ones((1, game.m)) @ oracle.activation.T
     fbr_x = 0.0  # the empty mix never activates anyone
+    if game.k_L:  # every round starts from the empty prefix's candidate rows
+        r, pa, pr = tables.get(())
+        empty_rows = r[:, None] - pr, g_empty - pa + pr
 
     best_weights = dict(weights)
     best_value = fbr_x
     for i in range(1, ell + 1):
         keep = (i - 1) / i
         selected: list[int] = []
-        fs, gs = 0.0, g_empty  # u(S) of the prefix S = selected
         accepted = None  # the blended tables and value of the last accepted candidate
         for _ in range(game.k_L):
-            r, pa, pr = tables.get(tuple(selected))
-            f_rows = fs + r[:, None] - pr  # one row per medium
-            g_rows = gs - pa + pr
+            f_rows, g_rows = empty_rows  # one row per medium
+            if selected:  # fs, gs: u(S) of the prefix S = selected
+                r, pa, pr = tables.get(tuple(selected))
+                f_rows, g_rows = fs + r[:, None] - pr, gs - pa + pr
             bf, bg = keep * fx + f_rows / i, keep * gx + g_rows / i
             values = oracle.optimistic_values(bf, bg)
             values[selected] = -np.inf  # candidates are the unfunded media

@@ -192,7 +192,7 @@ def _trajectory(cum_losses: np.ndarray, w: np.ndarray, h: np.ndarray, rounds: in
     cums[0], cums[1:] = cum_losses, h
     np.add.accumulate(cums, axis=0, out=cums)
     if not np.isfinite(cums).all():
-        raise ValueError("MWU losses are not finite")
+        raise LpNumericsError("MWU losses are not finite")
     # The least-loss weight is exp(0) = 1, so the weights never all
     # vanish; the others may underflow to 0 (the greedy takes w >= 0).
     e = np.exp(-eta * (cums[1:] - cums[1:].min(axis=1, keepdims=True)) / H)

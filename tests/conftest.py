@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from stackalloc import BipartiteInfluenceGame, PureStrategy, mixed_activation_vector
+from stackalloc import BipartiteInfluenceGame, PureStrategy, mixed_activation_vector, payoff
 from stackalloc.model import iter_subsets
 from stackalloc.payoff import PrefixTables, activation_rows, utilities
 
@@ -114,6 +114,21 @@ def count_scored_rows(monkeypatch, oracle):
 
     monkeypatch.setattr(oracle, "utilities", counting)
     return scored
+
+
+def record_products(monkeypatch):
+    """From now on, record each leader row that ``payoff.utilities`` scores,
+    as (id of the activation table, id of the recapture table, row bytes)."""
+    rows = []
+    utilities = payoff.utilities
+
+    def recording(pvx, activation, recapture):
+        pvx = np.atleast_2d(np.asarray(pvx, dtype=float))
+        rows.extend((id(activation), id(recapture), row.tobytes()) for row in pvx)
+        return utilities(pvx, activation, recapture)
+
+    monkeypatch.setattr(payoff, "utilities", recording)
+    return rows
 
 
 def count_store_misses(monkeypatch):

@@ -11,6 +11,8 @@ from stackalloc import bench, cli, exact, follower, heuristic
 from stackalloc.bench import rows_as_json, write_csv
 from stackalloc.lp import LpNumericsError
 
+from conftest import record_products
+
 
 def tiny_spec(**overrides):
     base = dict(n=5, m=8, mean_degree=2.0, p_dist=(0.0, 0.5), pf_dist=(0.1, 0.9),
@@ -347,3 +349,19 @@ def test_paper_cell_answers_are_pinned():
     assert certificate.epsilon1 == pytest.approx(33.68244818707071, abs=1e-12)
     assert certificate.C == pytest.approx(39.77951677627095, abs=1e-12)
     assert certificate.empirical_regret == pytest.approx(16.63865545667276, abs=1e-12)
+
+
+@pytest.mark.parametrize("k_L", [1, 2, 4])
+@pytest.mark.parametrize("pf_dist", [(0.1, 0.9), (0.0, 0.2)])
+def test_a_paper_trial_scores_no_row_twice(monkeypatch, k_L, pf_dist):
+    # The greedy's point mass, MWU's strategies, the mix certify judges and
+    # the re-score of each engine's mix often repeat a row on one game:
+    # each distinct row meets the follower's tables once.
+    monkeypatch.delenv("STACKALLOC_THREADS", raising=False)
+    products = record_products(monkeypatch)
+    spec = ExperimentSpec(n=20, m=844, mean_degree=3506 / 844, p_dist=(0.0, 0.2),
+                          pf_dist=pf_dist, budgets=((k_L, 2),),
+                          algorithms=("greedy", "mwu", "heuristic"), trials=1)
+    (row,) = run_experiment(spec)
+    assert all(cell.trials_done == 1 for cell in row.cells.values())
+    assert products and len(set(products)) == len(products)

@@ -190,6 +190,18 @@ def test_solve_numerics_error_exit_code(capsys, monkeypatch, no_pure_optimum_pat
     assert "no candidate LP was feasible" in err
 
 
+def test_solve_mwu_non_finite_losses_exit_code(capsys, monkeypatch, no_pure_optimum_path):
+    # Losses that are not finite are a numerics fault (exit 4), not an
+    # input error (exit 2): the instance and the options were valid.
+    monkeypatch.setattr(mwu, "_surrogate_losses",
+                        lambda oracle, pvz, C: np.full(len(oracle), -np.inf))
+    code, out, err = run_cli(capsys, "solve", "--instance", no_pure_optimum_path,
+                             "--algorithm", "mwu")
+    assert code == 4
+    assert out == ""
+    assert err == "error: MWU losses are not finite\n"
+
+
 def test_solve_has_no_seed_option(capsys, no_pure_optimum_path):
     with pytest.raises(SystemExit) as exit_info:
         main(["solve", "--instance", no_pure_optimum_path, "--algorithm", "greedy",

@@ -12,10 +12,10 @@ from stackalloc import (CapExceededError, FollowerOracle, MixedStrategy, MwuConf
                         greedy_weighted_submodular, mixed_activation_vector, solve_disjoint_lp,
                         solve_heuristic, solve_multi_lp, solve_mwu)
 from stackalloc.model import BipartiteInfluenceGame
-from stackalloc.payoff import PrefixTables, activation_rows
+from stackalloc.payoff import PrefixTables, activation_rows, utilities
 
 import oracles
-from conftest import count_scored_rows, random_game
+from conftest import count_scored_rows, random_game, record_products
 
 
 def point(media):
@@ -162,11 +162,17 @@ def test_every_engine_reads_the_cached_oracle(monkeypatch, no_pure_optimum, priv
 
 def test_the_oracle_holds_only_the_followers_tables(private_customers):
     # Every table an engine derives lives for its own run; the shared
-    # oracle keeps the follower's two tables, and C once MWU or certify
-    # reads it.
+    # oracle keeps the follower's two tables, C once MWU or certify reads
+    # it, and the last single row it scored with one (1, |D_F|) pair.
     game = private_customers
     oracle = follower_oracle(game)
-    tables = {"strategies", "activation", "recapture"}
+    tables = {"strategies", "activation", "recapture", "_last"}
+
+    def holds_one_row():
+        activation, recapture, key, f, g = oracle._last
+        assert activation is oracle.activation and recapture is oracle.recapture
+        assert len(key) == game.m * 8 and f.shape == g.shape == (1, len(oracle))
+
     greedy_baseline(game)
     greedy_weighted_submodular(game, np.ones(len(oracle)))
     solve_heuristic(game, 3)
@@ -174,12 +180,69 @@ def test_the_oracle_holds_only_the_followers_tables(private_customers):
     solve_disjoint_lp(game)
     best_response(game, point([0]))
     assert vars(oracle).keys() == tables
+    holds_one_row()
     certify(game, point([0]))
     assert vars(oracle).keys() == tables | {"C"}
     assert oracle.C == float(oracle.activation.sum(axis=1).max())
     del oracle.C
     solve_mwu(game, MwuConfig(iterations=5))
     assert vars(oracle).keys() == tables | {"C"}
+    holds_one_row()
+
+
+def _same_bits(got, want):
+    return all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+def test_a_single_row_is_scored_fresh_or_returned_as_scored(monkeypatch):
+    # Every single-row answer is payoff.utilities bit for bit and
+    # read-only; only a repeat of the last row's bytes skips the product,
+    # whatever form the row comes in.
+    game = generate_instance(6, 40, 3.0, (0, 0.4), (0.1, 0.9), seed=3, k_F=2)
+    oracle = follower_oracle(game)
+    rng = np.random.default_rng(5)
+    a, b, zero = rng.uniform(size=game.m), rng.uniform(size=game.m), np.zeros(game.m)
+    calls = [(a, 1), (a, 0), (a[None, :], 0), (list(a), 0), (b, 1), (a, 1), (a.copy(), 0),
+             (zero, 1), (-zero, 1), (zero, 1)]  # -0.0 has other bytes than +0.0
+    products = record_products(monkeypatch)
+    for row, scored in calls:
+        before = len(products)
+        f, g = oracle.utilities(row)
+        assert len(products) - before == scored
+        assert _same_bits((f, g), utilities(row, oracle.activation, oracle.recapture))
+        for table in (f, g):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 5.0
+
+
+def test_stacked_rows_bypass_the_memo(monkeypatch):
+    game = generate_instance(6, 40, 3.0, (0, 0.4), (0.1, 0.9), seed=3, k_F=2)
+    oracle = follower_oracle(game)
+    rng = np.random.default_rng(6)
+    stack = rng.uniform(size=(2, game.m))
+    last = oracle.utilities(stack[0])
+    products = record_products(monkeypatch)
+    for _ in range(2):
+        f, g = oracle.utilities(stack)
+        assert f.flags.writeable and g.flags.writeable
+        assert _same_bits((f, g), utilities(stack, oracle.activation, oracle.recapture))
+    assert len(products) == 4
+    # Neither stacked call replaced the single row scored before them.
+    assert all(x is y for x, y in zip(oracle.utilities(stack[:1]), last))
+    assert len(products) == 4
+
+
+def test_a_rebound_table_is_never_served_a_stale_row(monkeypatch):
+    game = generate_instance(6, 40, 3.0, (0, 0.4), (0.1, 0.9), seed=3, k_F=2)
+    oracle = follower_oracle(game)
+    pvx = np.random.default_rng(7).uniform(size=game.m)
+    for name in ("recapture", "activation"):
+        before = oracle.utilities(pvx)
+        monkeypatch.setattr(oracle, name, getattr(oracle, name) * 0.5)
+        after = oracle.utilities(pvx)
+        assert _same_bits(after, utilities(pvx, oracle.activation, oracle.recapture))
+        assert not _same_bits(after, before)
 
 
 @pytest.mark.parametrize("medium", [-1, 5])
@@ -232,14 +295,16 @@ def test_oracle_tables_reject_in_place_writes():
     assert best_response(game, point([0])).follower_value == before
 
 
-def test_oracle_best_response_takes_one_activation_row(no_pure_optimum):
+def test_oracle_best_response_takes_one_activation_row(monkeypatch, no_pure_optimum):
     oracle = follower_oracle(no_pure_optimum)
     pvx = mixed_activation_vector(no_pure_optimum, point([0]))
     assert oracle.best_response(pvx[None, :]) == oracle.best_response(pvx)
+    products = record_products(monkeypatch)
     for rows in (np.stack([pvx, np.zeros_like(pvx)]), np.empty((0, pvx.size))):
         with pytest.raises(ValueError, match=rf"^best_response takes one activation vector, "
                                              rf"not {len(rows)} rows$"):
             oracle.best_response(rows)
+    assert products == []  # rejected before any product
 
 
 def test_oracle_cache_frees_solved_games():

@@ -95,9 +95,10 @@ def test_evaluation_count_scales_with_budget_and_rounds(monkeypatch):
     scored = count_scored_rows(monkeypatch, oracle)
     misses = count_store_misses(monkeypatch)
     solve_heuristic(game, ell)
-    # Only the initial mix is scored from activations; the store fills
-    # the empty prefix and at most k_L - 1 more prefixes per round.
-    assert scored[0] == 1
+    # No leader row is scored from activations, not even the initial mix;
+    # the store fills the empty prefix and at most k_L - 1 more prefixes
+    # per round.
+    assert scored[0] == 0
     assert misses[0] <= 1 + (game.k_L - 1) * ell
 
 
@@ -146,19 +147,19 @@ def test_heuristic_matches_blended_reference(monkeypatch):
 def test_heuristic_scores_each_prefix_once(monkeypatch, no_pure_optimum):
     # With k_L = 1 every round's greedy starts from, and stops after, the
     # empty prefix: the store fills its tables once, not once per round.
-    # Besides them only the initial mix is scored; a round's end never is.
+    # No leader row is scored, neither the initial mix nor a round's end.
     oracle = follower_oracle(no_pure_optimum)
     ell = 10
     scored = count_scored_rows(monkeypatch, oracle)
     misses = count_store_misses(monkeypatch)
     solve_heuristic(no_pure_optimum, ell)
-    assert scored[0] == 1 and misses[0] == 1
+    assert scored[0] == 0 and misses[0] == 1
 
 
 def test_heuristic_scores_only_prefix_rows_at_budget_two(monkeypatch):
     # At k_L = 2 a round scores the empty prefix and, once it accepts a
     # medium u, the prefix (u,): the store fills each distinct prefix once
-    # per run.  Besides these only the initial mix is scored.
+    # per run.  No leader row is scored, not even the initial mix.
     rng = np.random.default_rng(447)
     for _ in range(10):
         game = random_game(rng, n_max=6, m_max=8)
@@ -171,7 +172,7 @@ def test_heuristic_scores_only_prefix_rows_at_budget_two(monkeypatch):
             misses = count_store_misses(patch)
             _, picks = _with_round_picks(patch, heuristic_mod, lambda: solve_heuristic(game, ell))
         prefixes = {()} | {round_picks[:game.k_L - 1] for round_picks in picks}
-        assert scored[0] == 1 and misses[0] == len(prefixes)
+        assert scored[0] == 0 and misses[0] == len(prefixes)
 
 
 def test_heuristic_rejects_bad_ell(no_pure_optimum):

@@ -436,7 +436,9 @@ def test_solve_mwu_keeps_a_weight_at_a_rate_that_underflows_the_rest():
 def test_solve_mwu_rejects_non_finite_weights(no_pure_optimum, monkeypatch):
     monkeypatch.setattr(mwu_mod, "_surrogate_losses",
                         lambda oracle, pvz, C: np.full(len(oracle), -np.inf))
-    with pytest.raises(ValueError, match="not finite"):
+    # Inputs are checked before the run, so non-finite losses are the
+    # program's numerics fault, not the caller's input.
+    with pytest.raises(LpNumericsError, match="^MWU losses are not finite$"):
         solve_mwu(no_pure_optimum, MwuConfig(iterations=3))
 
 
