@@ -66,7 +66,6 @@ DEFAULT_LEADER_CAP = 10 ** 5
 VALUE_TIE_TOL = 1e-9
 REVERIFY_TOL = 1e-6
 PRUNE_TOL = 1e-12
-Q_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -179,9 +178,9 @@ def decompose_allocation(r, k_L: int) -> MixedStrategy:
     rho = np.asarray(r, dtype=float)
     if rho.ndim != 1:
         raise ValueError(f"allocation must be a vector, got shape {rho.shape}")
-    # Q = {0 <= r <= 1, sum r <= k_L}, within Q_TOL; NaN fails every test.
-    if not (np.all(rho >= -Q_TOL) and np.all(rho <= 1.0 + Q_TOL)
-            and float(rho.sum()) <= k_L + Q_TOL):
+    # Q = {0 <= r <= 1, sum r <= k_L}, within solve_lp's tolerance on these rows; NaN fails.
+    if not (np.all(rho >= -FEAS_TOL) and np.all(rho <= 1.0 + FEAS_TOL)
+            and float(rho.sum()) <= k_L + FEAS_TOL * max(1, k_L)):
         raise ValueError(f"allocation outside Q (budget {k_L}): {rho}")
     rho = np.clip(rho, 0.0, 1.0)
     total = float(rho.sum())

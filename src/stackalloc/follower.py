@@ -81,12 +81,16 @@ class FollowerOracle:
     def utilities(self, pvx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(f(x, y), g(x, y)) over all y, for rows of leader activations.
 
-        Accepts one activation vector or a stack of them; returns arrays
-        of shape (rows, |D_F|), read-only for one row.
+        Accepts one activation vector or a stack of them, m wide (any other
+        shape raises ValueError); returns (rows, |D_F|) arrays, read-only for one row.
         """
-        pvx = np.atleast_2d(np.asarray(pvx, dtype=float))
+        pvx = np.asarray(pvx, dtype=float)
         tables = self.activation, self.recapture
-        if pvx.shape != (1, tables[0].shape[1]):
+        if pvx.ndim not in (1, 2) or pvx.shape[-1] != tables[0].shape[1]:
+            raise ValueError(f"leader activations must be one row or a stack of rows of "
+                             f"{tables[0].shape[1]} entries, not of shape {pvx.shape}")
+        pvx = np.atleast_2d(pvx)
+        if len(pvx) != 1:
             return payoff.utilities(pvx, *tables)
         key, last = pvx.tobytes(), self._last
         if not (last and last[0] is tables[0] and last[1] is tables[1] and last[2] == key):
@@ -112,8 +116,8 @@ class FollowerOracle:
         return np.where(tied, f, -np.inf).max(axis=1)
 
     def best_response(self, pvx: np.ndarray) -> BestResponseResult:
-        pvx = np.atleast_2d(np.asarray(pvx, dtype=float))
-        if len(pvx) != 1:
+        pvx = np.asarray(pvx, dtype=float)
+        if pvx.ndim == 2 and len(pvx) != 1:
             raise ValueError(f"best_response takes one activation vector, not {len(pvx)} rows")
         f, g = self.utilities(pvx)
         f, g = f[0], g[0]

@@ -18,8 +18,8 @@ g(S + c) = g(S) - PA(S)[c] + PR(S)[c], where u(S) is the row of the
 candidate the round accepted last, and u({}) = (0, g({})).  Every
 round starts from the empty prefix, so a run computes its candidate
 rows once.  No leader row is ever scored: u(x) starts as u({}), and
-the next round's u(x) is the blended row of the round's last accepted
-candidate, or, if it accepted none, (i-1)/i * u(x) + u({})/i.
+every round ends with the one update u(x) <- (i-1)/i * u(x) + u(S)/i
+for the round's S, which is {} if it accepted no candidate.
 
 The baseline ignores the follower entirely: it greedily fills the whole
 budget to maximize the expected number of activated customers.
@@ -45,41 +45,36 @@ def solve_heuristic(game: BipartiteInfluenceGame, ell: int) -> MixedStrategy:
     tables = payoff.PrefixTables(game, oracle.activation, oracle.recapture)
     weights: dict[PureStrategy, float] = {PureStrategy.empty(): 1.0}
     # u({}) as scoring np.zeros(m) gives it: the zero row's recapture product is exactly +0.0
-    fx = np.zeros((1, len(oracle)))
+    fx = f_empty = np.zeros((1, len(oracle)))
     gx = g_empty = np.ones((1, game.m)) @ oracle.activation.T
     fbr_x = 0.0  # the empty mix never activates anyone
-    if game.k_L:  # every round starts from the empty prefix's candidate rows
-        r, pa, pr = tables.get(())
-        empty_rows = r[:, None] - pr, g_empty - pa + pr
+    r, pa, pr = tables.get(())  # every round starts from the empty prefix's candidate rows
+    empty_rows = r[:, None] - pr, g_empty - pa + pr
 
     best_weights = dict(weights)
     best_value = fbr_x
     for i in range(1, ell + 1):
         keep = (i - 1) / i
+        kfx, kgx = keep * fx, keep * gx  # (i-1)/i * u(x), scaled once per round
         selected: list[int] = []
-        accepted = None  # the blended tables and value of the last accepted candidate
+        fs, gs = f_empty, g_empty  # u(S) of the prefix S = selected
         for _ in range(game.k_L):
             f_rows, g_rows = empty_rows  # one row per medium
-            if selected:  # fs, gs: u(S) of the prefix S = selected
+            if selected:
                 r, pa, pr = tables.get(tuple(selected))
                 f_rows, g_rows = fs + r[:, None] - pr, gs - pa + pr
-            bf, bg = keep * fx + f_rows / i, keep * gx + g_rows / i
-            values = oracle.optimistic_values(bf, bg)
+            values = oracle.optimistic_values(kfx + f_rows / i, kgx + g_rows / i)
             values[selected] = -np.inf  # candidates are the unfunded media
             u = int(np.argmax(values))  # ties fall to the smallest index
             if values[u] < fbr_x - ACCEPT_TOL:
                 break
             selected.append(u)
-            fs, gs = f_rows[u:u + 1], g_rows[u:u + 1]
-            accepted = bf[u:u + 1], bg[u:u + 1], float(values[u])
+            fs, gs, fbr_s = f_rows[u:u + 1], g_rows[u:u + 1], float(values[u])
         chosen = PureStrategy.of(selected)
         weights = {s: w * keep for s, w in weights.items() if w * keep > 0.0}
         weights[chosen] = weights.get(chosen, 0.0) + 1.0 / i
-        if accepted is None:  # x blended with {}
-            fx, gx = keep * fx, keep * gx + g_empty / i
-            fbr_x = float(oracle.optimistic_values(fx, gx)[0])
-        else:
-            fx, gx, fbr_x = accepted
+        fx, gx = kfx + fs / i, kgx + gs / i
+        fbr_x = fbr_s if selected else float(oracle.optimistic_values(fx, gx)[0])
         if best_value < fbr_x:
             best_value = fbr_x
             best_weights = dict(weights)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from stackalloc import (MixedStrategy, PureStrategy, best_response, cli, exact, heuristic,
-                        load_instance, mwu)
+                        load_instance, lp, mwu)
 from stackalloc.cli import main
 from stackalloc.lp import LpOutcome
 
@@ -188,6 +188,28 @@ def test_solve_numerics_error_exit_code(capsys, monkeypatch, no_pure_optimum_pat
     assert code == 4
     assert out == ""
     assert "no candidate LP was feasible" in err
+
+
+def test_solve_disjoint_decodes_every_allocation_the_lp_certifies(capsys, monkeypatch,
+                                                                  private_customers_path):
+    # An optimum 5e-8 above 1 still passes solve_lp's feasibility check, so
+    # the decode must take it: it used to exit 2 with "allocation outside Q".
+    solve_lp = exact.solve_lp
+
+    def nudged(program):
+        out = solve_lp(program)
+        if out.status == "optimal":
+            x = out.x.copy()
+            x[np.argmax(x)] += 5e-8
+            lp._check_feasible(program, x)
+            out = LpOutcome(status="optimal", x=x, value=out.value)
+        return out
+
+    monkeypatch.setattr(exact, "solve_lp", nudged)
+    code, out, err = run_cli(capsys, "solve", "--instance", private_customers_path,
+                             "--algorithm", "exact-disjoint")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["value"] == pytest.approx(18.0, abs=1e-9)
 
 
 def test_solve_mwu_non_finite_losses_exit_code(capsys, monkeypatch, no_pure_optimum_path):

@@ -72,6 +72,7 @@ def test_decompose_integral_point_mass():
 def test_decompose_rejects_points_outside_Q():
     outside = [([0.9, 0.9, 0.9], 2),  # over budget
                ([1.2, 0.0], 2),  # above 1
+               ([1.0 + 2e-7, 0.0], 2),  # above 1 by more than solve_lp's tolerance
                ([-0.1, 0.5], 1),  # below 0
                ([0.5, float("nan")], 2)]
     for r, k_L in outside:

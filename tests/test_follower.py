@@ -307,6 +307,24 @@ def test_oracle_best_response_takes_one_activation_row(monkeypatch, no_pure_opti
     assert products == []  # rejected before any product
 
 
+@pytest.mark.parametrize("shape", [(1, 2, 22), (2, 2, 22), (21,), (1, 21), (1, 23), ()])
+def test_oracle_rejects_activations_of_the_wrong_shape(monkeypatch, shape):
+    # m = |D_F| = 22 here: a (1, 2, m) stack used to return (1, 2, |D_F|)
+    # tables with f summed over the wrong axis, and best_response on it
+    # ended in a TypeError.
+    game = generate_instance(6, 22, 3.0, (0, 0.4), (0.1, 0.9), seed=3, k_F=2)
+    oracle = follower_oracle(game)
+    assert len(oracle) == game.m
+    pvx = np.full(shape, 0.5)
+    products = record_products(monkeypatch)
+    message = rf"^leader activations must be one row or a stack of rows of 22 entries, " \
+              rf"not of shape {re.escape(str(shape))}$"
+    for score in (oracle.utilities, oracle.best_response_values, oracle.best_response):
+        with pytest.raises(ValueError, match=message):
+            score(pvx)
+    assert products == []  # rejected before any product
+
+
 def test_oracle_cache_frees_solved_games():
     rng = np.random.default_rng(12)
     refs = []

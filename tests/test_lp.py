@@ -232,6 +232,10 @@ def test_rejects_bad_programs():
          "row width does not match objective: rows have shape (2,), expected (1, 2)"),
         (([1.0, 2.0], np.zeros((0, 2)), [], np.zeros((0, 2))),
          "rhs must be a vector, got shape (0, 2)"),
+        (([1.0], [[np.nan]], [LESS], [1.0]), "row has non-finite coefficients"),
+        (([1.0], [[-np.inf]], [LESS], [1.0]), "row has non-finite coefficients"),
+        (([1.0], [[1.0]], [LESS], [np.inf]), "row has non-finite coefficients"),
+        (([1.0], [[1.0]], [LESS], [np.nan]), "row has non-finite coefficients"),
     ]
     for args, message in cases:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

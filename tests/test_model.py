@@ -245,6 +245,8 @@ def test_generate_instance_rejects_bad_arguments():
         generate_instance(3, 5, 4.0, (0.0, 0.5), (0.0, 0.5), seed=0)
     with pytest.raises(ValueError):
         generate_instance(3, 5, 1.0, (0.5, 0.1), (0.0, 0.5), seed=0)
+    with pytest.raises(ValueError, match="^cannot attach customers to an empty media set$"):
+        generate_instance(0, 5, 0.0, (0, 0.2), (0, 0.2), seed=0)
 
 
 @pytest.mark.parametrize("m", [0, 4])
