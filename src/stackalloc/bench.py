@@ -26,8 +26,7 @@ from typing import Any, Callable, TextIO
 import numpy as np
 
 from . import exact, follower, heuristic, mwu
-from .lp import LpNumericsError, PivotLimitError
-from .model import (BipartiteInfluenceGame, CapExceededError, MixedStrategy, generate_instance,
+from .model import (BipartiteInfluenceGame, MixedStrategy, StackallocError, generate_instance,
                     require_generator_ranges, require_integer)
 
 CSV_HEADER = "dist,kL,kF,algorithm,mean,std,mean_ms,trials"
@@ -89,17 +88,13 @@ class ExperimentSpec:
     heuristic_ell: int = 10
 
     def __post_init__(self):
-        for name in ("n", "m", "trials", "base_seed", "heuristic_ell"):
+        for name in ("trials", "heuristic_ell"):
             require_integer(name, getattr(self, name))
-        require_generator_ranges(self.n, self.mean_degree, self.p_dist, self.pf_dist)
-        for pair in self.budgets:
-            for k in pair:
-                require_integer("budget entry", k)
+        for kl, kf in self.budgets or ((0, 0),):
+            require_generator_ranges(self.n, self.m, self.mean_degree, self.p_dist,
+                                     self.pf_dist, self.base_seed, kl, kf)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        for kl, kf in self.budgets:
-            if not (0 <= kl <= self.n and 0 <= kf <= self.n):
-                raise ValueError(f"budget pair ({kl}, {kf}) outside [0, n]")
         for alg in self.algorithms:
             if alg not in ENGINES or ENGINES[alg][0] != alg:
                 raise ValueError(f"unknown algorithm {alg!r}")
@@ -207,13 +202,9 @@ def _run_trial(payload: tuple[ExperimentSpec, int, int, int]
             _, _, br, _, solve_ms = run_engine(game, alg, spec.mwu_iterations,
                                                spec.mwu_epsilon, spec.heuristic_ell)
             out[alg] = br.leader_value, solve_ms
-        except (CapExceededError, PivotLimitError, LpNumericsError, ValueError, MemoryError):
+        except (StackallocError, ValueError, MemoryError):
             out[alg] = None  # recorded as a skipped cell, never fatal
     return out
-
-
-class WorkerDiedError(RuntimeError):
-    """A bench worker process ended without returning its trials."""
 
 
 def worker_count() -> int:
@@ -234,7 +225,7 @@ def run_experiment(spec: ExperimentSpec) -> list[ExperimentRow]:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_run_trial, payloads))
         except BrokenExecutor as exc:  # BrokenProcessPool: a worker died
-            raise WorkerDiedError(f"a bench worker process died: {exc}") from exc
+            raise StackallocError(f"a bench worker process died: {exc}") from exc
     else:
         results = [_run_trial(p) for p in payloads]
 

@@ -2,9 +2,10 @@
 
 Subcommands: ``solve`` (JSON report on stdout), ``generate`` (write an
 instance file), ``bench`` (CSV on stdout, optional JSON mirror) and
-``validate``.  Exit codes: 0 success, 2 input error, 3 enumeration or
-pivot cap exceeded, or an instance too large for memory (or a bench
-worker that died), 4 an answer failed its numerical re-check.
+``validate``.  Exit codes: 0 success, 2 input error (``ValueError``,
+``OSError``), 3 an instance too large for memory, else the code that every
+other failure, a ``model.StackallocError``, carries: 3 an enumeration or
+pivot cap exceeded or a dead bench worker, 4 a failed numerical re-check.
 """
 
 from __future__ import annotations
@@ -16,14 +17,12 @@ import sys
 import time
 
 from . import bench
-from .lp import LpNumericsError, PivotLimitError
-from .model import (BipartiteInfluenceGame, CapExceededError, allocation_of, dump_instance,
+from .model import (BipartiteInfluenceGame, StackallocError, allocation_of, dump_instance,
                     generate_instance, load_instance)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_CAP = 3
-EXIT_NUMERICS = 4
 
 
 def _load(path: str) -> BipartiteInfluenceGame:
@@ -142,18 +141,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (CapExceededError, PivotLimitError, bench.WorkerDiedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
     except MemoryError as exc:
         print(f"error: instance too large: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except LpNumericsError as exc:
+    except (OSError, ValueError, StackallocError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICS
+        return getattr(exc, "exit_code", EXIT_INPUT)
 
 
 if __name__ == "__main__":

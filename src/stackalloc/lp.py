@@ -26,18 +26,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import StackallocError
+
 PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
 MAX_PIVOTS = 10 ** 6
 STALL_LIMIT = 100  # degenerate pivots before switching to Bland's rule
 
 
-class PivotLimitError(RuntimeError):
+class PivotLimitError(StackallocError):
     """The pivot cap was exceeded; no answer is returned."""
 
 
-class LpNumericsError(RuntimeError):
+class LpNumericsError(StackallocError):
     """An answer failed an independent numerical re-check."""
+
+    exit_code = 4
 
 
 _SENSE = {"<=": 1, "=": 0, ">=": -1}

@@ -39,7 +39,13 @@ def _bool_medium(u) -> bool:
     raise TypeError(f"medium indices must be integers, got the bool {u}")
 
 
-class CapExceededError(RuntimeError):
+class StackallocError(RuntimeError):
+    """A run the package stopped before its answer; ``exit_code`` is the CLI's."""
+
+    exit_code = 3
+
+
+class CapExceededError(StackallocError):
     """A strategy enumeration would exceed its size cap:
     ``exact.DEFAULT_LEADER_CAP`` or ``follower.DEFAULT_FOLLOWER_CAP``."""
 
@@ -529,9 +535,13 @@ def _tail_shuffle(values: np.ndarray, n: int) -> np.ndarray:
     return picks.T
 
 
-def require_generator_ranges(n: int, mean_degree: float, p_dist, pf_dist) -> None:
-    """Raise ValueError unless both distributions are two bounds with
-    0 <= a <= b <= 1 and the mean degree is finite and in [0, n]."""
+def require_generator_ranges(n: int, m: int, mean_degree: float, p_dist, pf_dist,
+                             seed: int, k_L: int, k_F: int) -> None:
+    """Raise ValueError unless ``generate_instance`` takes these: integers; both
+    ranges 0 <= a <= b <= 1; a finite mean degree in [0, n]; m >= 0, seed >= 0
+    and budgets in [0, n]; and, when m > 0, 0 < n < 2**32."""
+    for name, value in (("n", n), ("m", m), ("seed", seed), ("k_L", k_L), ("k_F", k_F)):
+        require_integer(name, value)
     for name, dist in (("p", p_dist), ("pf", pf_dist)):
         dist = tuple(dist)
         if len(dist) != 2 or not 0.0 <= dist[0] <= dist[1] <= 1.0:
@@ -543,6 +553,13 @@ def require_generator_ranges(n: int, mean_degree: float, p_dist, pf_dist) -> Non
         raise ValueError(f"mean degree must be non-negative, got {mean_degree}")
     if mean_degree > n:
         raise ValueError(f"mean degree {mean_degree} exceeds media count {n}")
+    if n <= 0 and m > 0:
+        raise ValueError("cannot attach customers to an empty media set")
+    if n >= 1 << 32 and m > 0:
+        raise ValueError(f"media count {n} is too large to generate: need n < 2**32")
+    if m < 0 or seed < 0 or not (0 <= k_L <= n and 0 <= k_F <= n):
+        raise ValueError(f"need m >= 0, seed >= 0 and budgets in [0, n], got n={n}, m={m}, "
+                         f"seed={seed}, k_L={k_L}, k_F={k_F}")
 
 
 def generate_instance(n: int, m: int, mean_degree: float,
@@ -571,15 +588,7 @@ def generate_instance(n: int, m: int, mean_degree: float,
     require_integer("n", n)
     k_L = min(1, n) if k_L is None else k_L
     k_F = min(2, n) if k_F is None else k_F
-    for name, value in (("m", m), ("seed", seed), ("k_L", k_L), ("k_F", k_F)):
-        require_integer(name, value)
-    require_generator_ranges(n, mean_degree, p_dist, pf_dist)
-    if n <= 0 and m > 0:
-        raise ValueError("cannot attach customers to an empty media set")
-    if n >= 1 << 32 and m > 0:
-        raise ValueError(f"media count {n} is too large to generate: need n < 2**32")
-    if m < 0 or not (0 <= k_L <= n and 0 <= k_F <= n):
-        raise ValueError(f"need m >= 0 and budgets in [0, n], got n={n}, m={m}, k_L={k_L}, k_F={k_F}")
+    require_generator_ranges(n, m, mean_degree, p_dist, pf_dist, seed, k_L, k_F)
     degree = max(1, int(round(mean_degree))) if m > 0 else 0
     degree = min(degree, n)
     floyd = n <= _FLOYD_MAX_N or degree <= n // _FLOYD_FRACTION

@@ -7,7 +7,7 @@ import pytest
 
 from stackalloc import (ExperimentSpec, MixedStrategy, PureStrategy, best_response,
                         generate_instance, parse_spec, parse_specs, run_experiment)
-from stackalloc import bench, cli, exact, follower, heuristic
+from stackalloc import bench, cli, exact, follower, heuristic, lp
 from stackalloc.bench import rows_as_json, write_csv
 from stackalloc.lp import LpNumericsError
 
@@ -94,6 +94,16 @@ def test_numerics_failure_skips_only_its_cell(monkeypatch):
     greedy = rows[0].cells["greedy"]
     assert (greedy.mean, greedy.values) == (clean[0].cells["greedy"].mean,
                                             clean[0].cells["greedy"].values)
+
+
+def test_a_pivot_cap_skips_only_the_exact_cell(monkeypatch):
+    spec = tiny_spec(algorithms=("greedy", "exact-multi-lp"), trials=2)
+    clean = run_experiment(spec)
+    assert None not in clean[0].cells["exact-multi-lp"].values
+    monkeypatch.setattr(lp, "MAX_PIVOTS", 0)
+    rows = run_experiment(spec)
+    assert rows[0].cells["exact-multi-lp"].values == (None, None)
+    assert rows[0].cells["greedy"].values == clean[0].cells["greedy"].values
 
 
 def test_an_engine_out_of_memory_skips_only_its_cell(monkeypatch, tmp_path, capsys):
@@ -248,6 +258,8 @@ class RecordingPool:
     ("500", 16, 3, ((1, 1), (2, 1)), [6]),  # capped by the payload count
     ("2", 16, 3, ((1, 1), (2, 1)), [2]),    # as asked
     ("500", 1, 3, ((1, 1),), []),           # one CPU: in-process
+    ("abc", 4, 3, ((1, 1), (2, 1)), []),    # not a count: in-process
+    ("0", 4, 3, ((1, 1), (2, 1)), []),      # fewer than one: in-process
 ])
 def test_worker_count_is_bounded_by_payloads_and_cpus(monkeypatch, threads, cpus, trials,
                                                       budgets, started):
@@ -311,7 +323,8 @@ def test_parse_spec_rejects_malformed_input():
                 {"p": [-0.1, 0.2]}, {"mean_degree": 6}, {"mean_degree": -1},
                 {"mean_degree": float("nan")}, {"mean_degree": float("inf")},
                 {"mwu": [1]}, {"mwu": 5}, {"mwu": None}, {"heuristic": [1]},
-                {"heuristic": 5}, {"heuristic": None}):
+                {"heuristic": 5}, {"heuristic": None}, {"base_seed": -1},
+                {"n": 0, "m": 5, "mean_degree": 0, "budgets": [[0, 0]]}):
         with pytest.raises(ValueError, match="^malformed experiment spec: "):
             parse_specs({**good, **bad})
     # Strings and bools where a spec wants a number; JSON integers stay

@@ -179,6 +179,15 @@ def test_solve_instance_too_large_for_memory_exit_code(capsys, tmp_path, algorit
     assert err.startswith("error: instance too large")
 
 
+def test_solve_pivot_cap_exit_code(capsys, monkeypatch, no_pure_optimum_path):
+    monkeypatch.setattr(lp, "MAX_PIVOTS", 0)
+    code, out, err = run_cli(capsys, "solve", "--instance", no_pure_optimum_path,
+                             "--algorithm", "exact")
+    assert code == 3
+    assert out == ""
+    assert err == "error: pivot cap exceeded\n"
+
+
 def test_solve_numerics_error_exit_code(capsys, monkeypatch, no_pure_optimum_path):
     # Every candidate LP reads infeasible, which the solver's re-check
     # rejects: some response is always inducible.
@@ -304,6 +313,16 @@ def test_generate_rejects_a_budget_outside_the_media_count(capsys, tmp_path, bud
                            "--seed", "0", "--out", str(out), *budget)
     assert code == 2
     assert "budgets in [0, n]" in err
+    assert not out.exists()
+
+
+def test_generate_rejects_a_negative_seed(capsys, tmp_path):
+    # numpy's bare "expected non-negative integer" used to be the message.
+    out = tmp_path / "x.txt"
+    code, _, err = run_cli(capsys, "generate", "--n", "3", "--m", "5", "--mean-degree", "1",
+                           "--p", "0,0.2", "--pf", "0,0.2", "--seed", "-3", "--out", str(out))
+    assert code == 2
+    assert err.startswith("error: need m >= 0, seed >= 0 and budgets in [0, n]") and "seed=-3" in err
     assert not out.exists()
 
 

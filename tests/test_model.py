@@ -247,6 +247,9 @@ def test_generate_instance_rejects_bad_arguments():
         generate_instance(3, 5, 1.0, (0.5, 0.1), (0.0, 0.5), seed=0)
     with pytest.raises(ValueError, match="^cannot attach customers to an empty media set$"):
         generate_instance(0, 5, 0.0, (0, 0.2), (0, 0.2), seed=0)
+    # numpy's PCG64 used to raise its own "expected non-negative integer".
+    with pytest.raises(ValueError, match=r"^need m >= 0, seed >= 0 .*seed=-3, "):
+        generate_instance(3, 5, 1.0, (0, 0.2), (0, 0.2), seed=-3)
 
 
 @pytest.mark.parametrize("m", [0, 4])

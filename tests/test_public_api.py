@@ -16,7 +16,7 @@ PUBLIC_NAMES = [
 ]
 
 # Lines of ``src/stackalloc/*.py``, counted as ``wc -l`` counts them.
-SOURCE_LINES = 2262
+SOURCE_LINES = 2259
 
 # Parameter names of every exported function and of the oracle's constructor.
 PARAMETERS = {
